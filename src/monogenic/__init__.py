@@ -12,8 +12,6 @@ from .clifford import (
     Paravector,
     blade_product,
     cl_mul,
-    cl_norm,
-    para_mul_norm_check,
 )
 from .errors import (
     DimensionMismatchError,
@@ -33,7 +31,6 @@ from .growth import (
     MembershipReport,
     ProximateOrder,
     axis_log_norms,
-    constant_order,
     growth_report,
     k_q,
     log_coeff_norms,
@@ -41,7 +38,6 @@ from .growth import (
     order_from_coeffs,
     type_from_coeffs,
     type_from_kq,
-    weighted_norm,
     weighted_norm_ln,
 )
 from .multiindex import c_nm, degree_sum_c, enumerate_degree, enumerate_up_to
@@ -60,6 +56,7 @@ from .series import (
     MonogenicSeries,
     ck_mul_left,
     dirac_residual,
+    dirac_residuals,
     max_modulus,
     series_derivative,
     series_eval,

@@ -179,11 +179,6 @@ def cl_mul(a: CliffordNumber, b: CliffordNumber) -> CliffordNumber:
     return CliffordNumber(a.dim, out)
 
 
-def cl_norm(a: CliffordNumber) -> float:
-    """Euclidean norm: sqrt of the sum of squared blade coefficients."""
-    return a.norm()
-
-
 class Paravector:
     """A point x0 + x1*e1 + ... + xn*en of real (n+1)-space inside the algebra."""
 
@@ -232,8 +227,3 @@ class Paravector:
     def __repr__(self) -> str:
         return f"Paravector({self.x0!r}, {self.xv!r})"
 
-
-def para_mul_norm_check(x: Paravector, y: CliffordNumber) -> float:
-    """Norm of x*y; left multiplication by a paravector is norm-multiplicative,
-    so this equals norm(x)*norm(y) up to roundoff."""
-    return cl_norm(cl_mul(x.to_clifford(), y))

@@ -29,7 +29,7 @@ from scipy.special import logsumexp
 
 from .errors import InvariantViolationError, UndefinedOrderError
 from .multiindex import MultiIndex, ln_c_nm, mi_abs
-from .series import MonogenicSeries, series_eval
+from .series import MonogenicSeries, max_modulus, series_eval
 from .sampling import sphere_points
 
 FAMILIES = ("constant", "logshift", "loglog")
@@ -120,15 +120,6 @@ class ProximateOrder:
                 return self.rho
             raise ValueError("exponent representation is singular at r = 1")
         return self.ln_scale_at_ln_r(ln_r) / ln_r
-
-    def raw_exponent(self, r: float) -> float:
-        """The family formula before normalisation (reference only)."""
-        ln_r = math.log(r)
-        if self.family == "constant":
-            return self.rho
-        if self.family == "logshift":
-            return self.rho + self.a / ln_r
-        return self.rho + self.a * math.log(ln_r) / ln_r
 
     def decay_at_ln_r(self, ln_r: float) -> float:
         """rho'(r) * r * ln(r) of the raw family; tends to 0 as r grows."""
@@ -229,10 +220,6 @@ class ProximateOrder:
         return cls(parts[0], float(parts[1]), a)
 
 
-def constant_order(rho: float) -> ProximateOrder:
-    return ProximateOrder("constant", rho)
-
-
 # ---------------------------------------------------------------------------
 # Weighted sup norms of truncated series
 # ---------------------------------------------------------------------------
@@ -305,19 +292,6 @@ def weighted_norm_ln(
     return ln_lower, ln_upper
 
 
-def weighted_norm(
-    f: MonogenicSeries,
-    po: ProximateOrder,
-    sigma: float,
-    samples: int = 32,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Linear-scale version of weighted_norm_ln; overflows to inf if needed."""
-    ln_lo, ln_hi = weighted_norm_ln(f, po, sigma, samples=samples, seed=seed)
-    to_lin = lambda v: 0.0 if v == -math.inf else (math.exp(v) if v < 700 else math.inf)
-    return to_lin(ln_lo), to_lin(ln_hi)
-
-
 def k_q(
     f: MonogenicSeries, q: int, samples: int = 256, seed: int = 0
 ) -> tuple[float, float]:
@@ -327,17 +301,7 @@ def k_q(
     ball sup sits on the boundary), axis points included.  Upper: sum of
     coefficient norms, since each basis polynomial has unit-ball sup <= 1.
     """
-    part = f.homogeneous_part(q)
-    if part.is_zero():
-        return 0.0, 0.0
-    upper = sum(a.norm() for a in part.coeffs.values())
-    if q == 0:
-        value = part.coeff((0,) * f.n).norm()
-        return value, upper
-    lower = 0.0
-    for x in sphere_points(f.n, 1.0, max(samples, 1), seed=seed):
-        lower = max(lower, series_eval(part, x).norm())
-    return lower, upper
+    return max_modulus(f.homogeneous_part(q), 1.0, max(samples, 1), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +439,6 @@ class MembershipReport:
     coeff_value: float | None = None
     dimension_slack: float | None = None
 
-    @property
-    def value(self) -> float:
-        return self.kq_value
-
 
 def membership_limsup(
     log_kq: Mapping[int, float],
@@ -610,7 +570,6 @@ def growth_report(
             type_coeffs = type_from_coeffs(log_norms, rho, window)
         except UndefinedOrderError:
             pass
-    type_kq = type_from_kq({q: bounds[q][1] for q in qs}, po, window)
     report = GrowthReport(
         po=po,
         window=window,
@@ -622,7 +581,7 @@ def growth_report(
         membership_value=member,
         order_estimate=order_est,
         type_estimate_coeffs=type_coeffs,
-        type_estimate_kq=type_kq,
+        type_estimate_kq=max(kq_rhs),
         sigma_test=sigma_test,
     )
     if sigma_test is not None:

@@ -40,11 +40,6 @@ def mi_leq(p: MultiIndex, m: MultiIndex) -> bool:
     return all(a <= b for a, b in zip(p, m))
 
 
-def mi_unit(n: int, axis: int) -> MultiIndex:
-    """The multi-index with a single 1 at 1-based position ``axis``."""
-    return tuple(1 if i == axis - 1 else 0 for i in range(n))
-
-
 def iter_degree(n: int, q: int) -> Iterator[MultiIndex]:
     if n == 1:
         yield (q,)

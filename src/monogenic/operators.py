@@ -83,9 +83,6 @@ class OperatorSymbol:
     def order_bound(self) -> int:
         return max((mi_abs(m) for m in self.entries), default=0)
 
-    def coefficient(self, m: MultiIndex) -> MonogenicSeries:
-        return self.entries.get(tuple(m), MonogenicSeries(self.n, 0))
-
     @classmethod
     def identity(cls, n: int, exact: bool = True) -> "OperatorSymbol":
         return cls(n, {(0,) * n: MonogenicSeries.unit(n, exact=exact)})
@@ -146,24 +143,34 @@ def op_apply(P: OperatorSymbol, f: MonogenicSeries, q_out: int) -> MonogenicSeri
     return MonogenicSeries(f.n, q_out, {m: a for m, a in out.items() if not a.is_zero()})
 
 
+def _basis_transform(
+    n: int, degree: int, entries: Mapping[MultiIndex, MonogenicSeries], sign: int
+) -> dict[MultiIndex, MonogenicSeries]:
+    """t -> sum_{s <= t} entries[s] (ck) sign^|t-s| V_{t-s} / (t-s)! for every
+    |t| <= degree: the forward map with sign +1, its inverse with sign -1."""
+    exact = all(u.is_exact() for u in entries.values())
+    out: dict[MultiIndex, MonogenicSeries] = {}
+    for t in enumerate_up_to(n, degree):
+        acc: dict[MultiIndex, CliffordNumber] = {}
+        for s, u in entries.items():
+            if not mi_leq(s, t):
+                continue
+            k = mi_sub(t, s)
+            k_sign = sign ** mi_abs(k)
+            fact = mi_factorial(k)
+            factor = Fraction(k_sign, fact) if exact else float(k_sign) / fact
+            _accumulate(acc, _shifted(u, k, factor))
+        out[t] = _from_table(n, acc)
+    return out
+
+
 def op_to_hom(P: OperatorSymbol, q_table: int) -> HomTable:
     """Basis-value table of the operator up to degree q_table.
 
     Each value is carried at full degree (coefficient degree bound plus
     q_table) so the inversion below loses nothing.
     """
-    exact = all(u.is_exact() for u in P.entries.values())
-    one = lambda k: Fraction(1, mi_factorial(k)) if exact else 1.0 / mi_factorial(k)
-    entries: dict[MultiIndex, MonogenicSeries] = {}
-    for p in enumerate_up_to(P.n, q_table):
-        acc: dict[MultiIndex, CliffordNumber] = {}
-        for m, u in P.entries.items():
-            if not mi_leq(m, p):
-                continue
-            k = mi_sub(p, m)
-            _accumulate(acc, _shifted(u, k, one(k)))
-        entries[p] = _from_table(P.n, acc)
-    return HomTable(n=P.n, degree=q_table, entries=entries)
+    return HomTable(n=P.n, degree=q_table, entries=_basis_transform(P.n, q_table, P.entries, 1))
 
 
 def hom_to_op(H: HomTable) -> OperatorSymbol:
@@ -171,23 +178,7 @@ def hom_to_op(H: HomTable) -> OperatorSymbol:
     gaps = H.missing()
     if gaps:
         raise ValueError(f"hom table incomplete: no entries for {gaps[:4]}{'...' if len(gaps) > 4 else ''}")
-    exact = all(b.is_exact() for b in H.entries.values())
-    entries: dict[MultiIndex, MonogenicSeries] = {}
-    for m in enumerate_up_to(H.n, H.degree):
-        acc: dict[MultiIndex, CliffordNumber] = {}
-        for p, b in H.entries.items():
-            if not mi_leq(p, m):
-                continue
-            k = mi_sub(m, p)
-            sign = -1 if mi_abs(k) & 1 else 1
-            factor = (
-                Fraction(sign, mi_factorial(k)) if exact else float(sign) / mi_factorial(k)
-            )
-            _accumulate(acc, _shifted(b, k, factor))
-        u = _from_table(H.n, acc)
-        if not u.is_zero():
-            entries[m] = u
-    return OperatorSymbol(H.n, entries)
+    return OperatorSymbol(H.n, _basis_transform(H.n, H.degree, H.entries, -1))
 
 
 def reconstruct_from_blackbox(

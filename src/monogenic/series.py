@@ -9,14 +9,13 @@ values; every product states its output truncation degree explicitly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Hashable, Mapping
 
 from .clifford import CliffordNumber, Paravector, cl_mul
 from .errors import DimensionMismatchError
 from .fueter import FueterCache
 from .multiindex import (
     MultiIndex,
-    enumerate_up_to,
     mi_abs,
     mi_add,
     mi_factorial,
@@ -125,12 +124,6 @@ class MonogenicSeries:
             self.n, max(q, 0), {m: a for m, a in self._coeffs.items() if mi_abs(m) == q}
         )
 
-    def eval(self, x: Paravector, exact: bool = False) -> CliffordNumber:
-        return series_eval(self, x, exact=exact)
-
-    def derivative(self, p: MultiIndex) -> "MonogenicSeries":
-        return series_derivative(self, p)
-
     def degree_norms(self) -> dict[int, float]:
         """Per-degree sums of coefficient norms (the triangle-inequality data)."""
         out: dict[int, float] = {}
@@ -141,7 +134,7 @@ class MonogenicSeries:
 
     def coeff_upper_bound(self, r: float) -> float:
         """sum_m norm(a_m) r^|m|: an upper bound for the max modulus at radius r."""
-        return sum(norm * r**q for q, norm in self.degree_norms().items())
+        return sum((norm * r**q for q, norm in self.degree_norms().items()), 0.0)
 
     def __repr__(self) -> str:
         return (
@@ -202,40 +195,43 @@ def ck_mul_left(f: MonogenicSeries, g: MonogenicSeries, q_out: int) -> Monogenic
 PointFunction = Callable[[Paravector], CliffordNumber]
 
 
+def dirac_residuals(
+    evaluate: Callable[[Paravector], Mapping[Hashable, CliffordNumber]],
+    x: Paravector,
+    h: float = 1e-5,
+) -> dict[Hashable, float]:
+    """Central-difference Dirac residual norm(d/dx0 f + sum_i e_i d/dx_i f) at x
+    for every key of a keyed table of functions; small exactly when the keyed
+    function is monogenic.  ``evaluate`` is called once per offset point, so a
+    table can share one basis cache per point."""
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    n = x.dim
+    tables = []
+    for axis in range(n + 1):
+        for sign in (1.0, -1.0):
+            comps = list(x.components())
+            comps[axis] += sign * h
+            tables.append(evaluate(Paravector.from_components(comps)))
+    out = {}
+    for key in tables[0]:
+        acc = CliffordNumber.zero(n)
+        for axis in range(n + 1):
+            diff = (tables[2 * axis][key] - tables[2 * axis + 1][key]).scale(1.0 / (2.0 * h))
+            acc = acc + (diff if axis == 0 else cl_mul(CliffordNumber.unit(n, axis), diff))
+        out[key] = acc.norm()
+    return out
+
+
 def dirac_residual(
     f: MonogenicSeries | PointFunction,
     points: list[Paravector],
     h: float = 1e-5,
 ) -> float:
-    """Max over points of the central-difference Dirac residual
-    norm(d/dx0 f + sum_i e_i d/dx_i f); small exactly when f is monogenic."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    if isinstance(f, MonogenicSeries):
-        n = f.n
-        func: PointFunction = lambda x: series_eval(f, x)
-    else:
-        func = f
-        n = points[0].dim
-    worst = 0.0
-    for x in points:
-        comps = list(x.components())
-        acc = CliffordNumber.zero(n)
-        for axis in range(n + 1):
-            plus = list(comps)
-            minus = list(comps)
-            plus[axis] += h
-            minus[axis] -= h
-            diff = (
-                func(Paravector.from_components(plus))
-                - func(Paravector.from_components(minus))
-            ).scale(1.0 / (2.0 * h))
-            if axis == 0:
-                acc = acc + diff
-            else:
-                acc = acc + cl_mul(CliffordNumber.unit(n, axis), diff)
-        worst = max(worst, acc.norm())
-    return worst
+    """Max over points of the Dirac residual of one series or point function."""
+    func = (lambda x: series_eval(f, x)) if isinstance(f, MonogenicSeries) else f
+    evaluate = lambda x: {0: func(x)}
+    return max([0.0] + [dirac_residuals(evaluate, x, h)[0] for x in points])
 
 
 def max_modulus(
@@ -261,7 +257,3 @@ def taylor_coefficient(f: MonogenicSeries, m: MultiIndex) -> CliffordNumber:
     value = shifted.coeff((0,) * f.n)
     fact = mi_factorial(m)
     return value.scale(Fraction(1, fact) if value.is_exact() else 1.0 / fact)
-
-
-def all_indices(f: MonogenicSeries) -> list[MultiIndex]:
-    return enumerate_up_to(f.n, f.degree)

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .clifford import CliffordNumber, Paravector, cl_mul
+from .errors import SerializationError
 from .fueter import FueterCache, ordered_word_eval
 from .growth import (
     ProximateOrder,
@@ -38,7 +39,8 @@ from .multiindex import (
 )
 from .operators import OperatorSymbol, hom_to_op, op_apply, op_to_hom
 from .sampling import ball_points
-from .series import MonogenicSeries, ck_mul_left, series_derivative, series_eval
+from .serialize import obj_to_scale
+from .series import MonogenicSeries, ck_mul_left, dirac_residuals, series_derivative
 
 LOG_TOL = 1e-9
 
@@ -82,6 +84,10 @@ CORRUPTION_TARGETS = {
 }
 
 
+def _json_float(value: float) -> float | str:
+    return value if math.isfinite(value) else str(value)
+
+
 @dataclass
 class CheckReport:
     name: str
@@ -92,11 +98,12 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        """JSON-ready form; non-finite floats become "inf", "-inf" or "nan"."""
         return {
             "name": self.name,
             "instance": self.instance,
-            "margin": self.margin,
-            "constants": self.constants,
+            "margin": _json_float(self.margin),
+            "constants": {k: _json_float(v) for k, v in self.constants.items()},
             "passed": self.passed,
             "details": {k: str(v) for k, v in self.details.items()},
         }
@@ -126,19 +133,30 @@ class VerifyConfig:
     corruption: str | None = None
     only: tuple[str, ...] | None = None
 
+    def __post_init__(self):
+        if not self.families:
+            raise ValueError("need at least one scale family")
+        if self.corruption is not None and self.corruption not in CORRUPTION_TARGETS:
+            raise ValueError(f"unknown corruption {self.corruption!r}")
+        unknown = sorted(set(self.only or ()) - set(CHECK_NAMES))
+        if unknown:
+            raise ValueError(f"unknown check names in 'only': {unknown}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "VerifyConfig":
+        if not isinstance(data, dict):
+            raise SerializationError("verify config must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise SerializationError(f"unknown verify config keys: {unknown}")
         kwargs = dict(data)
-        if "families" in kwargs:
-            kwargs["families"] = tuple(
-                ProximateOrder.from_dict(item) for item in kwargs["families"]
-            )
-        if "window_type" in kwargs:
-            kwargs["window_type"] = tuple(kwargs["window_type"])
-        if "radii" in kwargs:
-            kwargs["radii"] = tuple(kwargs["radii"])
-        if kwargs.get("only") is not None:
-            kwargs["only"] = tuple(kwargs["only"])
+        for key in ("families", "window_type", "radii", "only"):
+            if kwargs.get(key) is not None:
+                if not isinstance(kwargs[key], list):
+                    raise SerializationError(f"verify config {key!r} must be a list")
+                kwargs[key] = tuple(kwargs[key])
+        if kwargs.get("families") is not None:
+            kwargs["families"] = tuple(obj_to_scale(item) for item in kwargs["families"])
         return cls(**kwargs)
 
 
@@ -230,34 +248,6 @@ def check_cauchy(
     )
 
 
-def _residual_table(
-    indices, point: Paravector, h: float, corruption: str | None
-) -> dict:
-    """Central-difference Dirac residual of every basis element at one point,
-    sharing one evaluation cache per offset point."""
-    n = point.dim
-    evaluate = ordered_word_eval if corruption == "ordered-words" else None
-    tables = []
-    for axis in range(n + 1):
-        for sign in (1.0, -1.0):
-            comps = list(point.components())
-            comps[axis] += sign * h
-            p = Paravector.from_components(comps)
-            if evaluate is None:
-                cache = FueterCache(p)
-                tables.append({m: cache.value(m) for m in indices})
-            else:
-                tables.append({m: evaluate(m, p) for m in indices})
-    out = {}
-    for m in indices:
-        acc = CliffordNumber.zero(n)
-        for axis in range(n + 1):
-            diff = (tables[2 * axis][m] - tables[2 * axis + 1][m]).scale(1.0 / (2.0 * h))
-            acc = acc + (diff if axis == 0 else cl_mul(CliffordNumber.unit(n, axis), diff))
-        out[m] = acc.norm()
-    return out
-
-
 def check_monogenicity(
     n: int,
     q_max: int = 5,
@@ -269,10 +259,17 @@ def check_monogenicity(
     """Finite-difference Dirac residual of every basis element with |m| <= q_max
     stays below 1e-6 * (1 + norm(x)^|m|) at sampled points."""
     indices = enumerate_up_to(n, q_max)
+
+    def evaluate(p: Paravector) -> dict:
+        if corruption == "ordered-words":
+            return {m: ordered_word_eval(m, p) for m in indices}
+        cache = FueterCache(p)
+        return {m: cache.value(m) for m in indices}
+
     margin = math.inf
     worst = None
     for point in ball_points(n, 1.2, points, seed=seed):
-        residuals = _residual_table(indices, point, h, corruption)
+        residuals = dirac_residuals(evaluate, point, h)
         r = point.norm()
         for m, res in residuals.items():
             bound = 1e-6 * (1.0 + r ** mi_abs(m))
@@ -782,21 +779,8 @@ def check_operator_roundtrip(
     P = random_rational_operator(n, order, degree, seed)
     table = op_to_hom(P, order)
     if corruption == "misindexed-inversion":
-        # drop the alternating sign of the inversion
-        entries = {}
-        for m in enumerate_up_to(table.n, table.degree):
-            acc: dict = {}
-            for p, b in table.entries.items():
-                if all(pi <= mi for pi, mi in zip(p, m)):
-                    k = tuple(mi - pi for pi, mi in zip(p, m))
-                    factor = Fraction(1, mi_factorial(k))
-                    for mm, aa in b.coeffs.items():
-                        key = mi_add(mm, k)
-                        acc[key] = acc.get(key, CliffordNumber.zero(n)) + aa.scale(factor)
-            support = {mm: aa for mm, aa in acc.items() if not aa.is_zero()}
-            if support:
-                entries[m] = MonogenicSeries(n, max(mi_abs(mm) for mm in support), support)
-        back = OperatorSymbol(n, entries)
+        # drop the alternating sign of the inversion: apply the forward map again
+        back = OperatorSymbol(n, op_to_hom(OperatorSymbol(n, table.entries), table.degree).entries)
     else:
         back = hom_to_op(table)
     ok = back == P

@@ -11,8 +11,6 @@ from monogenic.clifford import (
     Paravector,
     blade_product,
     cl_mul,
-    cl_norm,
-    para_mul_norm_check,
 )
 from monogenic.errors import DimensionMismatchError
 
@@ -113,12 +111,12 @@ def test_mul_matches_defining_relations():
 
 
 def test_norm_values():
-    assert cl_norm(CliffordNumber.zero(3)) == 0.0
+    assert CliffordNumber.zero(3).norm() == 0.0
     v = CliffordNumber(2, {0b01: 1.0, 0b10: 1.0})
-    assert math.isclose(cl_norm(v), math.sqrt(2.0), rel_tol=1e-15)
+    assert math.isclose(v.norm(), math.sqrt(2.0), rel_tol=1e-15)
     x = Paravector(0.3, [0.4, 1.2])
     assert math.isclose(
-        cl_norm(x.to_clifford()) ** 2, 0.3**2 + 0.4**2 + 1.2**2, rel_tol=1e-14
+        x.to_clifford().norm() ** 2, 0.3**2 + 0.4**2 + 1.2**2, rel_tol=1e-14
     )
 
 
@@ -144,18 +142,18 @@ def test_paravector_norm_multiplicative_float():
     for _ in range(200):
         x = Paravector(rng.uniform(-2, 2), [rng.uniform(-2, 2) for _ in range(3)])
         y = random_clifford(3, rng).to_float()
-        expected = x.norm() * cl_norm(y)
-        got = para_mul_norm_check(x, y)
+        expected = x.norm() * y.norm()
+        got = cl_mul(x.to_clifford(), y).norm()
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
-def test_para_mul_norm_check_unit_cases():
+def test_paravector_left_mul_norm_unit_cases():
     y = CliffordNumber(3, {0b101: 2.0, 0: -1.0})
     e0 = Paravector(1.0, [0.0, 0.0, 0.0])
-    assert para_mul_norm_check(e0, y) == pytest.approx(cl_norm(y), rel=1e-15)
+    assert cl_mul(e0.to_clifford(), y).norm() == pytest.approx(y.norm(), rel=1e-15)
     e1 = Paravector(0.0, [1.0, 0.0, 0.0])
     e2 = CliffordNumber.unit(3, 2)
-    assert para_mul_norm_check(e1, e2) == pytest.approx(1.0, rel=1e-15)
+    assert cl_mul(e1.to_clifford(), e2).norm() == pytest.approx(1.0, rel=1e-15)
 
 
 def test_exact_zero_coefficients_dropped():

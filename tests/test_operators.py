@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,27 @@ def test_round_trip_exact_many_seeds():
     for seed in range(12):
         P = random_rational_operator(2, 6, 2, seed)
         assert hom_to_op(op_to_hom(P, 6)) == P
+
+
+def test_round_trip_float_many_seeds():
+    # float mode takes the same transform with float factors; it inverts up to roundoff
+    rng = random.Random(41)
+    for seed in range(6):
+        exact = random_rational_operator(2, 5, 2, seed)
+        P = OperatorSymbol(
+            2, {m: u.to_float().scale(rng.uniform(0.1, 3.0)) for m, u in exact.entries.items()}
+        )
+        back = hom_to_op(op_to_hom(P, 5))
+        values = lambda op: {
+            (m, k, mask): v
+            for m, u in op.entries.items()
+            for k, a in u.coeffs.items()
+            for mask, v in a.coeffs.items()
+        }
+        want, got = values(P), values(back)
+        scale = max(abs(v) for v in want.values())
+        for key in set(want) | set(got):
+            assert abs(got.get(key, 0.0) - want.get(key, 0.0)) <= 1e-12 * scale
 
 
 def test_hom_round_trip_exact():

@@ -241,3 +241,34 @@ def test_cli_verify_subset_and_corruption(tmp_path, capsys):
     bad = {"only": ["ck-product-oracle"], "corruption": "dropped-convolution-term"}
     cfgp.write_text(json.dumps(bad))
     assert main(["verify", "--config", str(cfgp)]) == 1
+
+    # a failing run with --out still writes its report: margin -inf as a string
+    assert main(["verify", "--config", str(cfgp), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert [(item["name"], item["margin"]) for item in report] == [("ck-product-oracle", "-inf")]
+
+    # the constant family's round trip is exact, so its margin is +inf
+    cfgp.write_text(json.dumps({"only": ["scale-inverse-roundtrip"]}))
+    assert main(["verify", "--config", str(cfgp), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert all(item["passed"] for item in report)
+    assert "inf" in [item["margin"] for item in report]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"no_such_key": 1},
+        {"families": [{"family": "constant"}]},
+        {"corruption": "no-such-corruption"},
+        {"only": ["no-such-check"]},
+        {"radii": 5},
+    ],
+)
+def test_cli_verify_bad_config_exits_2(tmp_path, capsys, cfg):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(cfgp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -13,6 +13,7 @@ from monogenic.series import (
     MonogenicSeries,
     ck_mul_left,
     dirac_residual,
+    dirac_residuals,
     max_modulus,
     series_derivative,
     series_eval,
@@ -143,6 +144,13 @@ def test_dirac_residual_detects_corruption(rng):
         return series_eval(f, x).scale(x.x0)
 
     assert dirac_residual(corrupted, points, h=1e-5) > 1e-2
+    # a keyed table gives each key the residual of that function alone
+    x = points[0]
+    table = dirac_residuals(lambda p: {"f": series_eval(f, p), "bad": corrupted(p)}, x, h=1e-5)
+    assert table == {
+        "f": dirac_residual(f, [x], h=1e-5),
+        "bad": dirac_residual(corrupted, [x], h=1e-5),
+    }
 
 
 def test_dirac_residual_constant_is_roundoff():
