@@ -62,6 +62,9 @@ class ProximateOrder:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown proximate-order family {self.family!r}")
+        for name, value in (("rho", self.rho), ("a", self.a)):
+            if not math.isfinite(value):
+                raise ValueError(f"proximate-order {name} must be finite, got {value}")
         if not self.rho > 0:
             raise ValueError(f"order must be positive, got {self.rho}")
         if self.family == "loglog":
@@ -248,8 +251,11 @@ def weighted_norm_ln(
     the increasing factor at the right edge by the decreasing weight at the
     left edge, so the bound is rigorous for the coefficient-envelope
     functional.  Lower bound: sampled max modulus at candidate radii near the
-    peak (axis directions always included); 0 samples keeps axis points only.
+    peak (axis directions always included).  ``samples=0`` returns the upper
+    side only, with the trivial lower bound -inf: no point is evaluated.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     qs, lnA = _degree_log_norms(f)
     if len(qs) == 0:
         return -math.inf, -math.inf
@@ -275,6 +281,8 @@ def weighted_norm_ln(
     right_edge = float(ln_u[-1] - sigma * math.exp(ln_t[-1]))
     upper_env = max(float(cell_env.max()), right_edge, float(ln_u[0]))
     ln_upper = min(upper_sum_form, upper_env)
+    if samples == 0:
+        return -math.inf, ln_upper
 
     grid_vals = ln_u - sigma * np.exp(ln_t)
     best = int(np.argmax(grid_vals))
@@ -284,7 +292,7 @@ def weighted_norm_ln(
     for L in candidates:
         r = math.exp(L)
         sampled = 0.0
-        for x in sphere_points(f.n, r, max(samples, 1), seed=seed):
+        for x in sphere_points(f.n, r, samples, seed=seed):
             sampled = max(sampled, series_eval(f, x).norm())
         if sampled > 0.0:
             value = math.log(sampled) - sigma * math.exp(po.ln_scale_at_ln_r(L))
@@ -300,8 +308,9 @@ def k_q(
     Lower: sampled max on the unit sphere (the part is homogeneous, so the
     ball sup sits on the boundary), axis points included.  Upper: sum of
     coefficient norms, since each basis polynomial has unit-ball sup <= 1.
+    ``samples=0`` keeps the axis points only; a negative count raises.
     """
-    return max_modulus(f.homogeneous_part(q), 1.0, max(samples, 1), seed=seed)
+    return max_modulus(f.homogeneous_part(q), 1.0, samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,8 @@ class OperatorSymbol:
             for m, u in entries.items():
                 if len(m) != n or u.n != n:
                     raise DimensionMismatchError(f"entry at {m} does not live in dimension {n}")
+                if min(m) < 0:
+                    raise ValueError(f"index {m} has a negative entry")
                 if not u.is_zero():
                     table[tuple(m)] = u
         self.entries = table

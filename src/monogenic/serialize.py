@@ -69,6 +69,26 @@ def _decode_value(value, mode: str):
     raise SerializationError(f"float mode requires numbers, got {value!r}")
 
 
+def _entries(raw, index_key: str, value_key: str, what: str) -> list[tuple[MultiIndex, Any]]:
+    """(multi-index, value) pairs of a list of {index_key: [ints], value_key: ...}."""
+    if not isinstance(raw, list):
+        raise SerializationError(f"{what} entries must be a list")
+    out = []
+    for item in raw:
+        try:
+            index, value = item[index_key], item[value_key]
+        except KeyError as exc:
+            raise SerializationError(f"{what} entry without key {exc}") from None
+        except TypeError:
+            raise SerializationError(f"{what} entry must be an object, got {item!r}") from None
+        if not isinstance(index, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in index
+        ):
+            raise SerializationError(f"{what} index must be a list of integers, got {index!r}")
+        out.append((tuple(index), value))
+    return out
+
+
 def clifford_to_obj(c: CliffordNumber, mode: str) -> dict:
     return {
         blade_to_str(mask, c.dim): _encode_value(c.coeffs[mask], mode)
@@ -106,14 +126,10 @@ def obj_to_series(obj: dict) -> MonogenicSeries:
         raise SerializationError(f"malformed series object: {exc}") from None
     if mode not in ("exact", "float"):
         raise SerializationError(f"unknown mode {mode!r}")
-    coeffs = {}
-    for item in raw:
-        try:
-            m = tuple(int(v) for v in item["m"])
-            value = item["value"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SerializationError(f"malformed coefficient entry: {exc}") from None
-        coeffs[m] = obj_to_clifford(value, n, mode)
+    coeffs = {
+        m: obj_to_clifford(value, n, mode)
+        for m, value in _entries(raw, "m", "value", "coefficient")
+    }
     try:
         return MonogenicSeries(n, degree, coeffs)
     except ValueError as exc:
@@ -136,11 +152,11 @@ def obj_to_operator(obj: dict) -> OperatorSymbol:
         raw = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed operator object: {exc}") from None
-    entries = {}
-    for item in raw:
-        m = tuple(int(v) for v in item["m"])
-        entries[m] = obj_to_series(item["u"])
-    return OperatorSymbol(n, entries)
+    entries = {m: obj_to_series(u) for m, u in _entries(raw, "m", "u", "operator")}
+    try:
+        return OperatorSymbol(n, entries)
+    except ValueError as exc:
+        raise SerializationError(str(exc)) from None
 
 
 def homtable_to_obj(H: HomTable, mode: str | None = None) -> dict:
@@ -160,10 +176,7 @@ def obj_to_homtable(obj: dict) -> HomTable:
         raw = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed hom table object: {exc}") from None
-    entries = {}
-    for item in raw:
-        p = tuple(int(v) for v in item["p"])
-        entries[p] = obj_to_series(item["b"])
+    entries = {p: obj_to_series(b) for p, b in _entries(raw, "p", "b", "hom table")}
     return HomTable(n=n, degree=degree, entries=entries)
 
 
@@ -181,10 +194,18 @@ def obj_to_log_norms(obj: dict) -> tuple[int, dict[MultiIndex, float]]:
         raw = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed norms object: {exc}") from None
+    if n < 1:
+        raise SerializationError(f"dimension must be >= 1, got {n}")
     out = {}
-    for item in raw:
-        m = tuple(int(v) for v in item["m"])
-        out[m] = float(item["ln_norm"])
+    for m, value in _entries(raw, "m", "ln_norm", "norms"):
+        if len(m) != n or min(m) < 0:
+            raise SerializationError(f"bad index {list(m)} for dimension {n}")
+        try:
+            out[m] = float(value)
+        except (TypeError, ValueError):
+            raise SerializationError(f"ln_norm at {list(m)} is not a number: {value!r}") from None
+        if not math.isfinite(out[m]):
+            raise SerializationError(f"ln_norm at {list(m)} must be finite, got {value!r}")
     return n, out
 
 

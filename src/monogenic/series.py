@@ -40,6 +40,8 @@ class MonogenicSeries:
             for m, a in coeffs.items():
                 if len(m) != n:
                     raise DimensionMismatchError(f"index {m} has length != {n}")
+                if min(m) < 0:
+                    raise ValueError(f"index {m} has a negative entry")
                 if mi_abs(m) > degree:
                     raise ValueError(f"index {m} exceeds truncation degree {degree}")
                 if a.dim != n:
@@ -145,6 +147,8 @@ class MonogenicSeries:
 
 def series_eval(f: MonogenicSeries, x: Paravector, exact: bool = False) -> CliffordNumber:
     """Evaluate sum V_m(x) a_m with one shared basis cache for the point."""
+    if x.dim != f.n:
+        raise DimensionMismatchError(f"point of dimension {x.dim}, series of dimension {f.n}")
     cache = FueterCache(x, exact=exact)
     acc = CliffordNumber.zero(f.n)
     for m, a in f._coeffs.items():
@@ -156,6 +160,8 @@ def series_derivative(f: MonogenicSeries, p: MultiIndex) -> MonogenicSeries:
     """Mixed partial of order p: coefficient shift (d^p f)_m = ((m+p)!/m!) a_{m+p}."""
     if len(p) != f.n:
         raise DimensionMismatchError(f"index {p} has length != {f.n}")
+    if min(p) < 0:
+        raise ValueError(f"index {p} has a negative entry")
     drop = mi_abs(p)
     if drop == 0:
         return f
@@ -238,9 +244,12 @@ def max_modulus(
     f: MonogenicSeries, r: float, samples: int = 128, seed: int = 0
 ) -> tuple[float, float]:
     """(sampled lower bound, coefficient upper bound) for sup of norm(f) on the
-    sphere of radius r.  Directions are deterministic and include the axes."""
+    sphere of radius r.  Directions are deterministic and include the axes;
+    ``samples=0`` keeps the axis points only."""
     if r < 0:
         raise ValueError("radius must be >= 0")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     upper = f.coeff_upper_bound(r)
     if r == 0:
         exact = f.coeff((0,) * f.n).norm()

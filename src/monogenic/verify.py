@@ -109,6 +109,19 @@ class CheckReport:
         }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _require(ok: bool, name: str, what: str, value) -> None:
+    if not ok:
+        raise ValueError(f"verify config {name!r} must be {what}, got {value!r}")
+
+
 @dataclass
 class VerifyConfig:
     n: int = 2
@@ -134,6 +147,26 @@ class VerifyConfig:
     only: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        for name in ("n", "q_super", "q_max_vm", "q_max_deriv", "series_degree"):
+            value = getattr(self, name)
+            _require(_is_int(value) and value >= 1, name, "an integer >= 1", value)
+        _require(_is_int(self.seed), "seed", "an integer", self.seed)
+        for name in ("sigma", "sigma_prime"):
+            value = getattr(self, name)
+            _require(_is_real(value) and value > 0, name, "a finite number > 0", value)
+        _require(self.sigma_prime < self.sigma, "sigma_prime", "below sigma", self.sigma_prime)
+        for name in ("eta", "delta", "tol"):
+            value = getattr(self, name)
+            _require(_is_real(value) and value >= 0, name, "a finite number >= 0", value)
+        cap = self.constant_cap_ln
+        _require(_is_real(cap), "constant_cap_ln", "a finite number", cap)
+        w = self.window_type
+        ok = isinstance(w, (tuple, list)) and len(w) == 2 and all(map(_is_int, w))
+        _require(ok and 1 <= w[0] <= w[1], "window_type", "two integers 1 <= lo <= hi", w)
+        radii = self.radii
+        ok = isinstance(radii, (tuple, list)) and len(radii) > 0
+        ok = ok and all(_is_real(r) and r > 0 for r in radii)
+        _require(ok, "radii", "a non-empty list of finite numbers > 0", radii)
         if not self.families:
             raise ValueError("need at least one scale family")
         if self.corruption is not None and self.corruption not in CORRUPTION_TARGETS:

@@ -19,7 +19,7 @@ from monogenic.growth import (
     weighted_norm_ln,
 )
 from monogenic.multiindex import mi_abs
-from monogenic.series import MonogenicSeries
+from monogenic.series import MonogenicSeries, max_modulus
 from monogenic.clifford import CliffordNumber
 from monogenic.verify import random_rational_series
 
@@ -57,6 +57,9 @@ def test_invalid_parameters():
         ProximateOrder("constant", 0.0)
     with pytest.raises(ValueError):
         ProximateOrder("powerlog", 1.0)
+    for rho, a, name in [(math.inf, 0.0, "rho"), (math.nan, 0.0, "rho"), (1.0, math.nan, "a")]:
+        with pytest.raises(ValueError, match=f"proximate-order {name} must be finite"):
+            ProximateOrder("loglog", rho, a)
 
 
 @pytest.mark.parametrize("po", FAMILIES, ids=lambda p: f"{p.family}-{p.rho}-{p.a}")
@@ -163,6 +166,32 @@ def test_weighted_norm_bracket_and_zero():
     assert -math.inf < ln_lo <= ln_up + 1e-9
     ln_lo, ln_up = weighted_norm_ln(MonogenicSeries(2, 3), po, 1.0)
     assert ln_lo == -math.inf and ln_up == -math.inf
+
+
+def test_weighted_norm_unsampled_evaluates_nothing(monkeypatch):
+    import monogenic.growth as growth
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("samples=0 must not evaluate the series")
+
+    f = random_rational_series(2, 5, 7).to_float()
+    for po in (ProximateOrder("constant", 1.0), ProximateOrder("loglog", 1.0, 1.0)):
+        _, ln_up = weighted_norm_ln(f, po, 0.9, samples=32)
+        with monkeypatch.context() as patch:
+            patch.setattr(growth, "series_eval", refuse)
+            patch.setattr(growth, "sphere_points", refuse)
+            assert weighted_norm_ln(f, po, 0.9, samples=0) == (-math.inf, ln_up)
+
+
+def test_negative_sample_count_rejected():
+    po = ProximateOrder("constant", 1.0)
+    f = random_rational_series(2, 3, 5).to_float()
+    with pytest.raises(ValueError, match="samples"):
+        weighted_norm_ln(f, po, 1.0, samples=-1)
+    with pytest.raises(ValueError, match="samples"):
+        k_q(f, 2, samples=-3)
+    with pytest.raises(ValueError, match="samples"):
+        max_modulus(f, 1.0, samples=-1)
 
 
 def test_k_q_bounds():

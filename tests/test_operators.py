@@ -46,6 +46,11 @@ def test_op_apply_dimension_mismatch():
         op_apply(OperatorSymbol.identity(3), MonogenicSeries.unit(2), 2)
 
 
+def test_operator_negative_index_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        OperatorSymbol(2, {(-1, 2): MonogenicSeries.unit(2)})
+
+
 def test_op_apply_right_linearity():
     P = random_rational_operator(2, 3, 2, 5)
     f = random_rational_series(2, 3, 6)

@@ -263,12 +263,93 @@ def test_cli_verify_subset_and_corruption(tmp_path, capsys):
         {"corruption": "no-such-corruption"},
         {"only": ["no-such-check"]},
         {"radii": 5},
+        {"n": 0, "only": ["cauchy-inequality"]},
+        {"n": "2", "only": ["cauchy-inequality"]},
+        {"n": True, "only": ["cauchy-inequality"]},
+        {"seed": 1.5},
+        {"sigma": -1, "only": ["derivative-bound"]},
+        {"sigma": "1"},
+        {"sigma_prime": 1.0},
+        {"eta": -0.1},
+        {"delta": -1},
+        {"tol": -1e-9},
+        {"constant_cap_ln": "40"},
+        {"q_super": 0},
+        {"q_max_vm": 2.5},
+        {"q_max_deriv": -1},
+        {"series_degree": 0},
+        {"window_type": [5, 2]},
+        {"window_type": [0, 2]},
+        {"window_type": [1, 2, 3]},
+        {"radii": []},
+        {"radii": [1.0, -2.0]},
+        {"radii": ["1"]},
+        {"sigma": float("nan")},
+        {"constant_cap_ln": float("inf")},
+        {"radii": [1.0, float("inf")]},
     ],
 )
 def test_cli_verify_bad_config_exits_2(tmp_path, capsys, cfg):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(cfg))
     assert main(["verify", "--config", str(cfgp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+
+_SERIES = {"n": 2, "degree": 2, "mode": "float", "coeffs": [{"m": [1, 0], "value": {"": 1.0}}]}
+_NORMS = {"n": 2, "kind": "log_norms", "entries": [{"m": [1, 0], "ln_norm": 0.0}]}
+
+
+def _series_with(m):
+    return {**_SERIES, "coeffs": [{"m": m, "value": {"": 1.0}}]}
+
+
+def _norms_with(entry):
+    return {**_NORMS, "entries": [entry]}
+
+
+def _growth(po="constant:1"):
+    return ["growth", "IN", "--po", po, "--window", "1:2", "--out", "OUT"]
+
+
+@pytest.mark.parametrize(
+    "obj, argv",
+    [
+        # operator files: an entry without "m", a negative index, entries not a list
+        ({"n": 2, "entries": [{"u": _SERIES}]}, ["op2hom", "IN", "--degree", "2", "--out", "OUT"]),
+        (
+            {"n": 2, "entries": [{"m": [-1, 2], "u": _SERIES}]},
+            ["op2hom", "IN", "--degree", "2", "--out", "OUT"],
+        ),
+        ({"n": 2, "entries": 5}, ["op2hom", "IN", "--degree", "2", "--out", "OUT"]),
+        # a hom table entry without its value
+        ({"n": 2, "degree": 0, "entries": [{"p": [0, 0]}]}, ["hom2op", "IN", "--out", "OUT"]),
+        # log-norms files: no ln_norm, a non-finite or non-numeric one, bad indices
+        (_norms_with({"m": [1, 0]}), _growth()),
+        (_norms_with({"m": [1, 0], "ln_norm": "nan"}), _growth()),
+        (_norms_with({"m": [1, 0], "ln_norm": "x"}), _growth()),
+        (_norms_with({"m": [1, -1], "ln_norm": 0.0}), _growth()),
+        (_norms_with({"m": [1], "ln_norm": 0.0}), _growth()),
+        # series files: a negative, fractional or string index, a point or
+        # derivative index that does not fit
+        (_series_with([3, -1]), ["eval", "IN", "--point", "0.1,0.2,0.3"]),
+        (_series_with([1.7, 0]), ["eval", "IN", "--point", "0.1,0.2,0.3"]),
+        (_series_with("10"), ["eval", "IN", "--point", "0.1,0.2,0.3"]),
+        (_SERIES, ["eval", "IN", "--point", "0,1"]),
+        (_SERIES, ["diff", "IN", "--index=-1,1", "--out", "OUT"]),
+        # non-finite scale parameters and a negative sample count
+        (_NORMS, _growth("loglog:1:nan")),
+        (_NORMS, _growth("constant:inf")),
+        (_SERIES, ["--samples", "-3"] + _growth()),
+    ],
+)
+def test_cli_bad_input_files_exit_2(tmp_path, capsys, obj, argv):
+    paths = {"IN": tmp_path / "in.json", "OUT": tmp_path / "out"}
+    paths["IN"].write_text(json.dumps(obj))
+    assert main([str(paths.get(a, a)) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err

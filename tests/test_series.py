@@ -128,6 +128,17 @@ def test_ck_dimension_mismatch():
         ck_mul_left(MonogenicSeries.unit(2), MonogenicSeries.unit(3), 2)
 
 
+def test_negative_index_and_point_dimension_rejected():
+    one = CliffordNumber.scalar(2, 1.0)
+    with pytest.raises(ValueError, match="negative"):
+        MonogenicSeries(2, 4, {(3, -1): one})
+    f = MonogenicSeries(2, 2, {(1, 0): one})
+    with pytest.raises(ValueError, match="negative"):
+        series_derivative(f, (-1, 1))
+    with pytest.raises(DimensionMismatchError):
+        series_eval(f, Paravector(0.0, [1.0]))
+
+
 def test_dirac_residual_small_for_series(rng):
     f = random_rational_series(2, 4, 31).to_float()
     points = [random_point(2, rng, radius=1.2) for _ in range(10)]
