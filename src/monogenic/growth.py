@@ -67,6 +67,8 @@ class ProximateOrder:
                 raise ValueError(f"proximate-order {name} must be finite, got {value}")
         if not self.rho > 0:
             raise ValueError(f"order must be positive, got {self.rho}")
+        if self.family == "constant" and self.a != 0.0:
+            raise ValueError(f"the constant scale takes no parameter a, got a={self.a}")
         if self.family == "loglog":
             ln_r1 = max(2.0, 2.0 * abs(self.a) / self.rho)
             slope = self.rho + self.a / ln_r1
@@ -341,12 +343,16 @@ def log_kq_lower_from_norms(
 ) -> dict[int, float]:
     """Per-degree max of ln(norm(a_m)/c(n,m)), a K_q lower bound by the
     coefficient inequality norm(a_m) <= c(n,m) * K_q."""
+    return _degree_max({m: v - ln_c_nm(n, m) for m, v in log_norms.items()})
+
+
+def _degree_max(values: Mapping[MultiIndex, float]) -> dict[int, float]:
+    """Per-degree max of a table keyed by multi-index."""
     out: dict[int, float] = {}
-    for m, v in log_norms.items():
+    for m, v in values.items():
         q = mi_abs(m)
-        cand = v - ln_c_nm(n, m)
-        if q not in out or cand > out[q]:
-            out[q] = cand
+        if q not in out or v > out[q]:
+            out[q] = v
     return out
 
 
@@ -402,41 +408,44 @@ def order_from_coeffs(
     return best
 
 
+def _ln_type(rho: float, q: int, ln_k: float, ln_gq: float) -> float:
+    """ln (K G_q)^(rho/q): the type that degree q >= 1 reads off a part whose
+    unit-ball sup (or coefficient norm) is K."""
+    return (rho / q) * (ln_k + ln_gq)
+
+
+def _max_ln_type(
+    ln_k: Mapping[int, float], po: ProximateOrder, window: tuple[int, int]
+) -> float:
+    """Max of _ln_type over the degrees 1 <= q in the window with K > 0, -inf
+    if there are none.  It increases with K, so per degree only the largest
+    K matters."""
+    q_lo, q_hi = window
+    picked = [q for q, v in ln_k.items() if q_lo <= q <= q_hi and q >= 1 and v > -math.inf]
+    return max((_ln_type(po.rho, q, ln_k[q], po.ln_gq(q)) for q in picked), default=-math.inf)
+
+
 def type_from_coeffs(
     log_norms: Mapping[MultiIndex, float], rho: float, window: tuple[int, int]
 ) -> float:
-    """Growth type for a known order: (1/(e*rho)) * max |m| * norm(a_m)^(rho/|m|).
+    """Growth type for a known order: (1/(e*rho)) * max |m| * norm(a_m)^(rho/|m|),
+    i.e. the type functional of the constant scale of order rho with K the
+    largest coefficient norm of each degree.
 
     A window holding only the constant term gives type 0 (bounded function)."""
-    if rho <= 0:
-        raise ValueError("order must be positive")
-    best = -math.inf
-    for m in _window_indices(log_norms, window):
-        q = mi_abs(m)
-        if q == 0:
-            continue
-        best = max(best, math.log(q) + (rho / q) * log_norms[m])
-    if best == -math.inf:
-        return 0.0
-    return math.exp(best) / (math.e * rho)
+    _window_indices(log_norms, window)  # raises on an empty window
+    po = ProximateOrder("constant", rho)
+    return math.exp(_max_ln_type(_degree_max(log_norms), po, window))
 
 
 def type_from_kq(
     log_kq: Mapping[int, float], po: ProximateOrder, window: tuple[int, int]
 ) -> float:
-    """Type from unit-ball peaks of homogeneous parts:
-
-        (1/rho) ln sigma = max_q [ (1/q) ln K_q + ln phi(q) ] - 1/rho - ln(rho)/rho.
-    """
-    q_lo, q_hi = window
-    rho = po.rho
-    best = -math.inf
-    for q, ln_kq_val in log_kq.items():
-        if q_lo <= q <= q_hi and q >= 1 and ln_kq_val > -math.inf:
-            best = max(best, ln_kq_val / q + po.ln_phi_at_ln_t(math.log(q)))
+    """Type from unit-ball peaks of homogeneous parts: max_q (K_q G_q)^(rho/q)."""
+    best = _max_ln_type(log_kq, po, window)
     if best == -math.inf:
-        raise UndefinedOrderError(f"no positive K_q in window [{q_lo}, {q_hi}]")
-    return math.exp(rho * best - 1.0 - math.log(rho))
+        raise UndefinedOrderError(f"no positive K_q in window [{window[0]}, {window[1]}]")
+    return math.exp(best)
 
 
 @dataclass
@@ -463,25 +472,10 @@ def membership_limsup(
     (max_m norm(a_m) G_q)^(rho/q) is also reported together with the n^rho
     slack that relates the two criteria.
     """
-    q_lo, q_hi = window
-    rho = po.rho
-    best = -math.inf
-    for q, ln_kq_val in log_kq.items():
-        if q_lo <= q <= q_hi and q >= 1 and ln_kq_val > -math.inf:
-            best = max(best, (rho / q) * (ln_kq_val + po.ln_gq(q)))
-    kq_value = 0.0 if best == -math.inf else math.exp(best)
-    report = MembershipReport(window=window, kq_value=kq_value)
+    report = MembershipReport(window=window, kq_value=math.exp(_max_ln_type(log_kq, po, window)))
     if log_norms is not None and n is not None:
-        per_q: dict[int, float] = {}
-        for m, v in log_norms.items():
-            q = mi_abs(m)
-            if q_lo <= q <= q_hi and q >= 1:
-                per_q[q] = max(per_q.get(q, -math.inf), v)
-        cbest = -math.inf
-        for q, ln_max in per_q.items():
-            cbest = max(cbest, (rho / q) * (ln_max + po.ln_gq(q)))
-        report.coeff_value = 0.0 if cbest == -math.inf else math.exp(cbest)
-        report.dimension_slack = float(n) ** rho
+        report.coeff_value = math.exp(_max_ln_type(_degree_max(log_norms), po, window))
+        report.dimension_slack = float(n) ** po.rho
     return report
 
 
@@ -496,8 +490,9 @@ GROWTH_CSV_COLUMNS = ("q", "ln_Kq_lower", "ln_Kq_upper", "ln_Gq", "kq_rhs", "mem
 class GrowthReport:
     """Per-degree growth diagnostics plus window estimates.
 
-    kq_rhs is the per-degree type read off the K_q formula (upper K_q
-    consumed); membership_value is the per-degree (K_q G_q)^(rho/q).
+    membership_value is the per-degree type (K_q G_q)^(rho/q) with the upper
+    K_q consumed.  The CSV writes it under both kq_rhs and membership_value,
+    so the column layout stays stable.
     """
 
     po: ProximateOrder
@@ -506,7 +501,6 @@ class GrowthReport:
     ln_kq_lower: list[float]
     ln_kq_upper: list[float]
     ln_gq: list[float]
-    kq_rhs: list[float]
     membership_value: list[float]
     order_estimate: float | None
     type_estimate_coeffs: float | None
@@ -515,17 +509,9 @@ class GrowthReport:
     member_verdict: bool | None = None
 
     def rows(self) -> list[tuple]:
-        return [
-            (
-                self.qs[i],
-                self.ln_kq_lower[i],
-                self.ln_kq_upper[i],
-                self.ln_gq[i],
-                self.kq_rhs[i],
-                self.membership_value[i],
-            )
-            for i in range(len(self.qs))
-        ]
+        """One tuple per degree in GROWTH_CSV_COLUMNS order."""
+        member = self.membership_value
+        return list(zip(self.qs, self.ln_kq_lower, self.ln_kq_upper, self.ln_gq, member, member))
 
     def to_csv(self) -> str:
         lines = [",".join(GROWTH_CSV_COLUMNS)]
@@ -562,21 +548,14 @@ def growth_report(
     qs = sorted(q for q in bounds if q_lo <= q <= q_hi and q >= 1)
     if not qs:
         raise UndefinedOrderError(f"no degrees with data in window [{q_lo}, {q_hi}]")
-    rho = po.rho
     ln_gq = [po.ln_gq(q) for q in qs]
-    kq_rhs = []
-    member = []
-    for i, q in enumerate(qs):
-        ln_up = bounds[q][1]
-        bracket = ln_up / q + po.ln_phi_at_ln_t(math.log(q))
-        kq_rhs.append(math.exp(rho * bracket - 1.0 - math.log(rho)))
-        member.append(math.exp((rho / q) * (ln_up + ln_gq[i])))
+    member = [math.exp(_ln_type(po.rho, q, bounds[q][1], g)) for q, g in zip(qs, ln_gq)]
     order_est = None
     type_coeffs = None
     if log_norms is not None:
         try:
             order_est = order_from_coeffs(log_norms, window, n)
-            type_coeffs = type_from_coeffs(log_norms, rho, window)
+            type_coeffs = type_from_coeffs(log_norms, po.rho, window)
         except UndefinedOrderError:
             pass
     report = GrowthReport(
@@ -586,11 +565,10 @@ def growth_report(
         ln_kq_lower=[bounds[q][0] for q in qs],
         ln_kq_upper=[bounds[q][1] for q in qs],
         ln_gq=ln_gq,
-        kq_rhs=kq_rhs,
         membership_value=member,
         order_estimate=order_est,
         type_estimate_coeffs=type_coeffs,
-        type_estimate_kq=max(kq_rhs),
+        type_estimate_kq=max(member),
         sigma_test=sigma_test,
     )
     if sigma_test is not None:

@@ -112,6 +112,17 @@ class HomTable:
     degree: int
     entries: dict[MultiIndex, MonogenicSeries]
 
+    def __post_init__(self):
+        if self.n < 1 or self.degree < 0:
+            raise ValueError(
+                f"hom table needs n >= 1 and degree >= 0, got n={self.n}, degree={self.degree}"
+            )
+        for p, b in self.entries.items():
+            if len(p) != self.n or b.n != self.n:
+                raise DimensionMismatchError(f"entry at {p} does not live in dimension {self.n}")
+            if min(p) < 0 or mi_abs(p) > self.degree:
+                raise ValueError(f"index {p} is not a multi-index of degree <= {self.degree}")
+
     def missing(self) -> list[MultiIndex]:
         return [p for p in enumerate_up_to(self.n, self.degree) if p not in self.entries]
 

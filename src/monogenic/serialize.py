@@ -89,6 +89,14 @@ def _entries(raw, index_key: str, value_key: str, what: str) -> list[tuple[Multi
     return out
 
 
+def _checked(make, *args):
+    """make(*args), with a constructor's ValueError raised as a SerializationError."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise SerializationError(str(exc)) from None
+
+
 def clifford_to_obj(c: CliffordNumber, mode: str) -> dict:
     return {
         blade_to_str(mask, c.dim): _encode_value(c.coeffs[mask], mode)
@@ -130,10 +138,7 @@ def obj_to_series(obj: dict) -> MonogenicSeries:
         m: obj_to_clifford(value, n, mode)
         for m, value in _entries(raw, "m", "value", "coefficient")
     }
-    try:
-        return MonogenicSeries(n, degree, coeffs)
-    except ValueError as exc:
-        raise SerializationError(str(exc)) from None
+    return _checked(MonogenicSeries, n, degree, coeffs)
 
 
 def operator_to_obj(P: OperatorSymbol, mode: str | None = None) -> dict:
@@ -153,10 +158,7 @@ def obj_to_operator(obj: dict) -> OperatorSymbol:
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed operator object: {exc}") from None
     entries = {m: obj_to_series(u) for m, u in _entries(raw, "m", "u", "operator")}
-    try:
-        return OperatorSymbol(n, entries)
-    except ValueError as exc:
-        raise SerializationError(str(exc)) from None
+    return _checked(OperatorSymbol, n, entries)
 
 
 def homtable_to_obj(H: HomTable, mode: str | None = None) -> dict:
@@ -177,7 +179,7 @@ def obj_to_homtable(obj: dict) -> HomTable:
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed hom table object: {exc}") from None
     entries = {p: obj_to_series(b) for p, b in _entries(raw, "p", "b", "hom table")}
-    return HomTable(n=n, degree=degree, entries=entries)
+    return _checked(HomTable, n, degree, entries)
 
 
 def log_norms_to_obj(n: int, log_norms: dict[MultiIndex, float]) -> dict:

@@ -142,7 +142,6 @@ class VerifyConfig:
         ProximateOrder("loglog", 1.0, 1.0),
     )
     constant_cap_ln: float = 40.0
-    tol: float = LOG_TOL
     corruption: str | None = None
     only: tuple[str, ...] | None = None
 
@@ -155,7 +154,7 @@ class VerifyConfig:
             value = getattr(self, name)
             _require(_is_real(value) and value > 0, name, "a finite number > 0", value)
         _require(self.sigma_prime < self.sigma, "sigma_prime", "below sigma", self.sigma_prime)
-        for name in ("eta", "delta", "tol"):
+        for name in ("eta", "delta"):
             value = getattr(self, name)
             _require(_is_real(value) and value >= 0, name, "a finite number >= 0", value)
         cap = self.constant_cap_ln
@@ -235,13 +234,13 @@ def axis_series(n: int, rho: float, sigma: float, degree: int) -> MonogenicSerie
     return MonogenicSeries(n, degree, coeffs)
 
 
-def _report(name, instance, margin, constants=None, details=None, tol=LOG_TOL):
+def _report(name, instance, margin, constants=None, details=None):
     return CheckReport(
         name=name,
         instance=instance,
         margin=margin,
         constants=constants or {},
-        passed=bool(margin >= -tol),
+        passed=bool(margin >= -LOG_TOL),
         details=details or {},
     )
 
@@ -716,6 +715,15 @@ def check_ck_norm_bound(
     )
 
 
+def _axis_type_fixture(rho, sigma, window, n, corruption):
+    """(scale, coefficient log norms, per-degree ln K_q) of the axis family of
+    order rho and type sigma on the window; the scale's order doubles under
+    the mismatched-scale corruption."""
+    po = ProximateOrder("constant", 2.0 * rho if corruption == "mismatched-scale" else rho)
+    log_norms = axis_log_norms(n, rho, sigma, window[0], window[1])
+    return po, log_norms, {mi_abs(m): v for m, v in log_norms.items()}
+
+
 def check_type_formula(
     rho: float,
     sigma: float,
@@ -725,16 +733,10 @@ def check_type_formula(
 ) -> CheckReport:
     """Recover the type of the synthetic axis family from unit-ball peaks of
     its homogeneous parts; 10% relative accuracy at the configured window."""
-    po = ProximateOrder("constant", 2.0 * rho if corruption == "mismatched-scale" else rho)
-    log_norms = axis_log_norms(n, rho, sigma, window[0], window[1])
-    log_kq = {mi_abs(m): v for m, v in log_norms.items()}
+    po, _, log_kq = _axis_type_fixture(rho, sigma, window, n, corruption)
     est = type_from_kq(log_kq, po, window)
     rel_err = abs(est - sigma) / sigma
-    small = type_from_kq(
-        {q: v for q, v in log_kq.items() if q <= window[0] + 20},
-        po,
-        (window[0], window[0] + 20),
-    )
+    small = type_from_kq(log_kq, po, (window[0], window[0] + 20))
     return _report(
         "type-formula",
         f"axis family rho={rho}, sigma={sigma}, window={window}",
@@ -753,9 +755,7 @@ def check_membership(
 ) -> CheckReport:
     """The membership surrogate max (K_q G_q)^{rho/q} of the axis family of
     type sigma lands within 10% of sigma."""
-    po = ProximateOrder("constant", 2.0 * rho if corruption == "mismatched-scale" else rho)
-    log_norms = axis_log_norms(n, rho, sigma, window[0], window[1])
-    log_kq = {mi_abs(m): v for m, v in log_norms.items()}
+    po, log_norms, log_kq = _axis_type_fixture(rho, sigma, window, n, corruption)
     report = membership_limsup(log_kq, po, window, log_norms=log_norms, n=n)
     rel_err = abs(report.kq_value - sigma) / sigma
     return _report(

@@ -60,6 +60,9 @@ def test_invalid_parameters():
     for rho, a, name in [(math.inf, 0.0, "rho"), (math.nan, 0.0, "rho"), (1.0, math.nan, "a")]:
         with pytest.raises(ValueError, match=f"proximate-order {name} must be finite"):
             ProximateOrder("loglog", rho, a)
+    # no constant-scale formula reads a, so a nonzero one is refused
+    with pytest.raises(ValueError, match="no parameter a"):
+        ProximateOrder("constant", 1.0, 5.0)
 
 
 @pytest.mark.parametrize("po", FAMILIES, ids=lambda p: f"{p.family}-{p.rho}-{p.a}")
@@ -271,6 +274,20 @@ def test_type_from_kq_and_membership():
         assert rep.coeff_value <= rep.dimension_slack * rep.kq_value * (1 + 1e-9)
     with pytest.raises(UndefinedOrderError):
         type_from_kq({3: 0.0}, ProximateOrder("constant", 1.0), (10, 20))
+    # one functional: type_from_kq is the membership surrogate, and the
+    # coefficient type is the classical formula (1/(e rho)) max |m| |a_m|^(rho/|m|)
+    random_norms = log_coeff_norms(random_rational_series(2, 8, 11).to_float())
+    for po in (FAMILIES[1], FAMILIES[4], FAMILIES[6]):  # constant, logshift, loglog
+        axis = (axis_log_norms(2, po.rho, 1.5, 200, 500), (200, 500))
+        for norms, window in (axis, (random_norms, (1, 8))):
+            kq = log_kq_upper(norms)
+            assert type_from_kq(kq, po, window) == membership_limsup(kq, po, window).kq_value
+            classical = max(
+                mi_abs(m) * math.exp(po.rho * v / mi_abs(m))
+                for m, v in norms.items()
+                if window[0] <= mi_abs(m) <= window[1]
+            ) / (math.e * po.rho)
+            assert type_from_coeffs(norms, po.rho, window) == pytest.approx(classical, rel=1e-12)
 
 
 def test_membership_coeff_variant_with_real_parts():
@@ -322,4 +339,6 @@ def test_growth_report_csv_shape():
     head, *rows = csv.strip().split("\n")
     assert head == "q,ln_Kq_lower,ln_Kq_upper,ln_Gq,kq_rhs,membership_value"
     assert len(rows) == len(rep.qs)
+    # kq_rhs and membership_value are one per-degree type under two headers
+    assert all(row.split(",")[4] == row.split(",")[5] for row in rows)
     assert rep.member_verdict is True

@@ -122,6 +122,21 @@ def test_incomplete_table_rejected():
         hom_to_op(HomTable(n=2, degree=2, entries=entries))
 
 
+def test_hom_table_rejects_entries_it_cannot_hold():
+    unit = MonogenicSeries.unit(2)
+    for degree, p in [(0, (3, 0)), (1, (-1, 1)), (0, (0, 0, 0))]:
+        with pytest.raises(ValueError):
+            HomTable(n=2, degree=degree, entries={(0, 0): unit, p: unit})
+    with pytest.raises(ValueError):
+        HomTable(n=2, degree=-1, entries={})
+    with pytest.raises(ValueError):
+        HomTable(n=0, degree=0, entries={})
+    with pytest.raises(ValueError):
+        HomTable(n=2, degree=0, entries={(0, 0): MonogenicSeries.unit(3)})
+    # missing entries are allowed; hom_to_op reports them
+    assert HomTable(n=2, degree=1, entries={(0, 0): unit}).missing() == [(0, 1), (1, 0)]
+
+
 def test_derivative_hom_inverts_to_derivative_operator():
     # values of the first-axis derivative on the basis invert to the
     # operator with unit coefficient at (1,0) and nothing else

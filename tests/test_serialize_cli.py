@@ -175,6 +175,7 @@ def test_cli_growth_csv(tmp_path, capsys):
     lines = rpath.read_text().strip().split("\n")
     assert lines[0] == "q,ln_Kq_lower,ln_Kq_upper,ln_Gq,kq_rhs,membership_value"
     assert len(lines) == 42
+    assert all(line.split(",")[4] == line.split(",")[5] for line in lines[1:])
     assert "membership at sigma=1.0: True" in capsys.readouterr().out
 
 
@@ -287,6 +288,9 @@ def test_cli_verify_subset_and_corruption(tmp_path, capsys):
         {"sigma": float("nan")},
         {"constant_cap_ln": float("inf")},
         {"radii": [1.0, float("inf")]},
+        # a tolerance is not a config field; a constant scale takes no a
+        {"tol": 1e-9},
+        {"families": [{"family": "constant", "rho": 1, "a": 5}]},
     ],
 )
 def test_cli_verify_bad_config_exits_2(tmp_path, capsys, cfg):
@@ -313,6 +317,10 @@ def _norms_with(entry):
 
 def _growth(po="constant:1"):
     return ["growth", "IN", "--po", po, "--window", "1:2", "--out", "OUT"]
+
+
+def _hom(degree, *indices):
+    return {"n": 2, "degree": degree, "entries": [{"p": p, "b": _SERIES} for p in indices]}
 
 
 @pytest.mark.parametrize(
@@ -344,6 +352,14 @@ def _growth(po="constant:1"):
         (_NORMS, _growth("loglog:1:nan")),
         (_NORMS, _growth("constant:inf")),
         (_SERIES, ["--samples", "-3"] + _growth()),
+        # hom tables: an index above the degree, a negative or a wrong-length
+        # index, a negative degree
+        (_hom(0, [0, 0], [3, 0]), ["hom2op", "IN", "--out", "OUT"]),
+        (_hom(0, [0, 0], [-1, 1]), ["hom2op", "IN", "--out", "OUT"]),
+        (_hom(0, [0, 0], [0, 0, 0]), ["hom2op", "IN", "--out", "OUT"]),
+        (_hom(-1), ["hom2op", "IN", "--out", "OUT"]),
+        # a constant scale given the parameter a, which it does not have
+        (_NORMS, _growth("constant:1:5")),
     ],
 )
 def test_cli_bad_input_files_exit_2(tmp_path, capsys, obj, argv):
