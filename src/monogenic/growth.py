@@ -28,9 +28,13 @@ from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from .errors import InvariantViolationError, UndefinedOrderError
+from .fueter import basis_combination
 from .multiindex import MultiIndex, ln_c_nm, mi_abs
-from .series import MonogenicSeries, max_modulus, series_eval
-from .sampling import sphere_points
+from .sampling import sphere_directions
+
+# series_eval is not called here but stays bound: the benchmark's tracer
+# self-test (bench/test_bench.py) expects to wrap it as growth.series_eval
+from .series import MonogenicSeries, max_modulus, series_eval  # noqa: F401
 
 FAMILIES = ("constant", "logshift", "loglog")
 
@@ -288,14 +292,13 @@ def weighted_norm_ln(
 
     grid_vals = ln_u - sigma * np.exp(ln_t)
     best = int(np.argmax(grid_vals))
-    candidates = {grid[best]}
-    candidates.update(peaks.tolist())
+    candidates = list({grid[best], *peaks.tolist()})
+    # one set of directions, scaled to every candidate radius, in one evaluation
+    dirs = sphere_directions(f.n + 1, samples, seed=seed)
+    points = np.concatenate([math.exp(L) * dirs for L in candidates])
+    moduli = np.linalg.norm(basis_combination(f.coeffs, points), axis=1)
     ln_lower = -math.inf
-    for L in candidates:
-        r = math.exp(L)
-        sampled = 0.0
-        for x in sphere_points(f.n, r, samples, seed=seed):
-            sampled = max(sampled, series_eval(f, x).norm())
+    for L, sampled in zip(candidates, moduli.reshape(len(candidates), -1).max(axis=1).tolist()):
         if sampled > 0.0:
             value = math.log(sampled) - sigma * math.exp(po.ln_scale_at_ln_r(L))
             ln_lower = max(ln_lower, value)

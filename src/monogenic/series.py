@@ -11,16 +11,18 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Hashable, Mapping
 
+import numpy as np
+
 from .clifford import CliffordNumber, Paravector, cl_mul
 from .errors import DimensionMismatchError
-from .fueter import FueterCache
+from .fueter import FueterCache, basis_combination
 from .multiindex import (
     MultiIndex,
     mi_abs,
     mi_add,
     mi_factorial,
 )
-from .sampling import sphere_points
+from .sampling import sphere_directions
 
 
 class MonogenicSeries:
@@ -146,10 +148,19 @@ class MonogenicSeries:
 
 
 def series_eval(f: MonogenicSeries, x: Paravector, exact: bool = False) -> CliffordNumber:
-    """Evaluate sum V_m(x) a_m with one shared basis cache for the point."""
+    """Evaluate sum V_m(x) a_m.
+
+    Float mode goes through the batched kernel ``basis_combination`` and keeps
+    only the blades whose value is nonzero.  Exact mode shares one
+    ``FueterCache`` for the point and is the reference the kernel is tested
+    against.
+    """
     if x.dim != f.n:
         raise DimensionMismatchError(f"point of dimension {x.dim}, series of dimension {f.n}")
-    cache = FueterCache(x, exact=exact)
+    if not exact:
+        row = basis_combination(f._coeffs, [x.components()])[0].tolist()
+        return CliffordNumber(f.n, {mask: v for mask, v in enumerate(row) if v != 0.0})
+    cache = FueterCache(x, exact=True)
     acc = CliffordNumber.zero(f.n)
     for m, a in f._coeffs.items():
         acc = acc + cl_mul(cache.value(m), a)
@@ -254,9 +265,8 @@ def max_modulus(
     if r == 0:
         exact = f.coeff((0,) * f.n).norm()
         return exact, max(upper, exact)
-    lower = 0.0
-    for x in sphere_points(f.n, r, samples, seed=seed):
-        lower = max(lower, series_eval(f, x).norm())
+    points = r * sphere_directions(f.n + 1, samples, seed=seed)
+    lower = float(np.linalg.norm(basis_combination(f._coeffs, points), axis=1).max())
     return lower, upper
 
 

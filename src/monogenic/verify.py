@@ -22,7 +22,7 @@ from scipy.special import logsumexp
 
 from .clifford import CliffordNumber, Paravector, cl_mul
 from .errors import SerializationError
-from .fueter import FueterCache, ordered_word_eval
+from .fueter import basis_values, ordered_word_eval
 from .growth import (
     ProximateOrder,
     axis_log_norms,
@@ -295,8 +295,10 @@ def check_monogenicity(
     def evaluate(p: Paravector) -> dict:
         if corruption == "ordered-words":
             return {m: ordered_word_eval(m, p) for m in indices}
-        cache = FueterCache(p)
-        return {m: cache.value(m) for m in indices}
+        # every blade, in mask order: each residual sums the same squares in
+        # the same order whichever blades happen to be zero
+        table = basis_values([p.components()], q_max)[0].tolist()
+        return {m: CliffordNumber(n, dict(enumerate(row))) for m, row in zip(indices, table)}
 
     margin = math.inf
     worst = None

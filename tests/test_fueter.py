@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from monogenic.clifford import CliffordNumber, Paravector, cl_mul
 from monogenic.fueter import (
     FueterCache,
+    basis_values,
     fueter_derivative_rule,
     fueter_eval,
     fueter_sup_unit_ball,
@@ -170,3 +172,22 @@ def test_axis_relabeling_symmetry():
         assert w[0b01] == v[0b10]
         assert w[0b10] == v[0b01]
         assert w[0b11] == -v[0b11]
+
+
+def test_basis_values_equal_float_fueter_cache(rng):
+    """The batched kernel gives every basis value bit for bit as the float
+    FueterCache does, the origin and points with zero coordinates included."""
+    for n in range(1, 5):
+        points = [random_point(n, rng, radius=1.5) for _ in range(3)]
+        points += [Paravector(0.0, [0.0] * n), Paravector(0.0, [1.25] + [0.0] * (n - 1))]
+        points.append(Paravector(-0.75, [0.0] * (n - 1) + [0.5]))
+        for degree in (0, 1, 3, 6):
+            values = basis_values([x.components() for x in points], degree)
+            assert values.shape == (len(points), len(enumerate_up_to(n, degree)), 1 << n)
+            for x, table in zip(points, values):
+                cache = FueterCache(x)
+                for m, row in zip(enumerate_up_to(n, degree), table):
+                    expected = np.zeros(1 << n)
+                    for mask, value in cache.value(m).coeffs.items():
+                        expected[mask] = value
+                    assert (row == expected).all(), (n, m, x)

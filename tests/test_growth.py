@@ -172,17 +172,32 @@ def test_weighted_norm_bracket_and_zero():
 
 
 def test_weighted_norm_unsampled_evaluates_nothing(monkeypatch):
+    import monogenic.fueter as fueter
     import monogenic.growth as growth
 
     def refuse(*args, **kwargs):
         raise AssertionError("samples=0 must not evaluate the series")
 
+    kernel = fueter.basis_values
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return kernel(*args, **kwargs)
+
     f = random_rational_series(2, 5, 7).to_float()
     for po in (ProximateOrder("constant", 1.0), ProximateOrder("loglog", 1.0, 1.0)):
-        _, ln_up = weighted_norm_ln(f, po, 0.9, samples=32)
+        with monkeypatch.context() as patch:
+            patch.setattr(fueter, "basis_values", counted)
+            _, ln_up = weighted_norm_ln(f, po, 0.9, samples=32)
+        # the sampled side reaches the kernel, with 32 points per candidate radius
+        assert calls and sum(calls) % 32 == 0
+        calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(growth, "series_eval", refuse)
-            patch.setattr(growth, "sphere_points", refuse)
+            patch.setattr(growth, "sphere_directions", refuse)
+            patch.setattr(growth, "basis_combination", refuse)
+            patch.setattr(fueter, "basis_values", refuse)
             assert weighted_norm_ln(f, po, 0.9, samples=0) == (-math.inf, ln_up)
 
 

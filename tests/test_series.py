@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from monogenic import fueter
 from monogenic.clifford import CliffordNumber, Paravector
 from monogenic.errors import DimensionMismatchError
 from monogenic.multiindex import enumerate_up_to, mi_add, mi_abs
@@ -247,3 +248,76 @@ def test_right_module_action():
     from monogenic.clifford import cl_mul
 
     assert (series_eval(g, x) - cl_mul(series_eval(f, x), c.to_float())).norm() <= 1e-12
+
+
+def _float_error_within(value: CliffordNumber, exact: CliffordNumber, f: MonogenicSeries, x) -> bool:
+    """Float value within 1e-12 of the exact one, relative to the larger of the
+    exact norm and the coefficient envelope sum |a_m| |x|^|m|: rounding error
+    scales with the terms, and terms can cancel to an exact zero."""
+    masks = set(value.coeffs) | set(exact.coeffs)
+    err_sq = sum((Fraction(value[k]) - exact[k]) ** 2 for k in masks)
+    scale = max(math.sqrt(exact.norm_sq()), f.coeff_upper_bound(math.sqrt(x.norm_sq())))
+    return err_sq <= (Fraction(1e-12) * Fraction(scale)) ** 2
+
+
+_DYADIC = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 4, 8]))
+
+
+@st.composite
+def dyadic_series_and_point(draw):
+    n = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, 6))
+    blade = st.dictionaries(st.integers(0, (1 << n) - 1), _DYADIC, min_size=1, max_size=4)
+    indices = draw(st.lists(st.sampled_from(enumerate_up_to(n, degree)), max_size=5, unique=True))
+    coeffs = {m: CliffordNumber(n, draw(blade)) for m in indices}
+    coordinate = st.one_of(st.just(Fraction(0)), _DYADIC)
+    comps = draw(st.lists(coordinate, min_size=n + 1, max_size=n + 1))
+    return MonogenicSeries(n, degree, coeffs), Paravector.from_components(comps)
+
+
+_DENSE_3 = MonogenicSeries(
+    3,
+    4,
+    {m: CliffordNumber(3, {0: Fraction(1), 0b101: Fraction(-3, 4)}) for m in enumerate_up_to(3, 4)},
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dyadic_series_and_point())
+@example((_DENSE_3, Paravector.from_components([Fraction(0)] * 4)))
+@example((_DENSE_3, Paravector.from_components([Fraction(0), Fraction(3, 2), Fraction(0), Fraction(-1, 4)])))
+def test_float_eval_matches_exact_mode(case):
+    """Float series_eval (the batched kernel) against the exact-mode oracle;
+    a float value carries only its nonzero blades."""
+    f, x = case
+    exact = series_eval(f, x, exact=True)
+    value = series_eval(f.to_float(), Paravector.from_components([float(c) for c in x.components()]))
+    assert all(v != 0.0 for v in value.coeffs.values())
+    assert _float_error_within(value, exact, f, x)
+
+
+def test_kernel_blocks_agree_with_exact_mode():
+    """More points than three blocks of the kernel hold: every row is the
+    exact value at its point."""
+    n, degree = 5, 4
+    per_block = fueter._BLOCK_FLOATS // (len(enumerate_up_to(n, degree)) << n)
+    rng = random.Random(17)
+    points = [
+        Paravector.from_components([Fraction(rng.randint(-6, 6), 4) for _ in range(n + 1)])
+        for _ in range(3 * per_block + 5)
+    ]
+    f = MonogenicSeries(
+        n,
+        degree,
+        {
+            (0,) * n: CliffordNumber.scalar(n, Fraction(1, 2)),
+            (1, 0, 2, 0, 1): CliffordNumber(n, {0b10011: Fraction(3), 0b1: Fraction(-1, 8)}),
+            (0, 1, 0, 1, 0): CliffordNumber.scalar(n, Fraction(-5, 2)),
+            (0, 0, 0, 0, 3): CliffordNumber(n, {0b11111: Fraction(7, 4)}),
+        },
+    )
+    rows = fueter.basis_combination(f.coeffs, [[float(c) for c in x.components()] for x in points])
+    assert len(rows) == len(points) > 3 * per_block
+    for x, row in zip(points, rows.tolist()):
+        value = CliffordNumber(n, dict(enumerate(row)))
+        assert _float_error_within(value, series_eval(f, x, exact=True), f, x)
