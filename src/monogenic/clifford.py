@@ -48,10 +48,6 @@ def blade_product(a: int, b: int, dim: int) -> tuple[int, int]:
     return sign, a ^ b
 
 
-def blade_grade(mask: int) -> int:
-    return mask.bit_count()
-
-
 class CliffordNumber:
     """A sparse element of the dimension-n Clifford algebra.
 
@@ -151,9 +147,6 @@ class CliffordNumber:
 
     def to_float(self) -> "CliffordNumber":
         return CliffordNumber(self.dim, {m: float(v) for m, v in self._coeffs.items()})
-
-    def grades(self) -> set[int]:
-        return {blade_grade(m) for m in self._coeffs}
 
     def __repr__(self) -> str:
         if not self._coeffs:

@@ -101,10 +101,9 @@ def fueter_sup_unit_ball(m: MultiIndex, samples: int, seed: int = 0) -> float:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n = len(m)
-    dirs = sphere_directions(n + 1, samples, seed=seed)
-    values = basis_combination({tuple(m): CliffordNumber.scalar(n, 1.0)}, dirs)
+    (sup,) = sampled_sups(n, {tuple(m): CliffordNumber.scalar(n, 1.0)}, [1.0], samples, seed)
     # the true sup is <= 1; trim float jitter at attaining points
-    return min(float(np.linalg.norm(values, axis=1).max()), 1.0)
+    return min(sup, 1.0)
 
 
 def ordered_word_eval(m: MultiIndex, x: Paravector) -> CliffordNumber:
@@ -219,3 +218,18 @@ def basis_combination(coeffs: Mapping[MultiIndex, CliffordNumber], points) -> np
         values = basis_values(pts[start : start + step], degree)[:, rows]
         out[start : start + step] = values.reshape(len(values), -1) @ right
     return out
+
+
+def sampled_sups(
+    n: int, coeffs: Mapping[MultiIndex, CliffordNumber], radii, samples: int, seed: int = 0
+) -> list[float]:
+    """Sampled max of norm(sum_m V_m(x) a_m) on the sphere of each radius.
+
+    One set of about ``samples`` directions (``sphere_directions``, axis points
+    included) is scaled to every radius, and all points go through one
+    ``basis_combination`` call.
+    """
+    dirs = sphere_directions(n + 1, samples, seed=seed)
+    points = np.concatenate([r * dirs for r in radii])
+    moduli = np.linalg.norm(basis_combination(coeffs, points), axis=1)
+    return moduli.reshape(len(radii), -1).max(axis=1).tolist()

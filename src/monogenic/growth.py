@@ -21,16 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from .errors import InvariantViolationError, UndefinedOrderError
-from .fueter import basis_combination
+from .fueter import sampled_sups
 from .multiindex import MultiIndex, ln_c_nm, mi_abs
-from .sampling import sphere_directions
 
 # series_eval is not called here but stays bound: the benchmark's tracer
 # self-test (bench/test_bench.py) expects to wrap it as growth.series_eval
@@ -39,6 +38,10 @@ from .series import MonogenicSeries, max_modulus, series_eval  # noqa: F401
 FAMILIES = ("constant", "logshift", "loglog")
 
 _LN_R_MIN = math.log(1e-8)
+
+#: cells of the log-radius grid on which weighted_norm_ln certifies its
+#: upper envelope
+_ENVELOPE_CELLS = 20000
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,8 @@ class ProximateOrder:
     The loglog family is only monotone for large r; below the cutover radius
     the scale is replaced by the power law matching value and slope there
     (a C1 join), pinned to t(0+) = 0.  For constant and logshift the raw
-    scale is already a monotone bijection and the cap is the identity.
+    scale is already a monotone bijection and the cap is the identity;
+    constant is logshift with a = 0, and they share one code path.
     """
 
     family: str
@@ -88,9 +92,7 @@ class ProximateOrder:
     def ln_scale_at_ln_r(self, ln_r):
         """ln t at ln r; accepts scalars or numpy arrays."""
         ln_r = np.asarray(ln_r, dtype=float)
-        if self.family == "constant":
-            out = self.rho * ln_r
-        elif self.family == "logshift":
+        if self.family != "loglog":
             out = self.a + self.rho * ln_r
         else:
             safe = np.maximum(ln_r, self.ln_cutover)
@@ -102,7 +104,7 @@ class ProximateOrder:
     def log_slope_at_ln_r(self, ln_r):
         """d ln t / d ln r; positive everywhere (strict monotonicity)."""
         ln_r = np.asarray(ln_r, dtype=float)
-        if self.family in ("constant", "logshift"):
+        if self.family != "loglog":
             out = np.full_like(ln_r, self.rho)
         else:
             safe = np.maximum(ln_r, self.ln_cutover)
@@ -130,21 +132,11 @@ class ProximateOrder:
             raise ValueError("exponent representation is singular at r = 1")
         return self.ln_scale_at_ln_r(ln_r) / ln_r
 
-    def decay_at_ln_r(self, ln_r: float) -> float:
-        """rho'(r) * r * ln(r) of the raw family; tends to 0 as r grows."""
-        if self.family == "constant":
-            return 0.0
-        if self.family == "logshift":
-            return -self.a / ln_r
-        return self.a * (1.0 - math.log(ln_r)) / ln_r
-
     # -- inverse phi --------------------------------------------------------
 
     def ln_phi_at_ln_t(self, ln_t: float) -> float:
         """ln of the inverse: the unique ln r with ln t(r) = ln_t."""
-        if self.family == "constant":
-            return ln_t / self.rho
-        if self.family == "logshift":
+        if self.family != "loglog":
             return (ln_t - self.a) / self.rho
         if ln_t <= self._cap_ln_t1:
             return self.ln_cutover + (ln_t - self._cap_ln_t1) / self._cap_slope
@@ -177,9 +169,6 @@ class ProximateOrder:
             return 0.0
         ln_phi_q = self.ln_phi_at_ln_t(math.log(q))
         return q * ln_phi_q - (q / self.rho) * (1.0 + math.log(self.rho))
-
-    def gq(self, q: int) -> float:
-        return math.exp(self.ln_gq(q))
 
     # -- peaks of r^q * exp(-sigma*t(r)) -------------------------------------
 
@@ -247,7 +236,6 @@ def weighted_norm_ln(
     sigma: float,
     samples: int = 32,
     seed: int = 0,
-    cells: int = 20000,
 ) -> tuple[float, float]:
     """Natural-log bracket of sup_x norm(f(x)) * exp(-sigma * t(norm(x))).
 
@@ -275,7 +263,7 @@ def weighted_norm_ln(
 
     lo = min(peaks.min() - 1.0, _LN_R_MIN)
     hi = peaks.max() + 1.0
-    grid = np.linspace(lo, hi, cells + 1)
+    grid = np.linspace(lo, hi, _ENVELOPE_CELLS + 1)
     ln_t = po.ln_scale_at_ln_r(grid)
     # ln U at every grid point: logsumexp over degrees of lnA + q*ln r
     powers = lnA[None, :] + qs[None, :] * grid[:, None]
@@ -293,12 +281,9 @@ def weighted_norm_ln(
     grid_vals = ln_u - sigma * np.exp(ln_t)
     best = int(np.argmax(grid_vals))
     candidates = list({grid[best], *peaks.tolist()})
-    # one set of directions, scaled to every candidate radius, in one evaluation
-    dirs = sphere_directions(f.n + 1, samples, seed=seed)
-    points = np.concatenate([math.exp(L) * dirs for L in candidates])
-    moduli = np.linalg.norm(basis_combination(f.coeffs, points), axis=1)
+    sups = sampled_sups(f.n, f.coeffs, [math.exp(L) for L in candidates], samples, seed)
     ln_lower = -math.inf
-    for L, sampled in zip(candidates, moduli.reshape(len(candidates), -1).max(axis=1).tolist()):
+    for L, sampled in zip(candidates, sups):
         if sampled > 0.0:
             value = math.log(sampled) - sigma * math.exp(po.ln_scale_at_ln_r(L))
             ln_lower = max(ln_lower, value)
@@ -333,12 +318,37 @@ def log_coeff_norms(f: MonogenicSeries) -> dict[MultiIndex, float]:
     return out
 
 
+def ln_sum(values) -> float:
+    """ln of the sum of e^v over the values (scipy's logsumexp)."""
+    return float(logsumexp(values))
+
+
+def per_degree(
+    values: Mapping[MultiIndex, float], reduce: Callable[[list[float]], float]
+) -> dict[int, float]:
+    """Reduce a table keyed by multi-index degree by degree: q -> reduce of
+    the values with |m| = q (``max``, or ``ln_sum`` for the log of a sum),
+    degrees in order of first appearance, values in table order."""
+    buckets: dict[int, list[float]] = {}
+    for m, v in values.items():
+        buckets.setdefault(mi_abs(m), []).append(v)
+    return {q: reduce(vals) for q, vals in buckets.items()}
+
+
+def tail_ln_sums(per_q: Mapping[int, float], count: int) -> dict[int, float]:
+    """M -> ln sum_{q > M} e^{per_q[q]} for M = 0..count-1, summed in
+    ascending q; -inf where no degree exceeds M."""
+    qs = sorted(per_q)
+    out = {}
+    for M in range(count):
+        vals = [per_q[q] for q in qs if q > M]
+        out[M] = ln_sum(vals) if vals else -math.inf
+    return out
+
+
 def log_kq_upper(log_norms: Mapping[MultiIndex, float]) -> dict[int, float]:
     """Per-degree ln of the coefficient-norm sums (upper bounds for K_q)."""
-    buckets: dict[int, list[float]] = {}
-    for m, v in log_norms.items():
-        buckets.setdefault(mi_abs(m), []).append(v)
-    return {q: float(logsumexp(vals)) for q, vals in buckets.items()}
+    return per_degree(log_norms, ln_sum)
 
 
 def log_kq_lower_from_norms(
@@ -346,17 +356,7 @@ def log_kq_lower_from_norms(
 ) -> dict[int, float]:
     """Per-degree max of ln(norm(a_m)/c(n,m)), a K_q lower bound by the
     coefficient inequality norm(a_m) <= c(n,m) * K_q."""
-    return _degree_max({m: v - ln_c_nm(n, m) for m, v in log_norms.items()})
-
-
-def _degree_max(values: Mapping[MultiIndex, float]) -> dict[int, float]:
-    """Per-degree max of a table keyed by multi-index."""
-    out: dict[int, float] = {}
-    for m, v in values.items():
-        q = mi_abs(m)
-        if q not in out or v > out[q]:
-            out[q] = v
-    return out
+    return per_degree({m: v - ln_c_nm(n, m) for m, v in log_norms.items()}, max)
 
 
 def axis_log_norms(
@@ -438,7 +438,7 @@ def type_from_coeffs(
     A window holding only the constant term gives type 0 (bounded function)."""
     _window_indices(log_norms, window)  # raises on an empty window
     po = ProximateOrder("constant", rho)
-    return math.exp(_max_ln_type(_degree_max(log_norms), po, window))
+    return math.exp(_max_ln_type(per_degree(log_norms, max), po, window))
 
 
 def type_from_kq(
@@ -477,7 +477,7 @@ def membership_limsup(
     """
     report = MembershipReport(window=window, kq_value=math.exp(_max_ln_type(log_kq, po, window)))
     if log_norms is not None and n is not None:
-        report.coeff_value = math.exp(_max_ln_type(_degree_max(log_norms), po, window))
+        report.coeff_value = math.exp(_max_ln_type(per_degree(log_norms, max), po, window))
         report.dimension_slack = float(n) ** po.rho
     return report
 
@@ -540,6 +540,8 @@ def growth_report(
     """
     if log_norms is None and log_kq_bounds is None:
         raise ValueError("need coefficient norms or K_q data")
+    if sigma_test is not None and not (math.isfinite(sigma_test) and sigma_test > 0):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma_test}")
     bounds: dict[int, tuple[float, float]] = {}
     if log_kq_bounds is not None:
         bounds.update({int(q): (float(v[0]), float(v[1])) for q, v in log_kq_bounds.items()})

@@ -87,11 +87,6 @@ def c_nm(n: int, m: MultiIndex) -> Fraction:
     return Fraction(rising_factorial(n, mi_abs(m)), mi_factorial(m))
 
 
-def degree_sum_c(n: int, q: int) -> Fraction:
-    """Sum of c(n, m) over all |m| = q; its q-th root tends to n from above."""
-    return sum((c_nm(n, m) for m in enumerate_degree(n, q)), Fraction(0))
-
-
 def ln_c_nm(n: int, m: MultiIndex) -> float:
     """log of c(n, m), stable for large degrees."""
     q = mi_abs(m)
@@ -99,16 +94,3 @@ def ln_c_nm(n: int, m: MultiIndex) -> float:
     for part in m:
         out -= math.lgamma(part + 1)
     return out
-
-
-def c_upper_root(n: int, q_max: int) -> float:
-    """max of c(n, m)^(1/|m|) over 1 <= |m| <= q_max.
-
-    The maximum sits at small degrees (sqrt(6) at m=(1,1) for n=2), so a
-    moderate q_max bounds the whole family.
-    """
-    best = float(n)
-    for q in range(1, q_max + 1):
-        for m in enumerate_degree(n, q):
-            best = max(best, math.exp(ln_c_nm(n, m) / q))
-    return best

@@ -26,11 +26,10 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .clifford import CliffordNumber
 from .errors import DimensionMismatchError
-from .growth import ProximateOrder, weighted_norm_ln
+from .growth import ProximateOrder, ln_sum, per_degree, tail_ln_sums, weighted_norm_ln
 from .multiindex import (
     MultiIndex,
     enumerate_up_to,
@@ -153,7 +152,7 @@ def op_apply(P: OperatorSymbol, f: MonogenicSeries, q_out: int) -> MonogenicSeri
             continue
         part = ck_mul_left(u, series_derivative(f, m), q_out)
         _accumulate(out, part.coeffs)
-    return MonogenicSeries(f.n, q_out, {m: a for m, a in out.items() if not a.is_zero()})
+    return MonogenicSeries(f.n, q_out, out)
 
 
 def _basis_transform(
@@ -226,10 +225,11 @@ class ScaleComparison:
     ok: bool
 
 
-def compare_scales(
-    po1: ProximateOrder, po2: ProximateOrder, ln_r_max: float = 19.0, points: int = 400
-) -> ScaleComparison:
-    grid = np.linspace(0.0, ln_r_max, points)
+def compare_scales(po1: ProximateOrder, po2: ProximateOrder) -> ScaleComparison:
+    """The gap ln t1 - ln t2 on 400 points of ln r in [0, 19]; its slope is
+    fitted on the last quarter."""
+    points = 400
+    grid = np.linspace(0.0, 19.0, points)
     gap = np.asarray(po1.ln_scale_at_ln_r(grid)) - np.asarray(po2.ln_scale_at_ln_r(grid))
     tail = gap[3 * points // 4 :]
     slope = float(np.polyfit(grid[3 * points // 4 :], tail, 1)[0])
@@ -271,14 +271,11 @@ def _requirement_profile(
     P: OperatorSymbol, po1: ProximateOrder, po2: ProximateOrder, sigma: float
 ) -> dict[int, float]:
     """Per-degree q: max over |m| = q of ln ||u_m||_{po2,sigma} + ln m! - ln G_q."""
-    out: dict[int, float] = {}
+    reqs = {}
     for m, u in P.entries.items():
-        q = mi_abs(m)
         _, ln_up = weighted_norm_ln(u, po2, sigma, samples=0)
-        val = ln_up + math.log(mi_factorial(m)) - po1.ln_gq(q)
-        if q not in out or val > out[q]:
-            out[q] = val
-    return out
+        reqs[m] = ln_up + math.log(mi_factorial(m)) - po1.ln_gq(mi_abs(m))
+    return per_degree(reqs, max)
 
 
 TREND_TOL = 1e-7
@@ -349,26 +346,20 @@ def tail_bound_profile(
     multiplicative constants shared by every term are dropped (only decay in M
     is at stake).
     """
-    terms: dict[int, list[float]] = {}
+    terms: dict[MultiIndex, float] = {}
     ln_2kt = math.log(2.0 * k * tau)
     for m, u in P.entries.items():
         q = mi_abs(m)
         _, ln_up = weighted_norm_ln(u, po2, sigma, samples=0)
-        val = (
+        terms[m] = (
             ln_up
             + math.log(mi_factorial(m))
             + (q / po1.rho) * ln_2kt
             + ln_c_nm(P.n, m)
             - po1.ln_gq(q)
         )
-        terms.setdefault(q, []).append(val)
-    per_q = {q: float(logsumexp(vals)) for q, vals in terms.items()}
-    qs = sorted(per_q)
-    out: dict[int, float] = {}
-    for M in range(0, max(qs)):
-        vals = [per_q[q] for q in qs if q > M]
-        out[M] = float(logsumexp(vals)) if vals else -math.inf
-    return out
+    per_q = per_degree(terms, ln_sum)
+    return tail_ln_sums(per_q, max(per_q))
 
 
 def convergence_threshold(n_const: float, k: float, tau: float, rho1: float) -> float:

@@ -11,6 +11,8 @@ Blade keys are digit strings with strictly increasing digits ("" is the
 scalar part), multi-indices are emitted in lexicographic order, blade keys
 sorted, exact rationals as "p/q" strings, floats with 17 significant digits.
 Emission is deterministic so canonical files are diffable byte for byte.
+On input, "n", "degree" and index entries must be JSON integers and numbers
+must be finite JSON numbers; booleans are neither.
 """
 
 from __future__ import annotations
@@ -26,6 +28,21 @@ from .growth import ProximateOrder
 from .multiindex import MultiIndex, mi_abs
 from .operators import HomTable, OperatorSymbol
 from .series import MonogenicSeries
+
+
+def is_integer(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """A JSON number (not a bool) that converts to a finite float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def blade_to_str(mask: int, n: int) -> str:
@@ -61,12 +78,12 @@ def _decode_value(value, mode: str):
                 return Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
                 raise SerializationError(f"bad rational {value!r}: {exc}") from None
-        if isinstance(value, int):
+        if is_integer(value):
             return Fraction(value)
         raise SerializationError(f"exact mode requires rational strings, got {value!r}")
-    if isinstance(value, (int, float)):
+    if is_finite_number(value):
         return float(value)
-    raise SerializationError(f"float mode requires numbers, got {value!r}")
+    raise SerializationError(f"float mode requires finite numbers, got {value!r}")
 
 
 def _entries(raw, index_key: str, value_key: str, what: str) -> list[tuple[MultiIndex, Any]]:
@@ -81,12 +98,28 @@ def _entries(raw, index_key: str, value_key: str, what: str) -> list[tuple[Multi
             raise SerializationError(f"{what} entry without key {exc}") from None
         except TypeError:
             raise SerializationError(f"{what} entry must be an object, got {item!r}") from None
-        if not isinstance(index, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in index
-        ):
+        if not isinstance(index, list) or not all(map(is_integer, index)):
             raise SerializationError(f"{what} index must be a list of integers, got {index!r}")
         out.append((tuple(index), value))
     return out
+
+
+def _header(obj, what: str, *keys: str) -> list:
+    """The values of the given top-level keys of a document; "n" and
+    "degree" must be JSON integers."""
+    if not isinstance(obj, dict):
+        raise SerializationError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise SerializationError(f"malformed {what} object: no key {key!r}")
+        if key in ("n", "degree") and not is_integer(obj[key]):
+            raise SerializationError(f"{what} {key!r} must be an integer, got {obj[key]!r}")
+    return [obj[key] for key in keys]
+
+
+def _mode_of(tables) -> str:
+    """The mode of a collection of series: exact when every one is exact."""
+    return "exact" if all(u.is_exact() for u in tables) else "float"
 
 
 def _checked(make, *args):
@@ -125,13 +158,7 @@ def series_to_obj(f: MonogenicSeries, mode: str | None = None) -> dict:
 
 
 def obj_to_series(obj: dict) -> MonogenicSeries:
-    try:
-        n = int(obj["n"])
-        degree = int(obj["degree"])
-        mode = str(obj["mode"])
-        raw = obj["coeffs"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed series object: {exc}") from None
+    n, degree, mode, raw = _header(obj, "series", "n", "degree", "mode", "coeffs")
     if mode not in ("exact", "float"):
         raise SerializationError(f"unknown mode {mode!r}")
     coeffs = {
@@ -142,8 +169,7 @@ def obj_to_series(obj: dict) -> MonogenicSeries:
 
 
 def operator_to_obj(P: OperatorSymbol, mode: str | None = None) -> dict:
-    if mode is None:
-        mode = "exact" if all(u.is_exact() for u in P.entries.values()) else "float"
+    mode = mode or _mode_of(P.entries.values())
     entries = [
         {"m": list(m), "u": series_to_obj(P.entries[m], mode)}
         for m in sorted(P.entries, key=lambda m: (mi_abs(m), m))
@@ -152,18 +178,13 @@ def operator_to_obj(P: OperatorSymbol, mode: str | None = None) -> dict:
 
 
 def obj_to_operator(obj: dict) -> OperatorSymbol:
-    try:
-        n = int(obj["n"])
-        raw = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed operator object: {exc}") from None
+    n, raw = _header(obj, "operator", "n", "entries")
     entries = {m: obj_to_series(u) for m, u in _entries(raw, "m", "u", "operator")}
     return _checked(OperatorSymbol, n, entries)
 
 
 def homtable_to_obj(H: HomTable, mode: str | None = None) -> dict:
-    if mode is None:
-        mode = "exact" if all(b.is_exact() for b in H.entries.values()) else "float"
+    mode = mode or _mode_of(H.entries.values())
     entries = [
         {"p": list(p), "b": series_to_obj(H.entries[p], mode)}
         for p in sorted(H.entries, key=lambda p: (mi_abs(p), p))
@@ -172,12 +193,7 @@ def homtable_to_obj(H: HomTable, mode: str | None = None) -> dict:
 
 
 def obj_to_homtable(obj: dict) -> HomTable:
-    try:
-        n = int(obj["n"])
-        degree = int(obj["degree"])
-        raw = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed hom table object: {exc}") from None
+    n, degree, raw = _header(obj, "hom table", "n", "degree", "entries")
     entries = {p: obj_to_series(b) for p, b in _entries(raw, "p", "b", "hom table")}
     return _checked(HomTable, n, degree, entries)
 
@@ -191,23 +207,16 @@ def log_norms_to_obj(n: int, log_norms: dict[MultiIndex, float]) -> dict:
 
 
 def obj_to_log_norms(obj: dict) -> tuple[int, dict[MultiIndex, float]]:
-    try:
-        n = int(obj["n"])
-        raw = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed norms object: {exc}") from None
+    n, raw = _header(obj, "norms", "n", "entries")
     if n < 1:
         raise SerializationError(f"dimension must be >= 1, got {n}")
     out = {}
     for m, value in _entries(raw, "m", "ln_norm", "norms"):
         if len(m) != n or min(m) < 0:
             raise SerializationError(f"bad index {list(m)} for dimension {n}")
-        try:
-            out[m] = float(value)
-        except (TypeError, ValueError):
-            raise SerializationError(f"ln_norm at {list(m)} is not a number: {value!r}") from None
-        if not math.isfinite(out[m]):
-            raise SerializationError(f"ln_norm at {list(m)} must be finite, got {value!r}")
+        if not is_finite_number(value):
+            raise SerializationError(f"ln_norm at {list(m)} must be a finite number, got {value!r}")
+        out[m] = float(value)
     return n, out
 
 
@@ -269,10 +278,6 @@ def write_file(path: str, obj: Any) -> None:
 def read_file(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
-
-
-def scale_to_obj(po: ProximateOrder) -> dict:
-    return po.to_dict()
 
 
 def obj_to_scale(obj: dict) -> ProximateOrder:

@@ -11,18 +11,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Hashable, Mapping
 
-import numpy as np
-
 from .clifford import CliffordNumber, Paravector, cl_mul
 from .errors import DimensionMismatchError
-from .fueter import FueterCache, basis_combination
+from .fueter import FueterCache, basis_combination, sampled_sups
 from .multiindex import (
     MultiIndex,
     mi_abs,
     mi_add,
     mi_factorial,
 )
-from .sampling import sphere_directions
 
 
 class MonogenicSeries:
@@ -107,12 +104,6 @@ class MonogenicSeries:
     def scale(self, factor) -> "MonogenicSeries":
         return MonogenicSeries(
             self.n, self.degree, {m: a.scale(factor) for m, a in self._coeffs.items()}
-        )
-
-    def scale_right(self, c: CliffordNumber) -> "MonogenicSeries":
-        """Right module action f*c: multiplies every coefficient by c on the right."""
-        return MonogenicSeries(
-            self.n, self.degree, {m: cl_mul(a, c) for m, a in self._coeffs.items()}
         )
 
     def truncate(self, degree: int) -> "MonogenicSeries":
@@ -265,8 +256,7 @@ def max_modulus(
     if r == 0:
         exact = f.coeff((0,) * f.n).norm()
         return exact, max(upper, exact)
-    points = r * sphere_directions(f.n + 1, samples, seed=seed)
-    lower = float(np.linalg.norm(basis_combination(f._coeffs, points), axis=1).max())
+    (lower,) = sampled_sups(f.n, f._coeffs, [r], samples, seed)
     return lower, upper
 
 

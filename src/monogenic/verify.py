@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .clifford import CliffordNumber, Paravector, cl_mul
 from .errors import SerializationError
@@ -26,7 +25,10 @@ from .fueter import basis_values, ordered_word_eval
 from .growth import (
     ProximateOrder,
     axis_log_norms,
+    log_coeff_norms,
     membership_limsup,
+    per_degree,
+    tail_ln_sums,
     type_from_kq,
     weighted_norm_ln,
 )
@@ -39,7 +41,7 @@ from .multiindex import (
 )
 from .operators import OperatorSymbol, hom_to_op, op_apply, op_to_hom
 from .sampling import ball_points
-from .serialize import obj_to_scale
+from .serialize import is_finite_number, is_integer, obj_to_scale
 from .series import MonogenicSeries, ck_mul_left, dirac_residuals, series_derivative
 
 LOG_TOL = 1e-9
@@ -109,14 +111,6 @@ class CheckReport:
         }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
 def _require(ok: bool, name: str, what: str, value) -> None:
     if not ok:
         raise ValueError(f"verify config {name!r} must be {what}, got {value!r}")
@@ -148,29 +142,31 @@ class VerifyConfig:
     def __post_init__(self):
         for name in ("n", "q_super", "q_max_vm", "q_max_deriv", "series_degree"):
             value = getattr(self, name)
-            _require(_is_int(value) and value >= 1, name, "an integer >= 1", value)
-        _require(_is_int(self.seed), "seed", "an integer", self.seed)
+            _require(is_integer(value) and value >= 1, name, "an integer >= 1", value)
+        _require(is_integer(self.seed), "seed", "an integer", self.seed)
         for name in ("sigma", "sigma_prime"):
             value = getattr(self, name)
-            _require(_is_real(value) and value > 0, name, "a finite number > 0", value)
+            _require(is_finite_number(value) and value > 0, name, "a finite number > 0", value)
         _require(self.sigma_prime < self.sigma, "sigma_prime", "below sigma", self.sigma_prime)
         for name in ("eta", "delta"):
             value = getattr(self, name)
-            _require(_is_real(value) and value >= 0, name, "a finite number >= 0", value)
+            _require(is_finite_number(value) and value >= 0, name, "a finite number >= 0", value)
         cap = self.constant_cap_ln
-        _require(_is_real(cap), "constant_cap_ln", "a finite number", cap)
+        _require(is_finite_number(cap), "constant_cap_ln", "a finite number", cap)
         w = self.window_type
-        ok = isinstance(w, (tuple, list)) and len(w) == 2 and all(map(_is_int, w))
+        ok = isinstance(w, (tuple, list)) and len(w) == 2 and all(map(is_integer, w))
         _require(ok and 1 <= w[0] <= w[1], "window_type", "two integers 1 <= lo <= hi", w)
         radii = self.radii
         ok = isinstance(radii, (tuple, list)) and len(radii) > 0
-        ok = ok and all(_is_real(r) and r > 0 for r in radii)
+        ok = ok and all(is_finite_number(r) and r > 0 for r in radii)
         _require(ok, "radii", "a non-empty list of finite numbers > 0", radii)
         if not self.families:
             raise ValueError("need at least one scale family")
-        if self.corruption is not None and self.corruption not in CORRUPTION_TARGETS:
-            raise ValueError(f"unknown corruption {self.corruption!r}")
-        unknown = sorted(set(self.only or ()) - set(CHECK_NAMES))
+        cor = self.corruption
+        if cor is not None and not (isinstance(cor, str) and cor in CORRUPTION_TARGETS):
+            raise ValueError(f"unknown corruption {cor!r}")
+        # compared by equality, not hashed, so an entry of any JSON type is reported
+        unknown = [name for name in self.only or () if name not in CHECK_NAMES]
         if unknown:
             raise ValueError(f"unknown check names in 'only': {unknown}")
 
@@ -193,7 +189,7 @@ class VerifyConfig:
 
 
 def random_rational_series(
-    n: int, degree: int, seed: int, density: float = 0.7, span: int = 6
+    n: int, degree: int, seed: int, density: float = 0.7
 ) -> MonogenicSeries:
     """Seeded random series with small-denominator rational coefficients."""
     rng = random.Random(seed)
@@ -204,7 +200,7 @@ def random_rational_series(
         table = {}
         for mask in range(1 << n):
             if rng.random() < 0.5:
-                num = rng.randint(-span, span)
+                num = rng.randint(-6, 6)
                 den = rng.randint(1, 4)
                 if num:
                     table[mask] = Fraction(num, den)
@@ -256,6 +252,7 @@ def check_cauchy(
     """Coefficient inequality norm(a_m) <= c(n,m) * M_upper(r, f) / r^|m| for
     every stored index and radius; a theorem for the coefficient upper bound."""
     shrink = 0.02 if corruption == "shrunk-modulus" else 1.0
+    log_norms = log_coeff_norms(f)
     margin = math.inf
     worst = None
     for r in radii:
@@ -263,11 +260,8 @@ def check_cauchy(
         if upper <= 0.0:
             continue
         ln_upper = math.log(upper)
-        for m, a in f.coeffs.items():
-            norm = a.norm()
-            if norm == 0.0:
-                continue
-            gap = ln_c_nm(f.n, m) + ln_upper - mi_abs(m) * math.log(r) - math.log(norm)
+        for m, ln_norm in log_norms.items():
+            gap = ln_c_nm(f.n, m) + ln_upper - mi_abs(m) * math.log(r) - ln_norm
             if gap < margin:
                 margin, worst = gap, (m, r)
     if margin is math.inf:
@@ -280,16 +274,10 @@ def check_cauchy(
     )
 
 
-def check_monogenicity(
-    n: int,
-    q_max: int = 5,
-    points: int = 12,
-    h: float = 1e-5,
-    seed: int = 0,
-    corruption: str | None = None,
-) -> CheckReport:
-    """Finite-difference Dirac residual of every basis element with |m| <= q_max
-    stays below 1e-6 * (1 + norm(x)^|m|) at sampled points."""
+def check_monogenicity(n: int, seed: int = 0, corruption: str | None = None) -> CheckReport:
+    """Finite-difference Dirac residual (step h = 1e-5) of every basis element
+    with |m| <= 5 stays below 1e-6 * (1 + norm(x)^|m|) at 12 sampled points."""
+    q_max, points, h = 5, 12, 1e-5
     indices = enumerate_up_to(n, q_max)
 
     def evaluate(p: Paravector) -> dict:
@@ -318,12 +306,11 @@ def check_monogenicity(
     )
 
 
-def check_normalization(
-    n: int, q_max: int = 4, corruption: str | None = None
-) -> CheckReport:
+def check_normalization(n: int, corruption: str | None = None) -> CheckReport:
     """Exact-mode consistency forced by the Taylor theorem: applying the
     derivative rule p times to the m-th basis element and evaluating at 0
-    gives m! when p = m and 0 otherwise."""
+    gives m! when p = m and 0 otherwise, for all |m|, |p| <= 4."""
+    q_max = 4
     indices = enumerate_up_to(n, q_max)
     origin = (0,) * n
     failures = 0
@@ -362,10 +349,10 @@ def brute_force_ck(f: MonogenicSeries, g: MonogenicSeries, q_out: int) -> Monoge
     return MonogenicSeries(f.n, q_out, {m: v for m, v in out.items() if not v.is_zero()})
 
 
-def check_ck_oracle(
-    n: int, degree: int = 4, seed: int = 0, corruption: str | None = None
-) -> CheckReport:
-    """CK product against the brute-force convolution, plus unit laws."""
+def check_ck_oracle(n: int, seed: int = 0, corruption: str | None = None) -> CheckReport:
+    """CK product of two degree-4 series against the brute-force convolution,
+    plus unit laws."""
+    degree = 4
     f = random_rational_series(n, degree, seed)
     g = random_rational_series(n, degree, seed + 1)
     q_out = 2 * degree
@@ -414,10 +401,9 @@ def check_supermultiplicativity(
     )
 
 
-def check_phi_roundtrip(
-    po: ProximateOrder, points: int = 200, corruption: str | None = None
-) -> CheckReport:
-    """phi(t(r)) returns r within 1e-10 relative on a log grid of radii."""
+def check_phi_roundtrip(po: ProximateOrder, corruption: str | None = None) -> CheckReport:
+    """phi(t(r)) returns r within 1e-10 relative on a log grid of 200 radii."""
+    points = 200
     bump = 1e-8 if corruption == "perturbed-inverse" else 0.0
     worst = 0.0
     for ln_r in np.linspace(math.log(1e-3), math.log(1e8), points):
@@ -444,11 +430,11 @@ class _BrokenScale:
         return math.exp(r) - 1.0
 
 
-def check_subadditive_power(
-    po, grid_max: float = 100.0, corruption: str | None = None
-) -> CheckReport:
-    """t(r+s) <= k (t(r) + t(s)) + B with k = 1.05 * 2^rho: B fitted on the
-    small-argument half of the grid must cover the large-argument half."""
+def check_subadditive_power(po, corruption: str | None = None) -> CheckReport:
+    """t(r+s) <= k (t(r) + t(s)) + B with k = 1.05 * 2^rho for r, s in
+    (0, 100]: B fitted on the small-argument half of the grid must cover the
+    large-argument half."""
+    grid_max = 100.0
     scale = _BrokenScale() if corruption == "broken-scale" else po
     k = 1.05 * 2.0**scale.rho
     rs = np.geomspace(grid_max * 1e-3, grid_max, 25)
@@ -473,17 +459,15 @@ def check_subadditive_power(
     )
 
 
-def check_scaling_bound(
-    po, eta: float = 0.1, factors: tuple[float, ...] = (2.0, 3.0),
-    corruption: str | None = None,
-) -> CheckReport:
-    """t(k*r) <= (1+eta) k^rho t(r) + C_eta on r in [0.1, 1e6].
+def check_scaling_bound(po, eta: float = 0.1, corruption: str | None = None) -> CheckReport:
+    """t(k*r) <= (1+eta) k^rho t(r) + C_eta for k = 2, 3 on r in [0.1, 1e6].
 
     The deficit t(kr) - (1+eta) k^rho t(r) is a single hump for genuine
     scales: C_eta is fitted as its max over the grid, and the check demands
     the hump is over by the last half-decade (relative deficit <= 0 there),
     which is the finite-scale shadow of the asymptotic statement.
     """
+    factors = (2.0, 3.0)
     scale = _BrokenScale() if corruption == "broken-scale" else po
     if corruption == "broken-scale":
         # keep the exponential pseudo-scale inside float range at k*r
@@ -517,10 +501,9 @@ def check_y_sigma(
     po: ProximateOrder,
     sigma: float = 1.0,
     sigma_prime: float = 0.5,
-    t_cap: float = 1e4,
     corruption: str | None = None,
 ) -> CheckReport:
-    """Search a bounded grid for the threshold above which
+    """Search a bounded grid (t, u in [1, 1e4]) for the threshold above which
     ln(phi(t)/phi(u)) - sigma t/u + (1/rho) ln(e rho) <= -(1/rho) ln(sigma').
 
     Reports the smallest working threshold; failure means the bounded search
@@ -531,7 +514,7 @@ def check_y_sigma(
     rho = po.rho
     rhs = -math.log(sigma_prime) / rho
     offset = math.log(math.e * rho) / rho
-    grid = np.geomspace(1.0, t_cap, 60)
+    grid = np.geomspace(1.0, 1e4, 60)
     ln_phi = {v: po.ln_phi_at_ln_t(math.log(v)) for v in grid}
     thresholds = [1.0, 10.0, 100.0, 1e3, 1e4]
     best_t1 = None
@@ -559,6 +542,16 @@ def check_y_sigma(
     )
 
 
+def _fitted_cover(reqs: dict[int, float], half: int) -> tuple[float, float]:
+    """(ln C, margin) of a per-degree requirement table: C is the largest
+    requirement at degrees <= half, the margin the least ln C - requirement
+    over the degrees above half (0 if there are none), in ascending degree."""
+    qs = sorted(reqs)
+    ln_c = max(reqs[q] for q in qs if q <= half)
+    margin = min((ln_c - reqs[q] for q in qs if q > half), default=0.0)
+    return ln_c, margin
+
+
 def check_vm_norm_bound(
     po: ProximateOrder,
     sigma: float,
@@ -581,9 +574,7 @@ def check_vm_norm_bound(
             lhs += 0.5 * q * math.log(q + 1.0)
         rhs = -(q / rho) * math.log(sigma_prime) + po.ln_gq(q)
         reqs[q] = lhs - rhs
-    half = q_max // 2
-    ln_c = max(v for q, v in reqs.items() if q <= half)
-    margin = min(ln_c - v for q, v in reqs.items() if q > half)
+    ln_c, margin = _fitted_cover(reqs, q_max // 2)
     return _report(
         "vm-norm-bound",
         f"{po.family}(rho={po.rho}), sigma={sigma}, sigma'={sigma_prime}, |m|<={q_max}",
@@ -606,7 +597,7 @@ def check_derivative_bound(
     k = 1.05 * 2.0**rho
     inflate = 1.5 if corruption == "inflated-derivatives" else 0.0
     _, ln_f = weighted_norm_ln(f, po, sigma, samples=0)
-    per_q: dict[int, float] = {}
+    reqs = {}
     for m in enumerate_up_to(f.n, min(q_max, f.degree)):
         df = series_derivative(f, m)
         if df.is_zero():
@@ -615,13 +606,9 @@ def check_derivative_bound(
         _, ln_df = weighted_norm_ln(df, po, k * sigma, samples=0)
         lhs = ln_df - math.log(mi_factorial(m)) + inflate * q * math.log(q + 1.0)
         rhs = ln_f + (q / rho) * math.log(2.0 * k * sigma) + ln_c_nm(f.n, m) - po.ln_gq(q)
-        req = lhs - rhs
-        if q not in per_q or req > per_q[q]:
-            per_q[q] = req
-    qs = sorted(per_q)
-    half = qs[len(qs) // 2]
-    ln_c = max(per_q[q] for q in qs if q <= half)
-    margin = min((ln_c - per_q[q] for q in qs if q > half), default=0.0)
+        reqs[m] = lhs - rhs
+    per_q = per_degree(reqs, max)
+    ln_c, margin = _fitted_cover(per_q, sorted(per_q)[len(per_q) // 2])
     return _report(
         "derivative-bound",
         f"n={f.n} deg={f.degree}, {po.family}(rho={po.rho}), sigma={sigma}, |m|<={q_max}",
@@ -658,12 +645,9 @@ def check_coeff_bound(
     _, ln_f = weighted_norm_ln(f, po, sigma, samples=0)
     margin = math.inf
     grid = np.geomspace(0.1, 100.0, 40)
-    for m, a in f.coeffs.items():
-        norm = a.norm()
-        if norm == 0.0:
-            continue
+    for m, ln_norm in log_coeff_norms(f).items():
         q = mi_abs(m)
-        ln_norm = math.log(norm) + inflate
+        ln_norm += inflate
         for r in grid:
             lhs = ln_norm - sigma * lead * po.scale(r)
             rhs = sigma * c_eta + ln_f + ln_c_nm(f.n, m) - q * math.log(s * r)
@@ -770,29 +754,19 @@ def check_membership(
 
 
 def check_density(
-    n: int,
-    po: ProximateOrder,
-    sigma: float,
-    degree: int = 24,
-    eps_factor: float = 0.5,
-    corruption: str | None = None,
+    n: int, po: ProximateOrder, sigma: float, corruption: str | None = None
 ) -> CheckReport:
-    """Partial Taylor sums of a truncated function converge in the weighted
-    norm at n^rho sigma + eps: tail norms must decrease monotonically and at
-    least halve between the quarter and three-quarter truncation points."""
+    """Partial Taylor sums of a degree-24 truncation converge in the weighted
+    norm at n^rho sigma + sigma/2: tail norms must decrease monotonically and
+    at least halve between the quarter and three-quarter truncation points."""
+    degree = 24
     rho = po.rho
     source_type = 10.0 * sigma if corruption == "overweight-tail" else sigma
-    weight = float(n) ** rho * sigma + eps_factor * sigma
+    weight = float(n) ** rho * sigma + 0.5 * sigma
     log_norms = axis_log_norms(n, rho, source_type, 1, degree)
-    per_degree = {}
-    for m, v in log_norms.items():
-        q = mi_abs(m)
-        per_degree[q] = v + po.ln_weight_peak(q, weight)[1]
-    qs = sorted(per_degree)
-    tails = {}
-    for j in range(degree):
-        vals = [per_degree[q] for q in qs if q > j]
-        tails[j] = float(logsumexp(vals)) if vals else -math.inf
+    # the axis family has one index per degree, so the max is that term
+    terms = {m: v + po.ln_weight_peak(mi_abs(m), weight)[1] for m, v in log_norms.items()}
+    tails = tail_ln_sums(per_degree(terms, max), degree)
     mono = min(
         tails[j] - tails[j + 1] for j in range(degree - 1) if tails[j + 1] > -math.inf
     )
@@ -806,11 +780,11 @@ def check_density(
     )
 
 
-def check_operator_roundtrip(
-    n: int, order: int = 4, degree: int = 2, seed: int = 0, corruption: str | None = None
-) -> CheckReport:
+def check_operator_roundtrip(n: int, seed: int = 0, corruption: str | None = None) -> CheckReport:
     """Exact-mode inversion: recovering the coefficient table from the
-    basis-value table is the identity (margin exactly 0 in rational mode)."""
+    basis-value table of a random order-4 operator with degree-2 coefficients
+    is the identity (margin exactly 0 in rational mode)."""
+    order, degree = 4, 2
     P = random_rational_operator(n, order, degree, seed)
     table = op_to_hom(P, order)
     if corruption == "misindexed-inversion":
@@ -930,14 +904,7 @@ def run_all(config: VerifyConfig | None = None) -> list[CheckReport]:
         try:
             reports.append(thunk())
         except Exception as exc:  # collected, not thrown
-            reports.append(
-                CheckReport(
-                    name=name,
-                    instance=f"raised {type(exc).__name__}: {exc}",
-                    margin=-math.inf,
-                    passed=False,
-                )
-            )
+            reports.append(_report(name, f"raised {type(exc).__name__}: {exc}", -math.inf))
     reports.sort(key=lambda rep: (rep.name, rep.instance))
     return reports
 

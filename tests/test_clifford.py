@@ -123,7 +123,7 @@ def test_norm_values():
 def test_paravector_embedding_grades():
     x = Paravector(2.0, [1.0, 0.0, -1.0])
     c = x.to_clifford()
-    assert c.grades() <= {0, 1}
+    assert {mask.bit_count() for mask in c.coeffs} <= {0, 1}
     assert c[0] == 2.0 and c[0b001] == 1.0 and c[0b100] == -1.0
 
 

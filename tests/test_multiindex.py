@@ -5,8 +5,6 @@ import pytest
 
 from monogenic.multiindex import (
     c_nm,
-    c_upper_root,
-    degree_sum_c,
     enumerate_degree,
     enumerate_up_to,
     ln_c_nm,
@@ -69,6 +67,20 @@ def test_ln_c_nm_matches_exact():
         for m in [(4, 1), (0, 7), (2, 2)][: n + 1]:
             m = m + (0,) * (n - len(m))
             assert math.isclose(ln_c_nm(n, m), math.log(c_nm(n, m)), rel_tol=1e-12)
+
+
+def degree_sum_c(n: int, q: int) -> Fraction:
+    """Sum of c(n, m) over all |m| = q."""
+    return sum((c_nm(n, m) for m in enumerate_degree(n, q)), Fraction(0))
+
+
+def c_upper_root(n: int, q_max: int) -> float:
+    """max of c(n, m)^(1/|m|) over 1 <= |m| <= q_max, and at least n."""
+    best = float(n)
+    for q in range(1, q_max + 1):
+        for m in enumerate_degree(n, q):
+            best = max(best, math.exp(ln_c_nm(n, m) / q))
+    return best
 
 
 def test_degree_sum_closed_form():

@@ -24,6 +24,8 @@ from monogenic.operators import (
 from monogenic.series import MonogenicSeries, ck_mul_left, series_derivative, series_eval
 from monogenic.verify import random_rational_operator, random_rational_series
 
+from conftest import scale_right
+
 PO1 = ProximateOrder("constant", 1.0)
 
 
@@ -57,9 +59,9 @@ def test_op_apply_right_linearity():
     g = random_rational_series(2, 3, 7)
     c = CliffordNumber(2, {0b01: Fraction(2), 0: Fraction(1, 3)})
     d = CliffordNumber(2, {0b11: Fraction(-1)})
-    combo = f.scale_right(c) + g.scale_right(d)
+    combo = scale_right(f, c) + scale_right(g, d)
     left = op_apply(P, combo, 6)
-    right = op_apply(P, f, 6).scale_right(c) + op_apply(P, g, 6).scale_right(d)
+    right = scale_right(op_apply(P, f, 6), c) + scale_right(op_apply(P, g, 6), d)
     assert left.coeffs == right.coeffs
 
 

@@ -55,6 +55,16 @@ def test_exact_mode_rejects_floats():
         serialize.obj_to_series(obj)
 
 
+@pytest.mark.parametrize(
+    "mode, value",
+    [("float", float("nan")), ("float", float("inf")), ("float", True), ("exact", True)],
+)
+def test_series_reader_rejects_non_finite_and_boolean_values(mode, value):
+    obj = {"n": 2, "degree": 1, "mode": mode, "coeffs": [{"m": [1, 0], "value": {"": value}}]}
+    with pytest.raises(SerializationError):
+        serialize.obj_to_series(obj)
+
+
 def test_coeffs_emitted_in_lexicographic_degree_order():
     f = random_rational_series(2, 4, 8)
     obj = serialize.series_to_obj(f)
@@ -75,7 +85,7 @@ def test_operator_and_homtable_round_trip():
 
 def test_scale_spec_round_trip():
     po = ProximateOrder("loglog", 1.5, -0.25)
-    assert serialize.obj_to_scale(serialize.scale_to_obj(po)) == po
+    assert serialize.obj_to_scale(po.to_dict()) == po
     assert ProximateOrder.parse("logshift:1:0.5") == ProximateOrder("logshift", 1.0, 0.5)
     with pytest.raises(ValueError):
         ProximateOrder.parse("constant")
@@ -291,6 +301,9 @@ def test_cli_verify_subset_and_corruption(tmp_path, capsys):
         # a tolerance is not a config field; a constant scale takes no a
         {"tol": 1e-9},
         {"families": [{"family": "constant", "rho": 1, "a": 5}]},
+        # a corruption or check name that is not a string
+        {"corruption": []},
+        {"only": [{}]},
     ],
 )
 def test_cli_verify_bad_config_exits_2(tmp_path, capsys, cfg):
@@ -307,8 +320,8 @@ _SERIES = {"n": 2, "degree": 2, "mode": "float", "coeffs": [{"m": [1, 0], "value
 _NORMS = {"n": 2, "kind": "log_norms", "entries": [{"m": [1, 0], "ln_norm": 0.0}]}
 
 
-def _series_with(m):
-    return {**_SERIES, "coeffs": [{"m": m, "value": {"": 1.0}}]}
+def _series_with(m, value=1.0, mode="float"):
+    return {**_SERIES, "mode": mode, "coeffs": [{"m": m, "value": {"": value}}]}
 
 
 def _norms_with(entry):
@@ -360,6 +373,23 @@ def _hom(degree, *indices):
         (_hom(-1), ["hom2op", "IN", "--out", "OUT"]),
         # a constant scale given the parameter a, which it does not have
         (_NORMS, _growth("constant:1:5")),
+        # header fields that are not JSON integers
+        ({**_SERIES, "n": True}, ["eval", "IN", "--point", "0.1,0.2"]),
+        ({**_SERIES, "degree": 1.5}, ["eval", "IN", "--point", "0.1,0.2,0.3"]),
+        ({**_SERIES, "n": "2"}, ["eval", "IN", "--point", "0.1,0.2,0.3"]),
+        ({**_hom(0, [0, 0]), "degree": 0.0}, ["hom2op", "IN", "--out", "OUT"]),
+        # coefficients: booleans in either mode, non-finite floats
+        (_series_with([1, 0], True), ["eval", "IN", "--point", "0.1,0.2,0.3"]),
+        (_series_with([1, 0], True, "exact"), ["eval", "IN", "--point", "0.1,0.2,0.3"]),
+        (_series_with([1, 0], float("inf")), _growth()),
+        (_series_with([1, 0], -float("inf")), _growth()),
+        # log norms must be JSON numbers
+        (_norms_with({"m": [1, 0], "ln_norm": "1.5"}), _growth()),
+        (_norms_with({"m": [1, 0], "ln_norm": True}), _growth()),
+        # a non-finite evaluation point or membership weight
+        (_SERIES, ["eval", "IN", "--point", "0,1,nan"]),
+        (_SERIES, _growth() + ["--sigma", "nan"]),
+        (_SERIES, _growth() + ["--sigma", "0"]),
     ],
 )
 def test_cli_bad_input_files_exit_2(tmp_path, capsys, obj, argv):

@@ -22,7 +22,7 @@ from monogenic.series import (
 )
 from monogenic.verify import brute_force_ck, random_rational_series
 
-from conftest import random_point
+from conftest import random_point, scale_right
 
 
 def test_constant_series_everywhere():
@@ -243,7 +243,7 @@ def test_taylor_round_trip_property(f):
 def test_right_module_action():
     f = random_rational_series(2, 3, 8)
     c = CliffordNumber(2, {0b11: Fraction(2), 0: Fraction(-1)})
-    g = f.scale_right(c)
+    g = scale_right(f, c)
     x = Paravector(0.3, [0.1, -0.7])
     from monogenic.clifford import cl_mul
 

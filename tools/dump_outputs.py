@@ -1,0 +1,200 @@
+"""Print the package's outputs on fixed inputs, one value per line.
+
+Two source trees give byte-identical dumps exactly when they compute the same
+values, so a refactor can be compared with the commit it started from:
+
+    diff <(PYTHONPATH=/path/to/other/src python tools/dump_outputs.py) \\
+         <(PYTHONPATH=src python tools/dump_outputs.py)
+
+The dump covers every ``CheckReport`` of ``run_all`` (n=2 and n=3, clean and
+under each named corruption; name, instance, margin, passed, constants and
+details), the decay certificates and application tails of two operators, the
+sup-norm brackets of ``weighted_norm_ln``, ``max_modulus``, ``k_q`` and
+``fueter_sup_unit_ball``, growth reports as CSV, ``ProximateOrder`` values,
+and the output of the CLI commands on valid files.  ``--quick`` keeps only
+n=2 and the clean suite.  The script uses only names that have been stable
+across releases, so it runs against older trees too.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import math
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from monogenic import cli, serialize
+from monogenic.fueter import fueter_sup_unit_ball
+from monogenic.growth import (
+    ProximateOrder,
+    axis_log_norms,
+    growth_report,
+    k_q,
+    log_coeff_norms,
+    weighted_norm_ln,
+)
+from monogenic.operators import (
+    gauge_coefficient_operator,
+    op_class_check,
+    op_to_hom,
+    tail_bound_profile,
+)
+from monogenic.series import max_modulus
+from monogenic.verify import (
+    CORRUPTION_TARGETS,
+    VerifyConfig,
+    axis_series,
+    random_rational_operator,
+    random_rational_series,
+    run_all,
+)
+
+SCALES = (
+    ProximateOrder("constant", 1.0),
+    ProximateOrder("constant", 2.5),
+    ProximateOrder("logshift", 1.0, math.log(2.0)),
+    ProximateOrder("logshift", 0.7, -1.5),
+    ProximateOrder("loglog", 1.0, 1.0),
+    ProximateOrder("loglog", 2.0, -3.0),
+)
+
+
+def check_reports(dims, corruptions):
+    for n in dims:
+        for corruption in corruptions:
+            for rep in run_all(VerifyConfig(n=n, corruption=corruption)):
+                fields = (rep.name, rep.instance, rep.margin, rep.passed, rep.constants)
+                yield f"check n={n} corruption={corruption} {fields + (rep.details,)!r}"
+
+
+def scale_values():
+    ln_grid = np.linspace(-6.0, 12.0, 37)
+    for po in SCALES:
+        yield f"scale {po!r}"
+        yield f"  ln_t {po.ln_scale_at_ln_r(ln_grid).tolist()!r}"
+        yield f"  slope {po.log_slope_at_ln_r(ln_grid).tolist()!r}"
+        yield f"  scalar {[po.ln_scale_at_ln_r(float(L)) for L in ln_grid[::6]]!r}"
+        yield f"  ln_phi {[po.ln_phi_at_ln_t(float(L)) for L in ln_grid]!r}"
+        yield f"  ln_gq {[po.ln_gq(q) for q in range(0, 40)]!r}"
+        yield f"  peaks {[po.ln_weight_peak(q, s) for q in (0, 1, 3, 10) for s in (0.5, 2.0)]!r}"
+        yield f"  scale/phi {[(po.scale(r), po.phi(r)) for r in (0.01, 0.5, 2.0, 30.0)]!r}"
+        yield f"  exponent {[po.exponent(r) for r in (0.01, 2.0, 30.0)]!r}"
+        yield f"  dict {po.to_dict()!r}"
+
+
+def brackets(dims):
+    series = [axis_series(2, 1.0, 1.0, 10), random_rational_series(2, 6, 5).to_float()]
+    if 3 in dims:
+        series.append(random_rational_series(3, 5, 9).to_float())
+    for i, f in enumerate(series):
+        for po in SCALES[::2]:
+            for sigma in (0.5, 1.0, 3.0):
+                for samples in (0, 32):
+                    got = weighted_norm_ln(f, po, sigma, samples=samples, seed=i)
+                    yield f"weighted_norm_ln {i} {po!r} {sigma} {samples} {got!r}"
+        for r in (0.0, 0.5, 2.0):
+            yield f"max_modulus {i} {r} {max_modulus(f, r, samples=16, seed=1)!r}"
+        for q in range(f.degree + 1):
+            yield f"k_q {i} {q} {k_q(f, q, samples=24)!r}"
+    for m in ((0, 0), (2, 1), (0, 4), (1, 1, 1)):
+        yield f"fueter_sup_unit_ball {m} {fueter_sup_unit_ball(m, 20, seed=3)!r}"
+
+
+def growth_reports():
+    po, loglog = SCALES[0], SCALES[4]
+    norms = axis_log_norms(2, 1.0, 1.0, 1, 40)
+    for scale in (po, loglog):
+        report = growth_report(scale, (5, 40), 2, log_norms=norms, sigma_test=1.0)
+        yield from report.to_csv().splitlines()
+        yield repr((report.order_estimate, report.type_estimate_coeffs, report.type_estimate_kq))
+        yield repr(report.member_verdict)
+    f = random_rational_series(2, 6, 3).to_float()
+    bounds = {}
+    for q in range(1, 7):
+        lo, hi = k_q(f, q, samples=16)
+        bounds[q] = (math.log(lo) if lo > 0 else -math.inf, math.log(hi))
+    report = growth_report(loglog, (1, 6), 2, log_norms=log_coeff_norms(f), log_kq_bounds=bounds)
+    yield from report.to_csv().splitlines()
+
+
+def operator_profiles():
+    po, loglog = SCALES[0], SCALES[4]
+    gauge = gauge_coefficient_operator(2, po, 12, lambda q: q * math.log(0.2))
+    rational = random_rational_operator(2, 4, 2, 11)
+    for name, P in (("gauge", gauge), ("rational", rational)):
+        for po2 in (po, loglog):
+            cert = op_class_check(P, po, po2, sigma_grid=(0.5, 1.0), lambda_grid=(0.1, 0.2, 0.4))
+            yield f"op_class_check {name} {po2!r} {cert!r}"
+            yield f"tail_bound_profile {name} {tail_bound_profile(P, po, po2, 1.0, 1.0, 2.1)!r}"
+
+
+def cli_outputs(quick):
+    f = random_rational_series(2, 4, 15)
+    g = random_rational_series(2, 3, 16)
+    P = random_rational_operator(2, 3, 2, 17)
+    with tempfile.TemporaryDirectory() as work:
+
+        def path(name):
+            return os.path.join(work, name)
+
+        serialize.write_file(path("f.json"), serialize.series_to_obj(f))
+        serialize.write_file(path("g.json"), serialize.series_to_obj(g))
+        serialize.write_file(path("ff.json"), serialize.series_to_obj(f.to_float(), "float"))
+        serialize.write_file(path("P.json"), serialize.operator_to_obj(P))
+        serialize.write_file(path("H.json"), serialize.homtable_to_obj(op_to_hom(P, 4)))
+        serialize.write_file(path("cfg.json"), {"n": 2, "seed": 1})
+        out = path("out")
+        commands = [
+            ["ckprod", path("f.json"), path("g.json"), "--degree", "6", "--out", out],
+            ["apply", path("P.json"), path("f.json"), "--degree", "5", "--out", out],
+            ["op2hom", path("P.json"), "--degree", "4", "--out", out],
+            ["hom2op", path("H.json"), "--out", out],
+            ["diff", path("f.json"), "--index", "1,2", "--out", out],
+            ["--mode", "exact", "eval", path("f.json"), "--point", "1/2,1,-3/4"],
+            ["eval", path("ff.json"), "--point", "0.5,1,-0.75"],
+            ["growth", path("ff.json"), "--po", "constant:1", "--window", "1:4", "--out", out],
+            ["growth", path("ff.json"), "--po", "loglog:1:1", "--window", "2:4", "--sigma", "2",
+             "--out", out],
+        ]
+        if not quick:
+            commands.append(["verify", "--config", path("cfg.json"), "--out", out])
+        for argv in commands:
+            if os.path.exists(out):
+                os.remove(out)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(["--samples", "16", *argv])
+            yield f"cli {' '.join(argv).replace(work + os.sep, '')} exit={code}"
+            yield from stdout.getvalue().splitlines()
+            if os.path.exists(out):
+                with open(out, encoding="utf-8") as fh:
+                    yield from fh.read().splitlines()
+
+
+def dump(quick: bool):
+    dims = (2,) if quick else (2, 3)
+    corruptions = [None] if quick else [None, *sorted(CORRUPTION_TARGETS)]
+    yield from check_reports(dims, corruptions)
+    yield from scale_values()
+    yield from brackets(dims)
+    yield from growth_reports()
+    yield from operator_profiles()
+    yield from cli_outputs(quick)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true", help="n=2 and the clean suite only")
+    args = parser.parse_args(argv)
+    for line in dump(args.quick):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
