@@ -40,7 +40,7 @@ from .growth import (
     type_from_kq,
     weighted_norm_ln,
 )
-from .multiindex import c_nm, enumerate_degree, enumerate_up_to
+from .multiindex import enumerate_degree, enumerate_up_to
 from .operators import (
     ClassCertificate,
     HomTable,

@@ -12,12 +12,7 @@ import sys
 from fractions import Fraction
 
 from .clifford import Paravector
-from .errors import (
-    DimensionMismatchError,
-    InvariantViolationError,
-    SerializationError,
-    UndefinedOrderError,
-)
+from .errors import DimensionMismatchError, InvariantViolationError, SerializationError
 from .growth import ProximateOrder, growth_report, k_q, log_coeff_norms
 from .operators import hom_to_op, op_apply, op_to_hom
 from .series import ck_mul_left, series_derivative, series_eval
@@ -238,14 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        SerializationError,
-        DimensionMismatchError,
-        UndefinedOrderError,
-        InvariantViolationError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (ValueError, InvariantViolationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -27,6 +27,14 @@ def _is_exact(value: Scalar) -> bool:
     return isinstance(value, (int, Fraction))
 
 
+def _to_float(value: Scalar) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an exact value beyond the float range
+        exponent = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+        raise ValueError(f"value of about 1e{exponent:.0f} does not fit in a float") from None
+
+
 def blade_product(a: int, b: int, dim: int) -> tuple[int, int]:
     """Product of two basis blades: returns ``(sign, mask)`` with mask = a XOR b.
 
@@ -135,9 +143,6 @@ class CliffordNumber:
             return NotImplemented
         return self.dim == other.dim and self._coeffs == other._coeffs
 
-    def __hash__(self):
-        return hash((self.dim, frozenset(self._coeffs.items())))
-
     def norm_sq(self) -> Scalar:
         """Sum of squared blade coefficients; exact in exact mode."""
         return sum((v * v for v in self._coeffs.values()), 0)
@@ -146,7 +151,8 @@ class CliffordNumber:
         return math.sqrt(self.norm_sq())
 
     def to_float(self) -> "CliffordNumber":
-        return CliffordNumber(self.dim, {m: float(v) for m, v in self._coeffs.items()})
+        """The float copy; ValueError if a coefficient is beyond the float range."""
+        return CliffordNumber(self.dim, {m: _to_float(v) for m, v in self._coeffs.items()})
 
     def __repr__(self) -> str:
         if not self._coeffs:
@@ -208,14 +214,6 @@ class Paravector:
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
-
-    def scale(self, factor: Scalar) -> "Paravector":
-        return Paravector(self.x0 * factor, tuple(v * factor for v in self.xv))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Paravector):
-            return NotImplemented
-        return self.x0 == other.x0 and self.xv == other.xv
 
     def __repr__(self) -> str:
         return f"Paravector({self.x0!r}, {self.xv!r})"

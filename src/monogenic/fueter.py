@@ -227,8 +227,11 @@ def sampled_sups(
 
     One set of about ``samples`` directions (``sphere_directions``, axis points
     included) is scaled to every radius, and all points go through one
-    ``basis_combination`` call.
+    ``basis_combination`` call.  An empty table is zero everywhere, and no
+    point or sign table is built for it.
     """
+    if not coeffs:
+        return [0.0] * len(radii)
     dirs = sphere_directions(n + 1, samples, seed=seed)
     points = np.concatenate([r * dirs for r in radii])
     moduli = np.linalg.norm(basis_combination(coeffs, points), axis=1)

@@ -205,10 +205,6 @@ class ProximateOrder:
         return {"family": self.family, "rho": self.rho, "a": self.a}
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "ProximateOrder":
-        return cls(str(data["family"]), float(data["rho"]), float(data.get("a", 0.0)))
-
-    @classmethod
     def parse(cls, spec: str) -> "ProximateOrder":
         """Parse 'family:rho' or 'family:rho:a' (the CLI --po format)."""
         parts = spec.split(":")

@@ -1,18 +1,31 @@
 """Multi-index combinatorics: degree enumeration, factorials, Cauchy constants.
 
 Multi-indices are plain tuples of non-negative ints.  Everything here is
-exact big-integer / rational arithmetic; callers convert to float only at
-the boundary.
+exact big-integer arithmetic except ``ln_c_nm``, the logarithm of the
+Cauchy constant.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
+from .errors import DimensionMismatchError
+
 MultiIndex = tuple[int, ...]
+
+
+def check_index(m: MultiIndex, n: int, degree: int | None = None) -> None:
+    """Raise unless m is a multi-index of length n (with |m| <= degree when a
+    degree is given): DimensionMismatchError for a wrong length, ValueError
+    for a negative entry or a degree above the bound."""
+    if len(m) != n:
+        raise DimensionMismatchError(f"index {m} has length {len(m)}, not {n}")
+    if min(m, default=0) < 0:
+        raise ValueError(f"index {m} has a negative entry")
+    if degree is not None and sum(m) > degree:
+        raise ValueError(f"index {m} exceeds degree {degree}")
 
 
 def mi_abs(m: MultiIndex) -> int:
@@ -59,7 +72,7 @@ def enumerate_degree(n: int, q: int) -> tuple[MultiIndex, ...]:
         raise ValueError(f"n must be >= 1, got {n}")
     if q < 0:
         return ()
-    return tuple(sorted(iter_degree(n, q)))
+    return tuple(iter_degree(n, q))
 
 
 def enumerate_up_to(n: int, q_max: int) -> list[MultiIndex]:
@@ -70,25 +83,9 @@ def enumerate_up_to(n: int, q_max: int) -> list[MultiIndex]:
     return out
 
 
-def rising_factorial(base: int, count: int) -> int:
-    out = 1
-    for k in range(count):
-        out *= base + k
-    return out
-
-
-def c_nm(n: int, m: MultiIndex) -> Fraction:
-    """Cauchy constant: rising factorial n(n+1)...(n+|m|-1) divided by m!.
-
-    c(n, 0) = 1 by the empty-product convention.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return Fraction(rising_factorial(n, mi_abs(m)), mi_factorial(m))
-
-
 def ln_c_nm(n: int, m: MultiIndex) -> float:
-    """log of c(n, m), stable for large degrees."""
+    """log of the Cauchy constant c(n, m) = n(n+1)...(n+|m|-1) / m!, stable
+    for large degrees; c(n, 0) = 1."""
     q = mi_abs(m)
     out = math.lgamma(n + q) - math.lgamma(n)
     for part in m:

@@ -32,6 +32,7 @@ from .errors import DimensionMismatchError
 from .growth import ProximateOrder, ln_sum, per_degree, tail_ln_sums, weighted_norm_ln
 from .multiindex import (
     MultiIndex,
+    check_index,
     enumerate_up_to,
     ln_c_nm,
     mi_abs,
@@ -62,6 +63,30 @@ def _from_table(n: int, table: dict[MultiIndex, CliffordNumber]) -> MonogenicSer
     return MonogenicSeries(n, degree, support)
 
 
+def _check_entries(
+    n: int, entries: Mapping[MultiIndex, MonogenicSeries], degree: int | None = None
+) -> None:
+    """Raise unless every key is a multi-index of length n (of degree at most
+    ``degree`` when given) and every entry a series in dimension n."""
+    for m, u in entries.items():
+        check_index(m, n, degree)
+        if u.n != n:
+            raise DimensionMismatchError(f"entry at {m} does not live in dimension {n}")
+
+
+def _same_tables(
+    a: Mapping[MultiIndex, MonogenicSeries], b: Mapping[MultiIndex, MonogenicSeries]
+) -> bool:
+    """Whether two tables of series have the same nonzero coefficients at
+    every index, a missing entry counting as zero (declared truncation
+    degrees ignored)."""
+    zero: dict = {}
+    return all(
+        (a[m].coeffs if m in a else zero) == (b[m].coeffs if m in b else zero)
+        for m in a.keys() | b.keys()
+    )
+
+
 class OperatorSymbol:
     """Finitely supported coefficient table of a formal differential operator."""
 
@@ -69,35 +94,22 @@ class OperatorSymbol:
 
     def __init__(self, n: int, entries: Mapping[MultiIndex, MonogenicSeries] | None = None):
         self.n = n
-        table: dict[MultiIndex, MonogenicSeries] = {}
-        if entries:
-            for m, u in entries.items():
-                if len(m) != n or u.n != n:
-                    raise DimensionMismatchError(f"entry at {m} does not live in dimension {n}")
-                if min(m) < 0:
-                    raise ValueError(f"index {m} has a negative entry")
-                if not u.is_zero():
-                    table[tuple(m)] = u
-        self.entries = table
-
-    @property
-    def order_bound(self) -> int:
-        return max((mi_abs(m) for m in self.entries), default=0)
+        entries = entries or {}
+        _check_entries(n, entries)
+        self.entries = {tuple(m): u for m, u in entries.items() if not u.is_zero()}
 
     @classmethod
     def identity(cls, n: int, exact: bool = True) -> "OperatorSymbol":
         return cls(n, {(0,) * n: MonogenicSeries.unit(n, exact=exact)})
 
     def __eq__(self, other: object) -> bool:
-        """Coefficient-table equality (declared truncation degrees ignored)."""
         if not isinstance(other, OperatorSymbol):
             return NotImplemented
-        if self.n != other.n or set(self.entries) != set(other.entries):
-            return False
-        return all(self.entries[m].coeffs == other.entries[m].coeffs for m in self.entries)
+        return self.n == other.n and _same_tables(self.entries, other.entries)
 
     def __repr__(self) -> str:
-        return f"OperatorSymbol(n={self.n}, {len(self.entries)} coefficients, order<= {self.order_bound})"
+        order = max(map(mi_abs, self.entries), default=0)
+        return f"OperatorSymbol(n={self.n}, {len(self.entries)} coefficients, order<= {order})"
 
 
 @dataclass
@@ -116,11 +128,7 @@ class HomTable:
             raise ValueError(
                 f"hom table needs n >= 1 and degree >= 0, got n={self.n}, degree={self.degree}"
             )
-        for p, b in self.entries.items():
-            if len(p) != self.n or b.n != self.n:
-                raise DimensionMismatchError(f"entry at {p} does not live in dimension {self.n}")
-            if min(p) < 0 or mi_abs(p) > self.degree:
-                raise ValueError(f"index {p} is not a multi-index of degree <= {self.degree}")
+        _check_entries(self.n, self.entries, self.degree)
 
     def missing(self) -> list[MultiIndex]:
         return [p for p in enumerate_up_to(self.n, self.degree) if p not in self.entries]
@@ -128,16 +136,9 @@ class HomTable:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HomTable):
             return NotImplemented
-        if (self.n, self.degree) != (other.n, other.degree):
-            return False
-        keys = set(self.entries) | set(other.entries)
-        zero: dict = {}
-        for p in keys:
-            a = self.entries.get(p)
-            b = other.entries.get(p)
-            if (a.coeffs if a else zero) != (b.coeffs if b else zero):
-                return False
-        return True
+        return (self.n, self.degree) == (other.n, other.degree) and _same_tables(
+            self.entries, other.entries
+        )
 
 
 def op_apply(P: OperatorSymbol, f: MonogenicSeries, q_out: int) -> MonogenicSeries:

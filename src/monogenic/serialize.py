@@ -25,7 +25,7 @@ from typing import Any
 from .clifford import CliffordNumber
 from .errors import SerializationError
 from .growth import ProximateOrder
-from .multiindex import MultiIndex, mi_abs
+from .multiindex import MultiIndex, check_index, mi_abs
 from .operators import HomTable, OperatorSymbol
 from .series import MonogenicSeries
 
@@ -104,6 +104,15 @@ def _entries(raw, index_key: str, value_key: str, what: str) -> list[tuple[Multi
     return out
 
 
+def _entries_obj(table, index_key: str, value_key: str, encode) -> list[dict]:
+    """The entry list of a table keyed by multi-index, degree-major then
+    lexicographic: the mirror of ``_entries``."""
+    return [
+        {index_key: list(m), value_key: encode(table[m])}
+        for m in sorted(table, key=lambda m: (mi_abs(m), m))
+    ]
+
+
 def _header(obj, what: str, *keys: str) -> list:
     """The values of the given top-level keys of a document; "n" and
     "degree" must be JSON integers."""
@@ -150,10 +159,7 @@ def series_to_obj(f: MonogenicSeries, mode: str | None = None) -> dict:
     mode = mode or f.mode()
     if mode not in ("exact", "float"):
         raise SerializationError(f"unknown mode {mode!r}")
-    coeffs = [
-        {"m": list(m), "value": clifford_to_obj(f.coeffs[m], mode)}
-        for m in sorted(f.coeffs, key=lambda m: (mi_abs(m), m))
-    ]
+    coeffs = _entries_obj(f.coeffs, "m", "value", lambda a: clifford_to_obj(a, mode))
     return {"n": f.n, "degree": f.degree, "mode": mode, "coeffs": coeffs}
 
 
@@ -170,10 +176,7 @@ def obj_to_series(obj: dict) -> MonogenicSeries:
 
 def operator_to_obj(P: OperatorSymbol, mode: str | None = None) -> dict:
     mode = mode or _mode_of(P.entries.values())
-    entries = [
-        {"m": list(m), "u": series_to_obj(P.entries[m], mode)}
-        for m in sorted(P.entries, key=lambda m: (mi_abs(m), m))
-    ]
+    entries = _entries_obj(P.entries, "m", "u", lambda u: series_to_obj(u, mode))
     return {"n": P.n, "entries": entries}
 
 
@@ -185,10 +188,7 @@ def obj_to_operator(obj: dict) -> OperatorSymbol:
 
 def homtable_to_obj(H: HomTable, mode: str | None = None) -> dict:
     mode = mode or _mode_of(H.entries.values())
-    entries = [
-        {"p": list(p), "b": series_to_obj(H.entries[p], mode)}
-        for p in sorted(H.entries, key=lambda p: (mi_abs(p), p))
-    ]
+    entries = _entries_obj(H.entries, "p", "b", lambda b: series_to_obj(b, mode))
     return {"n": H.n, "degree": H.degree, "entries": entries}
 
 
@@ -199,10 +199,7 @@ def obj_to_homtable(obj: dict) -> HomTable:
 
 
 def log_norms_to_obj(n: int, log_norms: dict[MultiIndex, float]) -> dict:
-    entries = [
-        {"m": list(m), "ln_norm": float(log_norms[m])}
-        for m in sorted(log_norms, key=lambda m: (mi_abs(m), m))
-    ]
+    entries = _entries_obj(log_norms, "m", "ln_norm", float)
     return {"n": n, "kind": "log_norms", "entries": entries}
 
 
@@ -212,8 +209,7 @@ def obj_to_log_norms(obj: dict) -> tuple[int, dict[MultiIndex, float]]:
         raise SerializationError(f"dimension must be >= 1, got {n}")
     out = {}
     for m, value in _entries(raw, "m", "ln_norm", "norms"):
-        if len(m) != n or min(m) < 0:
-            raise SerializationError(f"bad index {list(m)} for dimension {n}")
+        _checked(check_index, m, n)
         if not is_finite_number(value):
             raise SerializationError(f"ln_norm at {list(m)} must be a finite number, got {value!r}")
         out[m] = float(value)
@@ -281,7 +277,14 @@ def read_file(path: str) -> Any:
 
 
 def obj_to_scale(obj: dict) -> ProximateOrder:
-    try:
-        return ProximateOrder.from_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed proximate-order object: {exc}") from None
+    """A scale spec: a string "family" and finite JSON numbers "rho" and
+    (optionally) "a"."""
+    if not isinstance(obj, dict):
+        raise SerializationError(f"scale spec must be a JSON object, got {obj!r}")
+    family, rho, a = obj.get("family"), obj.get("rho"), obj.get("a", 0.0)
+    if not isinstance(family, str):
+        raise SerializationError(f"scale family must be a string, got {family!r}")
+    for key, value in (("rho", rho), ("a", a)):
+        if not is_finite_number(value):
+            raise SerializationError(f"scale {key!r} must be a finite number, got {value!r}")
+    return _checked(ProximateOrder, family, float(rho), float(a))

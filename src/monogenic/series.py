@@ -16,6 +16,7 @@ from .errors import DimensionMismatchError
 from .fueter import FueterCache, basis_combination, sampled_sups
 from .multiindex import (
     MultiIndex,
+    check_index,
     mi_abs,
     mi_add,
     mi_factorial,
@@ -37,12 +38,7 @@ class MonogenicSeries:
         table: dict[MultiIndex, CliffordNumber] = {}
         if coeffs:
             for m, a in coeffs.items():
-                if len(m) != n:
-                    raise DimensionMismatchError(f"index {m} has length != {n}")
-                if min(m) < 0:
-                    raise ValueError(f"index {m} has a negative entry")
-                if mi_abs(m) > degree:
-                    raise ValueError(f"index {m} exceeds truncation degree {degree}")
+                check_index(m, n, degree)
                 if a.dim != n:
                     raise DimensionMismatchError(
                         f"coefficient at {m} lives in dimension {a.dim}, series in {n}"
@@ -160,10 +156,7 @@ def series_eval(f: MonogenicSeries, x: Paravector, exact: bool = False) -> Cliff
 
 def series_derivative(f: MonogenicSeries, p: MultiIndex) -> MonogenicSeries:
     """Mixed partial of order p: coefficient shift (d^p f)_m = ((m+p)!/m!) a_{m+p}."""
-    if len(p) != f.n:
-        raise DimensionMismatchError(f"index {p} has length != {f.n}")
-    if min(p) < 0:
-        raise ValueError(f"index {p} has a negative entry")
+    check_index(p, f.n)
     drop = mi_abs(p)
     if drop == 0:
         return f
@@ -175,8 +168,7 @@ def series_derivative(f: MonogenicSeries, p: MultiIndex) -> MonogenicSeries:
         if not all(mi >= pi for mi, pi in zip(m, p)):
             continue
         target = tuple(mi - pi for mi, pi in zip(m, p))
-        factor = mi_factorial(m) // mi_factorial(target)
-        out[target] = a.scale(Fraction(factor) if a.is_exact() else float(factor))
+        out[target] = a.scale(mi_factorial(m) // mi_factorial(target))
     return MonogenicSeries(f.n, new_degree, out)
 
 

@@ -46,26 +46,6 @@ from .series import MonogenicSeries, ck_mul_left, dirac_residuals, series_deriva
 
 LOG_TOL = 1e-9
 
-CHECK_NAMES = (
-    "cauchy-inequality",
-    "ck-norm-bound",
-    "ck-product-oracle",
-    "coefficient-radius-bound",
-    "density-reexpansion",
-    "derivative-bound",
-    "fueter-monogenicity",
-    "fueter-normalization",
-    "gauge-supermultiplicativity",
-    "membership-criterion",
-    "operator-roundtrip",
-    "scale-inverse-roundtrip",
-    "scaling-bound",
-    "subadditive-power",
-    "type-formula",
-    "vm-norm-bound",
-    "y-sigma-bound",
-)
-
 #: corruption name -> the check it must break
 CORRUPTION_TARGETS = {
     "shrunk-modulus": "cauchy-inequality",
@@ -814,95 +794,66 @@ def check_operator_roundtrip(n: int, seed: int = 0, corruption: str | None = Non
 # ---------------------------------------------------------------------------
 
 
+def _series(cfg: VerifyConfig, offset: int = 0) -> MonogenicSeries:
+    return random_rational_series(cfg.n, cfg.series_degree, cfg.seed + offset)
+
+
+#: check name -> how ``run_all`` calls it with the config, a scale family and
+#: the corruption; these run once, with the first family
+_ONCE = {
+    "cauchy-inequality": lambda c, po, cor: check_cauchy(_series(c), c.radii, corruption=cor),
+    "fueter-monogenicity": lambda c, po, cor: check_monogenicity(c.n, c.seed, corruption=cor),
+    "fueter-normalization": lambda c, po, cor: check_normalization(c.n, corruption=cor),
+    "ck-product-oracle": lambda c, po, cor: check_ck_oracle(c.n, c.seed, corruption=cor),
+    "vm-norm-bound": lambda c, po, cor: check_vm_norm_bound(
+        po, c.sigma, c.sigma_prime, c.q_max_vm, corruption=cor
+    ),
+    "derivative-bound": lambda c, po, cor: check_derivative_bound(
+        axis_series(c.n, 1.0, c.sigma, 24), po, c.sigma, c.q_max_deriv, corruption=cor
+    ),
+    "coefficient-radius-bound": lambda c, po, cor: check_coeff_bound(
+        _series(c).to_float(), po, c.sigma, s=float(c.n + 1), eta=c.eta, corruption=cor
+    ),
+    "ck-norm-bound": lambda c, po, cor: check_ck_norm_bound(
+        _series(c), _series(c, 7), po, c.sigma, c.sigma,
+        delta=c.delta, eta=c.eta, cap_ln=c.constant_cap_ln, corruption=cor,
+    ),
+    "type-formula": lambda c, po, cor: check_type_formula(
+        1.0, 1.0, c.window_type, c.n, corruption=cor
+    ),
+    "membership-criterion": lambda c, po, cor: check_membership(
+        1.0, 1.0, c.window_type, c.n, corruption=cor
+    ),
+    "density-reexpansion": lambda c, po, cor: check_density(c.n, po, c.sigma, corruption=cor),
+    "operator-roundtrip": lambda c, po, cor: check_operator_roundtrip(c.n, c.seed, corruption=cor),
+}
+
+#: the same for the checks that run once per scale family
+_PER_FAMILY = {
+    "gauge-supermultiplicativity": lambda c, po, cor: check_supermultiplicativity(
+        po, c.q_super, corruption=cor
+    ),
+    "scale-inverse-roundtrip": lambda c, po, cor: check_phi_roundtrip(po, corruption=cor),
+    "subadditive-power": lambda c, po, cor: check_subadditive_power(po, corruption=cor),
+    "scaling-bound": lambda c, po, cor: check_scaling_bound(po, eta=c.eta, corruption=cor),
+    "y-sigma-bound": lambda c, po, cor: check_y_sigma(po, c.sigma, c.sigma_prime, corruption=cor),
+}
+
+CHECK_NAMES = tuple(sorted({**_ONCE, **_PER_FAMILY}))
+
+
 def run_all(config: VerifyConfig | None = None) -> list[CheckReport]:
     """Run every check (or the configured subset); individual failures are
     collected, never thrown."""
     cfg = config or VerifyConfig()
-    cor = cfg.corruption
-    n = cfg.n
-    po0 = cfg.families[0]
-    plan: list[tuple[str, object]] = [
-        (
-            "cauchy-inequality",
-            lambda: check_cauchy(
-                random_rational_series(n, cfg.series_degree, cfg.seed), cfg.radii, corruption=cor
-            ),
-        ),
-        ("fueter-monogenicity", lambda: check_monogenicity(n, seed=cfg.seed, corruption=cor)),
-        ("fueter-normalization", lambda: check_normalization(n, corruption=cor)),
-        ("ck-product-oracle", lambda: check_ck_oracle(n, seed=cfg.seed, corruption=cor)),
-        (
-            "vm-norm-bound",
-            lambda: check_vm_norm_bound(
-                po0, cfg.sigma, cfg.sigma_prime, cfg.q_max_vm, corruption=cor
-            ),
-        ),
-        (
-            "derivative-bound",
-            lambda: check_derivative_bound(
-                axis_series(n, 1.0, cfg.sigma, 24), po0, cfg.sigma, cfg.q_max_deriv, corruption=cor
-            ),
-        ),
-        (
-            "coefficient-radius-bound",
-            lambda: check_coeff_bound(
-                random_rational_series(n, cfg.series_degree, cfg.seed).to_float(),
-                po0,
-                cfg.sigma,
-                s=float(n + 1),
-                eta=cfg.eta,
-                corruption=cor,
-            ),
-        ),
-        (
-            "ck-norm-bound",
-            lambda: check_ck_norm_bound(
-                random_rational_series(n, cfg.series_degree, cfg.seed),
-                random_rational_series(n, cfg.series_degree, cfg.seed + 7),
-                po0,
-                cfg.sigma,
-                cfg.sigma,
-                delta=cfg.delta,
-                eta=cfg.eta,
-                cap_ln=cfg.constant_cap_ln,
-                corruption=cor,
-            ),
-        ),
-        ("type-formula", lambda: check_type_formula(1.0, 1.0, cfg.window_type, n, corruption=cor)),
-        (
-            "membership-criterion",
-            lambda: check_membership(1.0, 1.0, cfg.window_type, n, corruption=cor),
-        ),
-        ("density-reexpansion", lambda: check_density(n, po0, cfg.sigma, corruption=cor)),
-        ("operator-roundtrip", lambda: check_operator_roundtrip(n, seed=cfg.seed, corruption=cor)),
-    ]
-    for po in cfg.families:
-        plan.extend(
-            [
-                (
-                    "gauge-supermultiplicativity",
-                    lambda po=po: check_supermultiplicativity(po, cfg.q_super, corruption=cor),
-                ),
-                ("scale-inverse-roundtrip", lambda po=po: check_phi_roundtrip(po, corruption=cor)),
-                ("subadditive-power", lambda po=po: check_subadditive_power(po, corruption=cor)),
-                (
-                    "scaling-bound",
-                    lambda po=po: check_scaling_bound(po, eta=cfg.eta, corruption=cor),
-                ),
-                (
-                    "y-sigma-bound",
-                    lambda po=po: check_y_sigma(
-                        po, cfg.sigma, cfg.sigma_prime, corruption=cor
-                    ),
-                ),
-            ]
-        )
+    plan = [(name, call, cfg.families[0]) for name, call in _ONCE.items()]
+    plan += [(name, call, po) for name, call in _PER_FAMILY.items() for po in cfg.families]
     reports: list[CheckReport] = []
-    for name, thunk in plan:
+    for name, call, po in plan:
         if cfg.only is not None and name not in cfg.only:
             continue
         try:
-            reports.append(thunk())
+            reports.append(call(cfg, po, cfg.corruption))
         except Exception as exc:  # collected, not thrown
             reports.append(_report(name, f"raised {type(exc).__name__}: {exc}", -math.inf))
     reports.sort(key=lambda rep: (rep.name, rep.instance))

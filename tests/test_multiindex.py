@@ -4,15 +4,27 @@ from fractions import Fraction
 import pytest
 
 from monogenic.multiindex import (
-    c_nm,
+    MultiIndex,
     enumerate_degree,
     enumerate_up_to,
     ln_c_nm,
     mi_abs,
     mi_factorial,
     mi_leq,
-    rising_factorial,
 )
+
+
+def rising_factorial(base: int, count: int) -> int:
+    out = 1
+    for k in range(count):
+        out *= base + k
+    return out
+
+
+def c_nm(n: int, m: MultiIndex) -> Fraction:
+    """Exact Cauchy constant: the rising factorial n(n+1)...(n+|m|-1) over m!,
+    the oracle for ``ln_c_nm``; c(n, 0) = 1."""
+    return Fraction(rising_factorial(n, mi_abs(m)), mi_factorial(m))
 
 
 def stars_and_bars(n: int, q: int) -> int:

@@ -304,6 +304,13 @@ def test_cli_verify_subset_and_corruption(tmp_path, capsys):
         # a corruption or check name that is not a string
         {"corruption": []},
         {"only": [{}]},
+        # scale parameters that are not JSON numbers, a family that is not a string
+        {"families": [{"family": "loglog", "rho": "1"}]},
+        {"families": [{"family": "loglog", "rho": 1, "a": True}]},
+        {"families": [{"family": "loglog", "rho": True}]},
+        {"families": [{"family": "logshift", "rho": 1, "a": "0.5"}]},
+        {"families": [{"family": None, "rho": 1}]},
+        {"families": [5]},
     ],
 )
 def test_cli_verify_bad_config_exits_2(tmp_path, capsys, cfg):
@@ -390,6 +397,14 @@ def _hom(degree, *indices):
         (_SERIES, ["eval", "IN", "--point", "0,1,nan"]),
         (_SERIES, _growth() + ["--sigma", "nan"]),
         (_SERIES, _growth() + ["--sigma", "0"]),
+        # an exact value beyond the float range, which growth converts to float
+        (_series_with([1, 0], "1e400", "exact"), _growth()),
+        # arguments that do not parse: a point component, a one-component
+        # point, a window without a colon, a multi-index entry
+        (_SERIES, ["eval", "IN", "--point", "0,x,1"]),
+        (_SERIES, ["eval", "IN", "--point", "0"]),
+        (_SERIES, ["growth", "IN", "--po", "constant:1", "--window", "5", "--out", "OUT"]),
+        (_SERIES, ["diff", "IN", "--index", "1,a", "--out", "OUT"]),
     ],
 )
 def test_cli_bad_input_files_exit_2(tmp_path, capsys, obj, argv):

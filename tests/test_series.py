@@ -189,6 +189,14 @@ def test_max_modulus_bracket(rng):
     assert lo == pytest.approx(3.0) and up == pytest.approx(3.0)
 
 
+def test_max_modulus_of_empty_series_builds_no_sign_table(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"blade sign table built for n={n}")
+
+    monkeypatch.setattr(fueter, "_blade_signs", refuse)
+    assert max_modulus(MonogenicSeries(10, 1), 1.0, samples=8) == (0.0, 0.0)
+
+
 def test_cauchy_inequality_upper_bound_form():
     from monogenic.multiindex import ln_c_nm
 
