@@ -4,7 +4,11 @@ Elements are stored as sparse blade tables: a blade is a subset of the unit
 indices {1..n}, encoded as an n-bit mask (bit i-1 set means unit i is a
 factor, factors ordered by increasing index).  Coefficients are either exact
 ``fractions.Fraction``/``int`` values (exact mode) or binary64 floats (float
-mode); the two modes share all code paths.
+mode).  ``cl_mul`` serves both modes.  Exact products of whole coefficient
+tables run fraction-free instead: ``integer_numerators`` writes tables over
+one common denominator, the caller combines the integer numerators (with the
+sign table ``blade_signs``), and ``from_numerators`` divides once per result
+blade.
 
 Values are immutable after construction and every operation is a pure
 function, so instances may be shared freely between threads.
@@ -14,7 +18,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from functools import lru_cache
+from typing import Hashable, Iterable, Mapping, Union
 
 from .errors import DimensionMismatchError
 
@@ -54,6 +59,13 @@ def blade_product(a: int, b: int, dim: int) -> tuple[int, int]:
     flips = swaps + (a & b).bit_count()
     sign = -1 if flips & 1 else 1
     return sign, a ^ b
+
+
+@lru_cache(maxsize=None)
+def blade_signs(dim: int) -> tuple[tuple[int, ...], ...]:
+    """The 2^dim x 2^dim blade sign table: e_a e_b = signs[a][b] * e_(a XOR b)."""
+    size = 1 << dim
+    return tuple(tuple(blade_product(a, b, dim)[0] for b in range(size)) for a in range(size))
 
 
 class CliffordNumber:
@@ -176,6 +188,30 @@ def cl_mul(a: CliffordNumber, b: CliffordNumber) -> CliffordNumber:
             term = va * vb
             out[mask] = out.get(mask, 0) + (term if sign > 0 else -term)
     return CliffordNumber(a.dim, out)
+
+
+def integer_numerators(
+    *tables: Mapping[Hashable, CliffordNumber],
+) -> tuple[int, list[dict[Hashable, list[tuple[int, int]]]]]:
+    """Exact tables over one common denominator D, the lcm of the denominators
+    of all their values: ``(D, [{key: [(mask, N)]} per table])`` with each
+    coefficient equal to N / D and each value's blades in their own order."""
+    den = math.lcm(
+        *(v.denominator for table in tables for c in table.values() for v in c._coeffs.values())
+    )
+    return den, [
+        {
+            key: [(mask, v.numerator * (den // v.denominator)) for mask, v in c._coeffs.items()]
+            for key, c in table.items()
+        }
+        for table in tables
+    ]
+
+
+def from_numerators(dim: int, row: list[int], den: int) -> CliffordNumber:
+    """The value with blade coefficients row[mask] / den, in mask order: the
+    way back from ``integer_numerators``."""
+    return CliffordNumber(dim, {mask: Fraction(v, den) for mask, v in enumerate(row) if v})
 
 
 class Paravector:

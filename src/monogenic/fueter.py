@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .clifford import CliffordNumber, Paravector, blade_product, cl_mul
+from .clifford import CliffordNumber, Paravector, blade_signs, cl_mul
 from .multiindex import MultiIndex, enumerate_degree, enumerate_up_to, mi_abs
 from .sampling import sphere_directions
 
@@ -131,11 +131,9 @@ _BLOCK_FLOATS = 1 << 16
 
 @lru_cache(maxsize=None)
 def _blade_signs(n: int) -> np.ndarray:
-    """The 2^n x 2^n blade sign table: e_a e_b = signs[a, b] * e_(a XOR b)."""
-    size = 1 << n
-    table = np.array(
-        [[blade_product(a, b, n)[0] for b in range(size)] for a in range(size)], dtype=float
-    )
+    """``clifford.blade_signs(n)`` as a read-only float array:
+    e_a e_b = signs[a, b] * e_(a XOR b)."""
+    table = np.array(blade_signs(n), dtype=float)
     table.flags.writeable = False
     return table
 
@@ -206,8 +204,12 @@ def basis_combination(coeffs: Mapping[MultiIndex, CliffordNumber], points) -> np
     rows = [position[m] for m in coeffs]
     dense = np.zeros((len(rows), size))
     for s, a in enumerate(coeffs.values()):
-        for mask, value in a.coeffs.items():
-            dense[s, mask] = value
+        try:
+            for mask, value in a.coeffs.items():
+                dense[s, mask] = value
+        except OverflowError:  # an exact value beyond the float range
+            a.to_float()  # raises the ValueError that names it
+            raise
     # right multiplication by a: (v a)[k] = sum_b v[b] signs[b, b^k] a[b^k]
     blades = np.arange(size)[:, None]
     xor = blades ^ blades.T

@@ -21,13 +21,14 @@ asymptotic is ever claimed.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .clifford import CliffordNumber
+from .clifford import CliffordNumber, from_numerators, integer_numerators
 from .errors import DimensionMismatchError
 from .growth import ProximateOrder, ln_sum, per_degree, tail_ln_sums, weighted_norm_ln
 from .multiindex import (
@@ -160,8 +161,12 @@ def _basis_transform(
     n: int, degree: int, entries: Mapping[MultiIndex, MonogenicSeries], sign: int
 ) -> dict[MultiIndex, MonogenicSeries]:
     """t -> sum_{s <= t} entries[s] (ck) sign^|t-s| V_{t-s} / (t-s)! for every
-    |t| <= degree: the forward map with sign +1, its inverse with sign -1."""
-    exact = all(u.is_exact() for u in entries.values())
+    |t| <= degree: the forward map with sign +1, its inverse with sign -1.
+
+    Exact tables go through ``_basis_transform_exact``; the float loop below
+    scales and adds each shifted entry in turn."""
+    if all(u.is_exact() for u in entries.values()):
+        return _basis_transform_exact(n, degree, entries, sign)
     out: dict[MultiIndex, MonogenicSeries] = {}
     for t in enumerate_up_to(n, degree):
         acc: dict[MultiIndex, CliffordNumber] = {}
@@ -169,11 +174,34 @@ def _basis_transform(
             if not mi_leq(s, t):
                 continue
             k = mi_sub(t, s)
-            k_sign = sign ** mi_abs(k)
-            fact = mi_factorial(k)
-            factor = Fraction(k_sign, fact) if exact else float(k_sign) / fact
-            _accumulate(acc, _shifted(u, k, factor))
+            _accumulate(acc, _shifted(u, k, float(sign ** mi_abs(k)) / mi_factorial(k)))
         out[t] = _from_table(n, acc)
+    return out
+
+
+def _basis_transform_exact(
+    n: int, degree: int, entries: Mapping[MultiIndex, MonogenicSeries], sign: int
+) -> dict[MultiIndex, MonogenicSeries]:
+    """Exact ``_basis_transform`` on integers over D * degree!, D the common
+    denominator of the entries: each factor sign^|k| / k! is the integer
+    sign^|k| degree! / k! over degree!, and every result blade is divided
+    once.  Indices come in the order of the float loop."""
+    fact = math.factorial(degree)
+    den, tables = integer_numerators(*(u.coeffs for u in entries.values()))
+    size = 1 << n
+    out: dict[MultiIndex, MonogenicSeries] = {}
+    for t in enumerate_up_to(n, degree):
+        acc: defaultdict[MultiIndex, list[int]] = defaultdict(lambda: [0] * size)
+        for s, table in zip(entries, tables):
+            if not mi_leq(s, t):
+                continue
+            k = mi_sub(t, s)
+            factor = sign ** mi_abs(k) * (fact // mi_factorial(k))
+            for m, blades in table.items():
+                row = acc[mi_add(m, k)]
+                for mask, v in blades:
+                    row[mask] += factor * v
+        out[t] = _from_table(n, {p: from_numerators(n, row, den * fact) for p, row in acc.items()})
     return out
 
 

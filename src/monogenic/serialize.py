@@ -67,7 +67,8 @@ def str_to_blade(text: str, n: int) -> int:
 
 def _encode_value(value, mode: str):
     if mode == "exact":
-        return str(Fraction(value))
+        # str of an int or a Fraction is already its "p/q" form
+        return str(value if isinstance(value, Fraction) or is_integer(value) else Fraction(value))
     return float(value)
 
 
@@ -140,10 +141,8 @@ def _checked(make, *args):
 
 
 def clifford_to_obj(c: CliffordNumber, mode: str) -> dict:
-    return {
-        blade_to_str(mask, c.dim): _encode_value(c.coeffs[mask], mode)
-        for mask in sorted(c.coeffs, key=lambda m: (blade_to_str(m, c.dim)))
-    }
+    named = sorted((blade_to_str(mask, c.dim), value) for mask, value in c.coeffs.items())
+    return {key: _encode_value(value, mode) for key, value in named}
 
 
 def obj_to_clifford(obj: dict, n: int, mode: str) -> CliffordNumber:
@@ -278,9 +277,12 @@ def read_file(path: str) -> Any:
 
 def obj_to_scale(obj: dict) -> ProximateOrder:
     """A scale spec: a string "family" and finite JSON numbers "rho" and
-    (optionally) "a"."""
+    (optionally) "a", and no other key."""
     if not isinstance(obj, dict):
         raise SerializationError(f"scale spec must be a JSON object, got {obj!r}")
+    unknown = sorted(set(obj) - {"family", "rho", "a"})
+    if unknown:
+        raise SerializationError(f"unknown scale spec keys: {unknown}")
     family, rho, a = obj.get("family"), obj.get("rho"), obj.get("a", 0.0)
     if not isinstance(family, str):
         raise SerializationError(f"scale family must be a string, got {family!r}")

@@ -8,10 +8,18 @@ values; every product states its output truncation degree explicitly.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from typing import Callable, Hashable, Mapping
 
-from .clifford import CliffordNumber, Paravector, cl_mul
+from .clifford import (
+    CliffordNumber,
+    Paravector,
+    blade_signs,
+    cl_mul,
+    from_numerators,
+    integer_numerators,
+)
 from .errors import DimensionMismatchError
 from .fueter import FueterCache, basis_combination, sampled_sups
 from .multiindex import (
@@ -174,9 +182,15 @@ def series_derivative(f: MonogenicSeries, p: MultiIndex) -> MonogenicSeries:
 
 def ck_mul_left(f: MonogenicSeries, g: MonogenicSeries, q_out: int) -> MonogenicSeries:
     """Cauchy-Kowalewski product: coefficient convolution c_p = sum a_m b_k
-    over m + k = p (Clifford product in that order), truncated at |p| <= q_out."""
+    over m + k = p (Clifford product in that order), truncated at |p| <= q_out.
+
+    The indices p come in the order of their first pair, looping over f and
+    then g.  Two exact series multiply fraction-free (``_ck_mul_exact``);
+    otherwise each pair goes through ``cl_mul``."""
     if f.n != g.n:
         raise DimensionMismatchError("CK product of series with different dimension")
+    if f.is_exact() and g.is_exact():
+        return _ck_mul_exact(f, g, q_out)
     out: dict[MultiIndex, CliffordNumber] = {}
     for m, a in f._coeffs.items():
         qm = mi_abs(m)
@@ -189,6 +203,36 @@ def ck_mul_left(f: MonogenicSeries, g: MonogenicSeries, q_out: int) -> Monogenic
             term = cl_mul(a, b)
             prev = out.get(p)
             out[p] = term if prev is None else prev + term
+    return MonogenicSeries(f.n, q_out, out)
+
+
+def _ck_mul_exact(f: MonogenicSeries, g: MonogenicSeries, q_out: int) -> MonogenicSeries:
+    """Exact ``ck_mul_left`` on integers: with a_m = A_m / D_f and b_k = B_k / D_g,
+    c_p = (sum A_m B_k) / (D_f D_g), one division per result blade."""
+    den_f, (a_tab,) = integer_numerators(f._coeffs)
+    den_g, (b_tab,) = integer_numerators(g._coeffs)
+    signs = blade_signs(f.n)
+    size = 1 << f.n
+    b_list = [(k, mi_abs(k), b) for k, b in b_tab.items()]
+    acc: defaultdict[MultiIndex, list[int]] = defaultdict(lambda: [0] * size)
+    for m, a in a_tab.items():
+        qm = mi_abs(m)
+        if qm > q_out:
+            continue
+        for k, qk, b in b_list:
+            if qm + qk > q_out:
+                continue
+            row = acc[mi_add(m, k)]
+            for ma, va in a:
+                sign = signs[ma]
+                for mb, vb in b:
+                    row[ma ^ mb] += sign[mb] * va * vb
+    values = (v for h in (f, g) for c in h._coeffs.values() for v in c.coeffs.values())
+    if all(type(v) is int for v in values):
+        # products of ints stay ints, as in cl_mul
+        out = {p: CliffordNumber(f.n, dict(enumerate(row))) for p, row in acc.items()}
+    else:
+        out = {p: from_numerators(f.n, row, den_f * den_g) for p, row in acc.items()}
     return MonogenicSeries(f.n, q_out, out)
 
 

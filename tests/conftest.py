@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from monogenic.clifford import CliffordNumber, Paravector, cl_mul
+from monogenic.multiindex import enumerate_up_to
 from monogenic.series import MonogenicSeries
 
 
@@ -27,6 +29,28 @@ def random_point(n: int, rng: random.Random, radius: float = 1.0) -> Paravector:
 def scale_right(f: MonogenicSeries, c: CliffordNumber) -> MonogenicSeries:
     """Right module action f*c: every coefficient multiplied by c on the right."""
     return MonogenicSeries(f.n, f.degree, {m: cl_mul(a, c) for m, a in f.coeffs.items()})
+
+
+#: exact coefficients: ints, and Fractions whose denominators include the
+#: coprime 89 and 97, so common denominators grow large
+EXACT_VALUE = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-60, 60), st.sampled_from([1, 2, 3, 4, 7, 12, 89, 97])),
+)
+
+
+def exact_clifford(n: int, min_blades: int = 0) -> st.SearchStrategy:
+    return st.dictionaries(
+        st.integers(0, (1 << n) - 1), EXACT_VALUE, min_size=min_blades, max_size=6
+    ).map(lambda d: CliffordNumber(n, d))
+
+
+def exact_series(n: int, degree: int, max_terms: int = 5) -> st.SearchStrategy:
+    """Sparse exact series of dimension n and degree ``degree``; may be empty."""
+    indices = enumerate_up_to(n, degree)
+    return st.dictionaries(st.sampled_from(indices), exact_clifford(n), max_size=max_terms).map(
+        lambda d: MonogenicSeries(n, degree, d)
+    )
 
 
 @pytest.fixture

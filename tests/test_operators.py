@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monogenic.clifford import CliffordNumber
 from monogenic.errors import DimensionMismatchError
 from monogenic.growth import ProximateOrder
-from monogenic.multiindex import enumerate_up_to, mi_factorial
+from monogenic.multiindex import enumerate_up_to, mi_abs, mi_add, mi_factorial, mi_leq, mi_sub
 from monogenic.operators import (
     HomTable,
     OperatorSymbol,
@@ -24,7 +26,7 @@ from monogenic.operators import (
 from monogenic.series import MonogenicSeries, ck_mul_left, series_derivative, series_eval
 from monogenic.verify import random_rational_operator, random_rational_series
 
-from conftest import scale_right
+from conftest import exact_series, scale_right
 
 PO1 = ProximateOrder("constant", 1.0)
 
@@ -116,6 +118,75 @@ def test_hom_round_trip_exact():
             entries[p] = random_rational_series(2, 2, 31 * seed + i, density=0.5)
         H = HomTable(n=2, degree=4, entries=entries)
         assert op_to_hom(hom_to_op(H), 4) == H
+
+
+def fraction_basis_transform(n, degree, entries, sign):
+    """The operator<->table transform in Fraction arithmetic, one scaled and
+    shifted entry at a time: t -> sum_{s <= t} entries[s] (ck) sign^|t-s|
+    V_{t-s} / (t-s)!, indices in the order they first appear, each result of
+    the degree of its top nonzero index."""
+    out = {}
+    for t in enumerate_up_to(n, degree):
+        acc = {}
+        for s, u in entries.items():
+            if not mi_leq(s, t):
+                continue
+            k = mi_sub(t, s)
+            factor = Fraction(sign ** mi_abs(k), mi_factorial(k))
+            for m, a in u.coeffs.items():
+                p = mi_add(m, k)
+                acc[p] = acc[p] + a.scale(factor) if p in acc else a.scale(factor)
+        support = {p: a for p, a in acc.items() if not a.is_zero()}
+        out[t] = MonogenicSeries(n, max(map(mi_abs, support), default=0), support)
+    return out
+
+
+def _assert_same_tables(got, want):
+    """Equal tables entry by entry: the same keys in the same order, and per
+    entry the same declared degree, index order and coefficients."""
+    assert list(got) == list(want)
+    for key, u in want.items():
+        assert got[key].degree == u.degree
+        assert list(got[key].coeffs) == list(u.coeffs)
+        assert got[key].coeffs == u.coeffs
+
+
+@st.composite
+def exact_operator(draw):
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 3))
+    index = st.sampled_from(enumerate_up_to(n, order))
+    entries = draw(st.dictionaries(index, exact_series(n, draw(st.integers(0, 2))), max_size=5))
+    return OperatorSymbol(n, entries), draw(st.integers(0, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_operator())
+@example((OperatorSymbol(2), 2))
+@example((random_rational_operator(2, 3, 2, 17), 4))
+def test_exact_transform_matches_fraction_oracle(case):
+    """op_to_hom and hom_to_op (the integer kernel) against the Fraction
+    transform, on the operator and on its table."""
+    P, q_table = case
+    H = op_to_hom(P, q_table)
+    _assert_same_tables(H.entries, fraction_basis_transform(P.n, q_table, P.entries, 1))
+    want = fraction_basis_transform(P.n, q_table, H.entries, -1)
+    _assert_same_tables(hom_to_op(H).entries, {s: u for s, u in want.items() if not u.is_zero()})
+
+
+@st.composite
+def exact_hom_table(draw):
+    """A complete table whose entries are arbitrary, often zero, series."""
+    n, degree = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    return HomTable(n, degree, {p: draw(exact_series(n, 2)) for p in enumerate_up_to(n, degree)})
+
+
+@settings(max_examples=30, deadline=None)
+@given(exact_hom_table())
+def test_exact_inverse_of_random_table_matches_fraction_oracle(H):
+    """hom_to_op of a table that no operator was mapped to."""
+    want = fraction_basis_transform(H.n, H.degree, H.entries, -1)
+    _assert_same_tables(hom_to_op(H).entries, {s: u for s, u in want.items() if not u.is_zero()})
 
 
 def test_incomplete_table_rejected():

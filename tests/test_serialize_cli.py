@@ -311,6 +311,8 @@ def test_cli_verify_subset_and_corruption(tmp_path, capsys):
         {"families": [{"family": "logshift", "rho": 1, "a": "0.5"}]},
         {"families": [{"family": None, "rho": 1}]},
         {"families": [5]},
+        # a scale spec with a key it does not read
+        {"families": [{"family": "constant", "rho": 1, "b": 3}], "only": ["scaling-bound"]},
     ],
 )
 def test_cli_verify_bad_config_exits_2(tmp_path, capsys, cfg):
@@ -405,6 +407,8 @@ def _hom(degree, *indices):
         (_SERIES, ["eval", "IN", "--point", "0"]),
         (_SERIES, ["growth", "IN", "--po", "constant:1", "--window", "5", "--out", "OUT"]),
         (_SERIES, ["diff", "IN", "--index", "1,a", "--out", "OUT"]),
+        # the same exact value evaluated in float mode, which is the default
+        (_series_with([1, 0], "1e400", "exact"), ["eval", "IN", "--point", "0,1,2"]),
     ],
 )
 def test_cli_bad_input_files_exit_2(tmp_path, capsys, obj, argv):

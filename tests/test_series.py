@@ -22,7 +22,7 @@ from monogenic.series import (
 )
 from monogenic.verify import brute_force_ck, random_rational_series
 
-from conftest import random_point, scale_right
+from conftest import exact_clifford, exact_series, random_point, scale_right
 
 
 def test_constant_series_everywhere():
@@ -239,6 +239,54 @@ def test_ck_bilinear_and_truncation_coherent(f, g, h):
     right = ck_mul_left(f, g, q) + ck_mul_left(f, h, q)
     assert left.coeffs == right.coeffs
     assert ck_mul_left(f, g, q).truncate(3).coeffs == ck_mul_left(f, g, 3).coeffs
+
+
+@st.composite
+def exact_ck_case(draw):
+    """Two exact series of one dimension n <= 4 and degree <= 5.  Half of the
+    cases with degree >= 1 are f = V_m a + V_(m+e_i) a, g = V_(k+e_i) b - V_k b,
+    whose two pairs meeting at m + k + e_i cancel to zero."""
+    n = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, 5))
+    if degree == 0 or draw(st.booleans()):
+        return draw(exact_series(n, degree)), draw(exact_series(n, degree))
+    low = enumerate_up_to(n, degree - 1)
+    m, k = draw(st.sampled_from(low)), draw(st.sampled_from(low))
+    axis = draw(st.integers(0, n - 1))
+    step = tuple(int(j == axis) for j in range(n))
+    a, b = draw(exact_clifford(n, min_blades=1)), draw(exact_clifford(n, min_blades=1))
+    f = MonogenicSeries(n, degree, {m: a, mi_add(m, step): a})
+    g = MonogenicSeries(n, degree, {mi_add(k, step): b, k: -b})
+    return f, g
+
+
+# (1 + e123)(1 - e123) = 0 in dimension 3: the whole product cancels
+_ZERO_DIVISORS = tuple(
+    MonogenicSeries(3, 1, {(0, 1, 0): CliffordNumber(3, {0: 1, 0b111: s})}) for s in (1, -1)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_ck_case())
+@example(_ZERO_DIVISORS)
+@example((MonogenicSeries(2, 3), random_rational_series(2, 3, 4)))
+@example((random_rational_series(2, 3, 4), MonogenicSeries(2, 3)))
+def test_exact_ck_kernel_matches_brute_force(case):
+    """The fraction-free exact kernel against the Fraction double loop of
+    ``brute_force_ck`` at every truncation: equal coefficients, the same
+    index order and the same declared degree; int inputs give ints."""
+    f, g = case
+    for q_out in range(2 * f.degree + 1):
+        got, want = ck_mul_left(f, g, q_out), brute_force_ck(f, g, q_out)
+        assert got.degree == want.degree == q_out
+        assert list(got.coeffs) == list(want.coeffs)
+        assert got.coeffs == want.coeffs
+        if all(type(v) is int for h in case for a in h.coeffs.values() for v in a.coeffs.values()):
+            assert all(type(v) is int for a in got.coeffs.values() for v in a.coeffs.values())
+
+
+def test_exact_ck_of_zero_divisors_is_zero():
+    assert ck_mul_left(*_ZERO_DIVISORS, 2).is_zero()
 
 
 @settings(max_examples=40, deadline=None)
