@@ -60,6 +60,14 @@ def _load_series(path: str, mode: str | None):
     return f
 
 
+def _check_one_mode(*sides) -> None:
+    """Raise unless the nonzero sides, each a collection of series, share one
+    mode (a side is exact when every series in it is)."""
+    modes = {serialize.mode_of(side) for side in sides if not all(u.is_zero() for u in side)}
+    if len(modes) > 1:
+        raise SerializationError("mixed exact/float inputs; convert one side first")
+
+
 def cmd_eval(args) -> int:
     f = _load_series(args.series, args.mode)
     exact = args.mode == "exact" and f.is_exact()
@@ -73,8 +81,7 @@ def cmd_eval(args) -> int:
 def cmd_ckprod(args) -> int:
     f = _load_series(args.f, args.mode)
     g = _load_series(args.g, args.mode)
-    if f.mode() != g.mode() and not (f.is_zero() or g.is_zero()):
-        raise SerializationError("mixed exact/float inputs; convert one side first")
+    _check_one_mode([f], [g])
     out = ck_mul_left(f, g, args.degree)
     serialize.write_file(args.out, serialize.series_to_obj(out, mode=f.mode()))
     return 0
@@ -129,6 +136,7 @@ def cmd_apply(args) -> int:
     f = _load_series(args.series, args.mode)
     if P.n != f.n:
         raise DimensionMismatchError(f"operator dimension {P.n} != series dimension {f.n}")
+    _check_one_mode(P.entries.values(), [f])
     out = op_apply(P, f, args.degree)
     serialize.write_file(args.out, serialize.series_to_obj(out, mode=f.mode()))
     return 0

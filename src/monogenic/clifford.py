@@ -4,11 +4,12 @@ Elements are stored as sparse blade tables: a blade is a subset of the unit
 indices {1..n}, encoded as an n-bit mask (bit i-1 set means unit i is a
 factor, factors ordered by increasing index).  Coefficients are either exact
 ``fractions.Fraction``/``int`` values (exact mode) or binary64 floats (float
-mode).  ``cl_mul`` serves both modes.  Exact products of whole coefficient
-tables run fraction-free instead: ``integer_numerators`` writes tables over
-one common denominator, the caller combines the integer numerators (with the
-sign table ``blade_signs``), and ``from_numerators`` divides once per result
-blade.
+mode).  ``cl_mul`` multiplies two single values in either mode.  Sums of
+products of whole coefficient tables (``series.ck_sums``) combine numerators
+with the sign table ``blade_signs`` instead: exact tables are written over
+one common denominator by ``integer_numerators``, other values are their own
+numerators, and ``from_numerators`` turns a dense result row back into a
+value, dividing once per blade when there is a denominator.
 
 Values are immutable after construction and every operation is a pure
 function, so instances may be shared freely between threads.
@@ -208,9 +209,12 @@ def integer_numerators(
     ]
 
 
-def from_numerators(dim: int, row: list[int], den: int) -> CliffordNumber:
-    """The value with blade coefficients row[mask] / den, in mask order: the
-    way back from ``integer_numerators``."""
+def from_numerators(dim: int, row: list, den: int | None) -> CliffordNumber:
+    """The value with blade coefficients row[mask] / den, in mask order, keeping
+    only the nonzero blades: the way back from ``integer_numerators``.  With
+    ``den`` None the row holds the values themselves."""
+    if den is None:
+        return CliffordNumber(dim, {mask: v for mask, v in enumerate(row) if v})
     return CliffordNumber(dim, {mask: Fraction(v, den) for mask, v in enumerate(row) if v})
 
 

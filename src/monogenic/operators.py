@@ -21,14 +21,13 @@ asymptotic is ever claimed.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .clifford import CliffordNumber, from_numerators, integer_numerators
+from .clifford import CliffordNumber
 from .errors import DimensionMismatchError
 from .growth import ProximateOrder, ln_sum, per_degree, tail_ln_sums, weighted_norm_ln
 from .multiindex import (
@@ -37,25 +36,11 @@ from .multiindex import (
     enumerate_up_to,
     ln_c_nm,
     mi_abs,
-    mi_add,
     mi_factorial,
     mi_leq,
     mi_sub,
 )
-from .series import MonogenicSeries, ck_mul_left, series_derivative
-
-
-def _shifted(u: MonogenicSeries, k: MultiIndex, factor) -> dict[MultiIndex, CliffordNumber]:
-    """Coefficient table of u (ck) [factor * V_k]: indices move up by k."""
-    return {mi_add(m, k): a.scale(factor) for m, a in u.coeffs.items()}
-
-
-def _accumulate(
-    target: dict[MultiIndex, CliffordNumber], table: Mapping[MultiIndex, CliffordNumber]
-) -> None:
-    for m, a in table.items():
-        prev = target.get(m)
-        target[m] = a if prev is None else prev + a
+from .series import MonogenicSeries, ck_sums, series_derivative
 
 
 def _from_table(n: int, table: dict[MultiIndex, CliffordNumber]) -> MonogenicSeries:
@@ -94,6 +79,8 @@ class OperatorSymbol:
     __slots__ = ("n", "entries")
 
     def __init__(self, n: int, entries: Mapping[MultiIndex, MonogenicSeries] | None = None):
+        if n < 1:
+            raise ValueError(f"operator dimension must be >= 1, got {n}")
         self.n = n
         entries = entries or {}
         _check_entries(n, entries)
@@ -145,15 +132,14 @@ class HomTable:
 def op_apply(P: OperatorSymbol, f: MonogenicSeries, q_out: int) -> MonogenicSeries:
     """Apply the operator: sum_m u_m (ck) d^m f, truncated at q_out.
 
-    For truncated input the sum over m is finite; exact in exact mode."""
+    For truncated input the sum over m is finite: one ``ck_sums`` group of
+    the pairs (u_m, d^m f); exact in exact mode."""
     if P.n != f.n:
         raise DimensionMismatchError("operator and series dimensions differ")
-    out: dict[MultiIndex, CliffordNumber] = {}
-    for m, u in P.entries.items():
-        if mi_abs(m) > f.degree:
-            continue
-        part = ck_mul_left(u, series_derivative(f, m), q_out)
-        _accumulate(out, part.coeffs)
+    terms = [m for m in P.entries if mi_abs(m) <= f.degree]
+    left = [P.entries[m].coeffs for m in terms]
+    right = [series_derivative(f, m).coeffs for m in terms]
+    (out,) = ck_sums(f.n, left, right, [[(i, i) for i in range(len(terms))]], q_out)
     return MonogenicSeries(f.n, q_out, out)
 
 
@@ -163,46 +149,24 @@ def _basis_transform(
     """t -> sum_{s <= t} entries[s] (ck) sign^|t-s| V_{t-s} / (t-s)! for every
     |t| <= degree: the forward map with sign +1, its inverse with sign -1.
 
-    Exact tables go through ``_basis_transform_exact``; the float loop below
-    scales and adds each shifted entry in turn."""
-    if all(u.is_exact() for u in entries.values()):
-        return _basis_transform_exact(n, degree, entries, sign)
-    out: dict[MultiIndex, MonogenicSeries] = {}
-    for t in enumerate_up_to(n, degree):
-        acc: dict[MultiIndex, CliffordNumber] = {}
-        for s, u in entries.items():
-            if not mi_leq(s, t):
-                continue
-            k = mi_sub(t, s)
-            _accumulate(acc, _shifted(u, k, float(sign ** mi_abs(k)) / mi_factorial(k)))
-        out[t] = _from_table(n, acc)
-    return out
-
-
-def _basis_transform_exact(
-    n: int, degree: int, entries: Mapping[MultiIndex, MonogenicSeries], sign: int
-) -> dict[MultiIndex, MonogenicSeries]:
-    """Exact ``_basis_transform`` on integers over D * degree!, D the common
-    denominator of the entries: each factor sign^|k| / k! is the integer
-    sign^|k| degree! / k! over degree!, and every result blade is divided
-    once.  Indices come in the order of the float loop."""
-    fact = math.factorial(degree)
-    den, tables = integer_numerators(*(u.coeffs for u in entries.values()))
-    size = 1 << n
-    out: dict[MultiIndex, MonogenicSeries] = {}
-    for t in enumerate_up_to(n, degree):
-        acc: defaultdict[MultiIndex, list[int]] = defaultdict(lambda: [0] * size)
-        for s, table in zip(entries, tables):
-            if not mi_leq(s, t):
-                continue
-            k = mi_sub(t, s)
-            factor = sign ** mi_abs(k) * (fact // mi_factorial(k))
-            for m, blades in table.items():
-                row = acc[mi_add(m, k)]
-                for mask, v in blades:
-                    row[mask] += factor * v
-        out[t] = _from_table(n, {p: from_numerators(n, row, den * fact) for p, row in acc.items()})
-    return out
+    For each t one ``ck_sums`` group of the pairs (entries[s], sign^|k| / k!
+    V_k) with k = t - s; the factors are Fractions when every entry is exact
+    and floats otherwise.  Nothing is truncated."""
+    exact = all(u.is_exact() for u in entries.values())
+    indices = enumerate_up_to(n, degree)
+    position = {k: j for j, k in enumerate(indices)}
+    factors = []
+    for k in indices:
+        signed = sign ** mi_abs(k)
+        value = Fraction(signed, mi_factorial(k)) if exact else float(signed) / mi_factorial(k)
+        factors.append({k: CliffordNumber.scalar(n, value)})
+    groups = [
+        [(i, position[mi_sub(t, s)]) for i, s in enumerate(entries) if mi_leq(s, t)]
+        for t in indices
+    ]
+    q_out = max((u.degree for u in entries.values()), default=0) + degree
+    tables = ck_sums(n, [u.coeffs for u in entries.values()], factors, groups, q_out)
+    return {t: _from_table(n, table) for t, table in zip(indices, tables)}
 
 
 def op_to_hom(P: OperatorSymbol, q_table: int) -> HomTable:

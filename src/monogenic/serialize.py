@@ -127,7 +127,7 @@ def _header(obj, what: str, *keys: str) -> list:
     return [obj[key] for key in keys]
 
 
-def _mode_of(tables) -> str:
+def mode_of(tables) -> str:
     """The mode of a collection of series: exact when every one is exact."""
     return "exact" if all(u.is_exact() for u in tables) else "float"
 
@@ -174,7 +174,7 @@ def obj_to_series(obj: dict) -> MonogenicSeries:
 
 
 def operator_to_obj(P: OperatorSymbol, mode: str | None = None) -> dict:
-    mode = mode or _mode_of(P.entries.values())
+    mode = mode or mode_of(P.entries.values())
     entries = _entries_obj(P.entries, "m", "u", lambda u: series_to_obj(u, mode))
     return {"n": P.n, "entries": entries}
 
@@ -186,7 +186,7 @@ def obj_to_operator(obj: dict) -> OperatorSymbol:
 
 
 def homtable_to_obj(H: HomTable, mode: str | None = None) -> dict:
-    mode = mode or _mode_of(H.entries.values())
+    mode = mode or mode_of(H.entries.values())
     entries = _entries_obj(H.entries, "p", "b", lambda b: series_to_obj(b, mode))
     return {"n": H.n, "degree": H.degree, "entries": entries}
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .clifford import (
     CliffordNumber,
@@ -154,7 +154,7 @@ def series_eval(f: MonogenicSeries, x: Paravector, exact: bool = False) -> Cliff
         raise DimensionMismatchError(f"point of dimension {x.dim}, series of dimension {f.n}")
     if not exact:
         row = basis_combination(f._coeffs, [x.components()])[0].tolist()
-        return CliffordNumber(f.n, {mask: v for mask, v in enumerate(row) if v != 0.0})
+        return from_numerators(f.n, row, None)
     cache = FueterCache(x, exact=True)
     acc = CliffordNumber.zero(f.n)
     for m, a in f._coeffs.items():
@@ -184,56 +184,66 @@ def ck_mul_left(f: MonogenicSeries, g: MonogenicSeries, q_out: int) -> Monogenic
     """Cauchy-Kowalewski product: coefficient convolution c_p = sum a_m b_k
     over m + k = p (Clifford product in that order), truncated at |p| <= q_out.
 
-    The indices p come in the order of their first pair, looping over f and
-    then g.  Two exact series multiply fraction-free (``_ck_mul_exact``);
-    otherwise each pair goes through ``cl_mul``."""
+    One pair of ``ck_sums``: the indices p come in the order of their first
+    pair, looping over f and then g."""
     if f.n != g.n:
         raise DimensionMismatchError("CK product of series with different dimension")
-    if f.is_exact() and g.is_exact():
-        return _ck_mul_exact(f, g, q_out)
-    out: dict[MultiIndex, CliffordNumber] = {}
-    for m, a in f._coeffs.items():
-        qm = mi_abs(m)
-        if qm > q_out:
-            continue
-        for k, b in g._coeffs.items():
-            if qm + mi_abs(k) > q_out:
-                continue
-            p = mi_add(m, k)
-            term = cl_mul(a, b)
-            prev = out.get(p)
-            out[p] = term if prev is None else prev + term
+    (out,) = ck_sums(f.n, [f._coeffs], [g._coeffs], [[(0, 0)]], q_out)
     return MonogenicSeries(f.n, q_out, out)
 
 
-def _ck_mul_exact(f: MonogenicSeries, g: MonogenicSeries, q_out: int) -> MonogenicSeries:
-    """Exact ``ck_mul_left`` on integers: with a_m = A_m / D_f and b_k = B_k / D_g,
-    c_p = (sum A_m B_k) / (D_f D_g), one division per result blade."""
-    den_f, (a_tab,) = integer_numerators(f._coeffs)
-    den_g, (b_tab,) = integer_numerators(g._coeffs)
-    signs = blade_signs(f.n)
-    size = 1 << f.n
-    b_list = [(k, mi_abs(k), b) for k, b in b_tab.items()]
-    acc: defaultdict[MultiIndex, list[int]] = defaultdict(lambda: [0] * size)
-    for m, a in a_tab.items():
-        qm = mi_abs(m)
-        if qm > q_out:
-            continue
-        for k, qk, b in b_list:
-            if qm + qk > q_out:
-                continue
-            row = acc[mi_add(m, k)]
-            for ma, va in a:
-                sign = signs[ma]
-                for mb, vb in b:
-                    row[ma ^ mb] += sign[mb] * va * vb
-    values = (v for h in (f, g) for c in h._coeffs.values() for v in c.coeffs.values())
-    if all(type(v) is int for v in values):
-        # products of ints stay ints, as in cl_mul
-        out = {p: CliffordNumber(f.n, dict(enumerate(row))) for p, row in acc.items()}
-    else:
-        out = {p: from_numerators(f.n, row, den_f * den_g) for p, row in acc.items()}
-    return MonogenicSeries(f.n, q_out, out)
+def ck_sums(
+    n: int,
+    left: list[Mapping[MultiIndex, CliffordNumber]],
+    right: list[Mapping[MultiIndex, CliffordNumber]],
+    groups: Iterable[Iterable[tuple[int, int]]],
+    q_out: int,
+) -> list[dict[MultiIndex, CliffordNumber]]:
+    """Per group of pairs (i, j), the sum of the CK products left[i] (ck)
+    right[j] truncated at |p| <= q_out: the one convolution of both modes,
+    row[ma ^ mb] += sign * va * vb on a dense row per index p.
+
+    The mode is decided once, in the numerator step.  When every value is
+    exact and not every one is an int, each side is written over its common
+    denominator (``integer_numerators``) and each result blade is divided
+    once by the product of the two.  Otherwise (ints, floats or a mix) the
+    values are their own numerators and nothing is divided.  Every result
+    keeps only its nonzero blades, in mask order; a group's indices come in
+    the order of their first pair."""
+    kinds = {type(v) for t in (*left, *right) for c in t.values() for v in c.coeffs.values()}
+    if Fraction in kinds and kinds <= {int, Fraction}:
+        den_l, left_nums = integer_numerators(*left)
+        den_r, right_nums = integer_numerators(*right)
+        den = den_l * den_r
+    else:  # ints, floats or a mix: the values are their own numerators
+        den = None
+        left_nums, right_nums = (
+            [{key: list(c.coeffs.items()) for key, c in t.items()} for t in side]
+            for side in (left, right)
+        )
+    signs = blade_signs(n)
+    size = 1 << n
+    a_lists, b_lists = (
+        [[(m, mi_abs(m), a) for m, a in t.items()] for t in side] for side in (left_nums, right_nums)
+    )
+    out = []
+    for group in groups:
+        acc: defaultdict[MultiIndex, list] = defaultdict(lambda: [0] * size)
+        for i, j in group:
+            b_list = b_lists[j]
+            for m, qm, a in a_lists[i]:
+                if qm > q_out:
+                    continue
+                for k, qk, b in b_list:
+                    if qm + qk > q_out:
+                        continue
+                    row = acc[mi_add(m, k)]
+                    for ma, va in a:
+                        sign = signs[ma]
+                        for mb, vb in b:
+                            row[ma ^ mb] += sign[mb] * va * vb
+        out.append({p: from_numerators(n, row, den) for p, row in acc.items()})
+    return out
 
 
 PointFunction = Callable[[Paravector], CliffordNumber]

@@ -319,7 +319,7 @@ def check_normalization(n: int, corruption: str | None = None) -> CheckReport:
 def brute_force_ck(f: MonogenicSeries, g: MonogenicSeries, q_out: int) -> MonogenicSeries:
     """Independent convolution: explicit double loop over all index pairs in
     ``Fraction`` arithmetic through ``cl_mul``, sharing no inner loop with the
-    fraction-free exact kernel of ``ck_mul_left``."""
+    CK kernel ``series.ck_sums``."""
     out: dict = {}
     for m, a in f.coeffs.items():
         for k, b in g.coeffs.items():

@@ -39,18 +39,22 @@ EXACT_VALUE = st.one_of(
 )
 
 
-def exact_clifford(n: int, min_blades: int = 0) -> st.SearchStrategy:
+#: small dyadic rationals: exact values whose float copies are exact too
+DYADIC_VALUE = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 4, 8]))
+
+
+def exact_clifford(n: int, min_blades: int = 0, value=EXACT_VALUE) -> st.SearchStrategy:
     return st.dictionaries(
-        st.integers(0, (1 << n) - 1), EXACT_VALUE, min_size=min_blades, max_size=6
+        st.integers(0, (1 << n) - 1), value, min_size=min_blades, max_size=6
     ).map(lambda d: CliffordNumber(n, d))
 
 
-def exact_series(n: int, degree: int, max_terms: int = 5) -> st.SearchStrategy:
+def exact_series(n: int, degree: int, max_terms: int = 5, value=EXACT_VALUE) -> st.SearchStrategy:
     """Sparse exact series of dimension n and degree ``degree``; may be empty."""
     indices = enumerate_up_to(n, degree)
-    return st.dictionaries(st.sampled_from(indices), exact_clifford(n), max_size=max_terms).map(
-        lambda d: MonogenicSeries(n, degree, d)
-    )
+    return st.dictionaries(
+        st.sampled_from(indices), exact_clifford(n, value=value), max_size=max_terms
+    ).map(lambda d: MonogenicSeries(n, degree, d))
 
 
 @pytest.fixture

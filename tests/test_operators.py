@@ -26,7 +26,7 @@ from monogenic.operators import (
 from monogenic.series import MonogenicSeries, ck_mul_left, series_derivative, series_eval
 from monogenic.verify import random_rational_operator, random_rational_series
 
-from conftest import exact_series, scale_right
+from conftest import DYADIC_VALUE, exact_series, scale_right
 
 PO1 = ProximateOrder("constant", 1.0)
 
@@ -189,6 +189,68 @@ def test_exact_inverse_of_random_table_matches_fraction_oracle(H):
     _assert_same_tables(hom_to_op(H).entries, {s: u for s, u in want.items() if not u.is_zero()})
 
 
+def _l1(series) -> Fraction:
+    """Sum of the absolute blade coefficients of some series."""
+    return sum((abs(v) for u in series for a in u.coeffs.values() for v in a.coeffs.values()), Fraction(0))
+
+
+def _assert_float_matches_exact(got, want, envelope):
+    """Float tables of series against the exact ones: every blade within
+    1e-12 of the coefficient envelope, and no stored 0.0 blade."""
+    blades = lambda table: {
+        (key, m, mask): v
+        for key, u in table.items()
+        for m, a in u.coeffs.items()
+        for mask, v in a.coeffs.items()
+    }
+    got, want = blades(got), blades(want)
+    assert all(type(v) is float and v != 0.0 for v in got.values())
+    for key in got.keys() | want.keys():
+        assert abs(Fraction(got.get(key, 0)) - want.get(key, 0)) <= Fraction(1e-12) * envelope
+
+
+@st.composite
+def dyadic_case(draw):
+    """Dyadic series f and g, an operator P and a complete table H of one
+    dimension, and a degree: exact inputs whose float copies are exact."""
+    n = draw(st.integers(1, 3))
+    series = lambda degree: exact_series(n, degree, value=DYADIC_VALUE)
+    f, g = draw(series(draw(st.integers(0, 4)))), draw(series(draw(st.integers(0, 4))))
+    index = st.sampled_from(enumerate_up_to(n, draw(st.integers(0, 3))))
+    P = OperatorSymbol(n, draw(st.dictionaries(index, series(draw(st.integers(0, 2))), max_size=4)))
+    degree = draw(st.integers(0, 2))
+    H = HomTable(n, degree, {p: draw(series(2)) for p in enumerate_up_to(n, degree)})
+    return f, g, P, H, draw(st.integers(0, 6))
+
+
+# (1 + e123)(1 - e123) = 0: every float blade of the product cancels to 0.0
+_PLUS, _MINUS = (
+    MonogenicSeries(3, 1, {(0, 1, 0): CliffordNumber(3, {0: Fraction(1), 0b111: Fraction(s)})})
+    for s in (1, -1)
+)
+_CANCELLING = OperatorSymbol(3, {(0, 0, 0): _PLUS, (1, 0, 0): _MINUS})
+
+
+@settings(max_examples=80, deadline=None)
+@given(dyadic_case())
+@example((_PLUS, _MINUS, _CANCELLING, op_to_hom(_CANCELLING, 1), 2))
+def test_float_kernel_matches_exact_mode(case):
+    """Float ck_mul_left, op_apply, op_to_hom and hom_to_op against exact
+    mode on dyadic inputs; float results carry only nonzero blades."""
+    f, g, P, H, q = case
+    ff, Pf = f.to_float(), OperatorSymbol(P.n, {m: u.to_float() for m, u in P.entries.items()})
+    got, want = ck_mul_left(ff, g.to_float(), q), ck_mul_left(f, g, q)
+    _assert_float_matches_exact({0: got}, {0: want}, _l1([f]) * _l1([g]))
+    derivatives = {m: series_derivative(f, m) for m in P.entries}
+    envelope = sum((_l1([u]) * _l1([derivatives[m]]) for m, u in P.entries.items()), Fraction(0))
+    _assert_float_matches_exact({0: op_apply(Pf, ff, q)}, {0: op_apply(P, f, q)}, envelope)
+    got, want = op_to_hom(Pf, q % 4).entries, op_to_hom(P, q % 4).entries
+    _assert_float_matches_exact(got, want, _l1(P.entries.values()))
+    Hf = HomTable(H.n, H.degree, {p: b.to_float() for p, b in H.entries.items()})
+    got, want = hom_to_op(Hf).entries, hom_to_op(H).entries
+    _assert_float_matches_exact(got, want, _l1(H.entries.values()))
+
+
 def test_incomplete_table_rejected():
     entries = {(0, 0): MonogenicSeries.unit(2)}
     with pytest.raises(ValueError, match="incomplete"):
@@ -208,6 +270,12 @@ def test_hom_table_rejects_entries_it_cannot_hold():
         HomTable(n=2, degree=0, entries={(0, 0): MonogenicSeries.unit(3)})
     # missing entries are allowed; hom_to_op reports them
     assert HomTable(n=2, degree=1, entries={(0, 0): unit}).missing() == [(0, 1), (1, 0)]
+
+
+def test_operator_symbol_rejects_dimension_below_one():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            OperatorSymbol(n, {})
 
 
 def test_derivative_hom_inverts_to_derivative_operator():

@@ -219,6 +219,33 @@ def test_cli_apply_dimension_mismatch(tmp_path):
     assert code == 2
 
 
+def test_cli_apply_mixed_modes_rejected(tmp_path, capsys):
+    """A float operator on an exact series (or the other way round) is bad
+    input, whatever --mode says; a zero side has no mode."""
+    P = random_rational_operator(2, 3, 2, 11)
+    f = random_rational_series(2, 3, 4)
+    paths = {name: tmp_path / f"{name}.json" for name in ("P", "Pf", "f", "ff", "zero", "out")}
+    serialize.write_file(str(paths["P"]), serialize.operator_to_obj(P))
+    float_P = OperatorSymbol(2, {m: u.to_float() for m, u in P.entries.items()})
+    serialize.write_file(str(paths["Pf"]), serialize.operator_to_obj(float_P))
+    _write_series(paths["f"], f)
+    _write_series(paths["ff"], f.to_float())
+    _write_series(paths["zero"], MonogenicSeries(2, 3))
+    out = str(paths["out"])
+    for argv in (
+        ["apply", str(paths["Pf"]), str(paths["f"])],
+        ["--mode", "exact", "apply", str(paths["Pf"]), str(paths["f"])],
+        ["apply", str(paths["P"]), str(paths["ff"])],
+    ):
+        assert main(argv + ["--degree", "4", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mixed exact/float") and err.count("\n") == 1
+        assert not paths["out"].exists()
+    assert main(["apply", str(paths["Pf"]), str(paths["zero"]), "--degree", "4", "--out", out]) == 0
+    assert main(["apply", str(paths["Pf"]), str(paths["ff"]), "--degree", "4", "--out", out]) == 0
+    assert serialize.read_file(out)["mode"] == "float"
+
+
 def test_cli_hom_op_file_round_trip(tmp_path):
     P = random_rational_operator(2, 3, 2, 11)
     pp = tmp_path / "P.json"

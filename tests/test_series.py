@@ -22,7 +22,7 @@ from monogenic.series import (
 )
 from monogenic.verify import brute_force_ck, random_rational_series
 
-from conftest import exact_clifford, exact_series, random_point, scale_right
+from conftest import DYADIC_VALUE, exact_clifford, exact_series, random_point, scale_right
 
 
 def test_constant_series_everywhere():
@@ -316,17 +316,14 @@ def _float_error_within(value: CliffordNumber, exact: CliffordNumber, f: Monogen
     return err_sq <= (Fraction(1e-12) * Fraction(scale)) ** 2
 
 
-_DYADIC = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 4, 8]))
-
-
 @st.composite
 def dyadic_series_and_point(draw):
     n = draw(st.integers(1, 4))
     degree = draw(st.integers(0, 6))
-    blade = st.dictionaries(st.integers(0, (1 << n) - 1), _DYADIC, min_size=1, max_size=4)
+    blade = st.dictionaries(st.integers(0, (1 << n) - 1), DYADIC_VALUE, min_size=1, max_size=4)
     indices = draw(st.lists(st.sampled_from(enumerate_up_to(n, degree)), max_size=5, unique=True))
     coeffs = {m: CliffordNumber(n, draw(blade)) for m in indices}
-    coordinate = st.one_of(st.just(Fraction(0)), _DYADIC)
+    coordinate = st.one_of(st.just(Fraction(0)), DYADIC_VALUE)
     comps = draw(st.lists(coordinate, min_size=n + 1, max_size=n + 1))
     return MonogenicSeries(n, degree, coeffs), Paravector.from_components(comps)
 

@@ -11,9 +11,10 @@ under each named corruption; name, instance, margin, passed, constants and
 details), the decay certificates and application tails of two operators, the
 sup-norm brackets of ``weighted_norm_ln``, ``max_modulus``, ``k_q`` and
 ``fueter_sup_unit_ball``, growth reports as CSV, ``ProximateOrder`` values,
-and the output of the CLI commands on valid files.  ``--quick`` keeps only
-n=2 and the clean suite.  The script uses only names that have been stable
-across releases, so it runs against older trees too.
+and the output of the CLI commands on valid files (CK products, operator
+application and the operator/table transforms in exact and in float mode).
+``--quick`` keeps only n=2 and the clean suite.  The script uses only names
+that have been stable across releases, so it runs against older trees too.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from monogenic.growth import (
     weighted_norm_ln,
 )
 from monogenic.operators import (
+    HomTable,
+    OperatorSymbol,
     gauge_coefficient_operator,
     op_class_check,
     op_to_hom,
@@ -146,7 +149,13 @@ def cli_outputs(quick):
         serialize.write_file(path("g.json"), serialize.series_to_obj(g))
         serialize.write_file(path("ff.json"), serialize.series_to_obj(f.to_float(), "float"))
         serialize.write_file(path("P.json"), serialize.operator_to_obj(P))
-        serialize.write_file(path("H.json"), serialize.homtable_to_obj(op_to_hom(P, 4)))
+        H = op_to_hom(P, 4)
+        serialize.write_file(path("H.json"), serialize.homtable_to_obj(H))
+        float_P = OperatorSymbol(2, {m: u.to_float() for m, u in P.entries.items()})
+        float_H = HomTable(2, 4, {p: b.to_float() for p, b in H.entries.items()})
+        serialize.write_file(path("gf.json"), serialize.series_to_obj(g.to_float(), "float"))
+        serialize.write_file(path("Pf.json"), serialize.operator_to_obj(float_P))
+        serialize.write_file(path("Hf.json"), serialize.homtable_to_obj(float_H))
         serialize.write_file(path("cfg.json"), {"n": 2, "seed": 1})
         out = path("out")
         commands = [
@@ -154,6 +163,10 @@ def cli_outputs(quick):
             ["apply", path("P.json"), path("f.json"), "--degree", "5", "--out", out],
             ["op2hom", path("P.json"), "--degree", "4", "--out", out],
             ["hom2op", path("H.json"), "--out", out],
+            ["ckprod", path("ff.json"), path("gf.json"), "--degree", "6", "--out", out],
+            ["apply", path("Pf.json"), path("ff.json"), "--degree", "5", "--out", out],
+            ["op2hom", path("Pf.json"), "--degree", "4", "--out", out],
+            ["hom2op", path("Hf.json"), "--out", out],
             ["diff", path("f.json"), "--index", "1,2", "--out", out],
             ["--mode", "exact", "eval", path("f.json"), "--point", "1/2,1,-3/4"],
             ["eval", path("ff.json"), "--point", "0.5,1,-0.75"],
