@@ -42,6 +42,14 @@ _LN_R_MIN = math.log(1e-8)
 #: cells of the log-radius grid on which weighted_norm_ln certifies its
 #: upper envelope
 _ENVELOPE_CELLS = 20000
+#: cells per block of that grid in the first, coarse pass; divides
+#: _ENVELOPE_CELLS
+_ENVELOPE_BLOCK = 100
+
+
+def _check_sigma(sigma: float) -> None:
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
 
 
 @dataclass(frozen=True)
@@ -179,8 +187,7 @@ class ProximateOrder:
         stationarity condition sigma * t(r) * dlnt/dlnr = q has a unique
         root because both factors increase.
         """
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        _check_sigma(sigma)
         if q == 0:
             return _LN_R_MIN, 0.0
         target = math.log(q / sigma)
@@ -236,16 +243,24 @@ def weighted_norm_ln(
     """Natural-log bracket of sup_x norm(f(x)) * exp(-sigma * t(norm(x))).
 
     Upper bound: per-degree peak bounds (sum over degrees of the sup of each
-    triangle-inequality term) intersected with a cell envelope on a window
-    covering every per-degree peak -- on each cell the envelope multiplies
-    the increasing factor at the right edge by the decreasing weight at the
-    left edge, so the bound is rigorous for the coefficient-envelope
-    functional.  Lower bound: sampled max modulus at candidate radii near the
-    peak (axis directions always included).  ``samples=0`` returns the upper
-    side only, with the trivial lower bound -inf: no point is evaluated.
+    triangle-inequality term) intersected with a cell envelope on a grid of
+    ``_ENVELOPE_CELLS`` cells in ln r covering every per-degree peak -- on
+    each cell the envelope multiplies the increasing factor at the right
+    edge by the decreasing weight at the left edge, so the bound is rigorous
+    for the coefficient-envelope functional.  The envelope is certified in
+    two passes: the coefficient envelope ln U is evaluated at every
+    ``_ENVELOPE_BLOCK``-th grid point first, which bounds every cell of the
+    block between two such points (ln U and t both increase), and then only
+    on the blocks whose bound can reach the best value already found.  The
+    result is the maximum over the whole grid, bit for bit.  Lower bound:
+    sampled max modulus at candidate radii near the peak (the grid argmax
+    and every per-degree peak; axis directions always included).
+    ``samples=0`` returns the upper side only, with the trivial lower bound
+    -inf: no point is evaluated.
     """
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    _check_sigma(sigma)
     qs, lnA = _degree_log_norms(f)
     if len(qs) == 0:
         return -math.inf, -math.inf
@@ -261,20 +276,45 @@ def weighted_norm_ln(
     hi = peaks.max() + 1.0
     grid = np.linspace(lo, hi, _ENVELOPE_CELLS + 1)
     ln_t = po.ln_scale_at_ln_r(grid)
-    # ln U at every grid point: logsumexp over degrees of lnA + q*ln r
-    powers = lnA[None, :] + qs[None, :] * grid[:, None]
-    ln_u = logsumexp(powers, axis=1)
-    cell_env = ln_u[1:] - sigma * np.exp(ln_t[:-1])
-    # every per-degree term rises toward its peak and falls past it, so left
-    # of the window everything is below U at the left edge (weight <= 1) and
-    # right of it everything is below the last edge value
-    right_edge = float(ln_u[-1] - sigma * math.exp(ln_t[-1]))
-    upper_env = max(float(cell_env.max()), right_edge, float(ln_u[0]))
+    weight = sigma * np.exp(ln_t)
+    # ln U, the logsumexp over degrees of lnA + q*ln r, at the grid points
+    # evaluated so far and -inf elsewhere.  Each row is computed on its own,
+    # so a value does not depend on which other rows are evaluated with it.
+    ln_u = np.full(len(grid), -math.inf)
+
+    def evaluate(idx):
+        """Fill ln U at the grid points idx; return the cell envelope and the
+        grid values over every point evaluated so far."""
+        ln_u[idx] = logsumexp(lnA[None, :] + qs[None, :] * grid[idx, None], axis=1)
+        # every per-degree term rises toward its peak and falls past it, so
+        # left of the window everything is below U at the left edge (weight
+        # <= 1) and right of it everything is below the last edge value
+        right_edge = float(ln_u[-1] - sigma * math.exp(ln_t[-1]))
+        cells = max(float((ln_u[1:] - weight[:-1]).max()), right_edge, float(ln_u[0]))
+        return cells, ln_u - weight
+
+    edges = np.arange(0, len(grid), _ENVELOPE_BLOCK)
+    upper_env, grid_vals = evaluate(edges)
+    # Every cell and grid point of the block between edges e and e' has a
+    # value of at most ln U(e') minus the block's least weight, since ln U
+    # increases with r -- up to rounding.  A computed ln U row is lnA + q*ln r
+    # (a few ulps of M = max|lnA| + q_max*max|ln r|; the terms can cancel, so
+    # |ln U| does not bound the error) followed by logsumexp (a few ulps of
+    # M plus ln of the degree count).  Two rows are thus off their exact,
+    # increasing values by under 16*eps*(M + 1) together, and the slack is
+    # four times that.  The weight enters at its computed minimum and needs
+    # no slack.  A block whose bound is below a value already found holds
+    # neither the envelope maximum nor the grid argmax and is skipped.
+    magnitude = np.abs(lnA).max() + qs.max() * max(abs(lo), abs(hi))
+    slack = 64.0 * np.finfo(float).eps * (magnitude + 1.0)
+    least_weight = weight[:-1].reshape(-1, _ENVELOPE_BLOCK).min(axis=1)
+    bounds = ln_u[edges[1:]] - least_weight + slack
+    starts = edges[:-1][bounds >= min(upper_env, float(grid_vals.max()))]
+    upper_env, grid_vals = evaluate((starts[:, None] + np.arange(1, _ENVELOPE_BLOCK)).ravel())
     ln_upper = min(upper_sum_form, upper_env)
     if samples == 0:
         return -math.inf, ln_upper
 
-    grid_vals = ln_u - sigma * np.exp(ln_t)
     best = int(np.argmax(grid_vals))
     candidates = list({grid[best], *peaks.tolist()})
     sups = sampled_sups(f.n, f.coeffs, [math.exp(L) for L in candidates], samples, seed)
@@ -536,8 +576,8 @@ def growth_report(
     """
     if log_norms is None and log_kq_bounds is None:
         raise ValueError("need coefficient norms or K_q data")
-    if sigma_test is not None and not (math.isfinite(sigma_test) and sigma_test > 0):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma_test}")
+    if sigma_test is not None:
+        _check_sigma(sigma_test)
     bounds: dict[int, tuple[float, float]] = {}
     if log_kq_bounds is not None:
         bounds.update({int(q): (float(v[0]), float(v[1])) for q, v in log_kq_bounds.items()})

@@ -211,12 +211,13 @@ def axis_series(n: int, rho: float, sigma: float, degree: int) -> MonogenicSerie
 
 
 def _report(name, instance, margin, constants=None, details=None):
+    margin = float(margin)
     return CheckReport(
         name=name,
         instance=instance,
         margin=margin,
         constants=constants or {},
-        passed=bool(margin >= -LOG_TOL),
+        passed=margin >= -LOG_TOL,
         details=details or {},
     )
 

@@ -1,8 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
+import monogenic.growth as growth
 from monogenic.errors import InvariantViolationError, UndefinedOrderError
 from monogenic.growth import (
     GrowthReport,
@@ -220,6 +225,17 @@ def test_negative_sample_count_rejected():
         max_modulus(f, 1.0, samples=-1)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_non_finite_sigma_rejected(sigma):
+    po = ProximateOrder("constant", 1.0)
+    f = random_rational_series(2, 3, 5).to_float()
+    for samples in (0, 8):
+        with pytest.raises(ValueError, match=r"sigma must be finite and > 0, got"):
+            weighted_norm_ln(f, po, sigma, samples=samples)
+    with pytest.raises(ValueError, match=r"sigma must be finite and > 0, got"):
+        po.ln_weight_peak(2.0, sigma)
+
+
 def test_k_q_bounds():
     f = MonogenicSeries(
         2,
@@ -339,6 +355,86 @@ def test_weighted_norm_upper_vs_dense_scan():
         _, ln_up = weighted_norm_ln(f, po, sigma, samples=0)
         assert ln_up >= best - 1e-9
         assert ln_up <= best + math.log(len(degree_norms) + 1)
+
+
+def full_grid_envelope(f, po, sigma):
+    """The reference for weighted_norm_ln's grid work: ln U at every point of
+    the grid, then (ln_upper, the sampled side's candidate radii)."""
+    qs, lnA = growth._degree_log_norms(f)
+    peak_pairs = [po.ln_weight_peak(float(q), sigma) for q in qs]
+    peaks = np.array([p[0] for p in peak_pairs])
+    upper_sum_form = float(logsumexp(lnA + np.array([p[1] for p in peak_pairs])))
+    lo = min(peaks.min() - 1.0, growth._LN_R_MIN)
+    hi = peaks.max() + 1.0
+    grid = np.linspace(lo, hi, growth._ENVELOPE_CELLS + 1)
+    ln_t = po.ln_scale_at_ln_r(grid)
+    ln_u = logsumexp(lnA[None, :] + qs[None, :] * grid[:, None], axis=1)
+    cell_env = ln_u[1:] - sigma * np.exp(ln_t[:-1])
+    right_edge = float(ln_u[-1] - sigma * math.exp(ln_t[-1]))
+    upper_env = max(float(cell_env.max()), right_edge, float(ln_u[0]))
+    best = int(np.argmax(ln_u - sigma * np.exp(ln_t)))
+    candidates = list({grid[best], *peaks.tolist()})
+    return min(upper_sum_form, upper_env), [math.exp(L) for L in candidates]
+
+
+def pruned_envelope(f, po, sigma):
+    """weighted_norm_ln's (ln_upper, candidate radii), the radii caught on
+    their way to the sampler, which is not run."""
+    radii = []
+
+    def catch(n, coeffs, rs, samples, seed):
+        radii.extend(rs)
+        return [0.0] * len(rs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(growth, "sampled_sups", catch)
+        _, ln_up = weighted_norm_ln(f, po, sigma, samples=4)
+    assert weighted_norm_ln(f, po, sigma, samples=0) == (-math.inf, ln_up)
+    return ln_up, radii
+
+
+SCALES = st.one_of(
+    st.builds(lambda rho: ProximateOrder("constant", rho), st.floats(0.3, 3.0)),
+    st.builds(lambda rho, a: ProximateOrder("logshift", rho, a), st.floats(0.3, 3.0),
+              st.floats(-2.0, 2.0)),
+    st.builds(lambda rho, a: ProximateOrder("loglog", rho, a), st.floats(0.3, 3.0),
+              st.floats(-2.0, 2.0)),
+)
+SIGMAS = st.one_of(st.sampled_from([1e-6, 1e6]), st.floats(-6.0, 6.0).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 8), st.integers(0, 10**6), SCALES, SIGMAS)
+@example(2, 6, 13, ProximateOrder("loglog", 1.0, -0.8), 1e-6)
+@example(3, 8, 1, ProximateOrder("loglog", 1.5, -2.0), 1e6)
+def test_pruned_envelope_matches_full_grid(n, degree, seed, po, sigma):
+    f = random_rational_series(n, degree, seed).to_float()
+    assume(any(q > 0 for q in f.degree_norms()))  # else no grid: empty or constant
+    assert pruned_envelope(f, po, sigma) == full_grid_envelope(f, po, sigma)
+
+
+def norm_table(table):
+    """A stand-in series with the given per-degree norm sums, the only data
+    the envelope reads; lets a norm reach the edges of the float range,
+    which a coefficient's norm (a square root of a sum of squares) cannot."""
+    return SimpleNamespace(n=2, coeffs={}, degree_norms=lambda: dict(table))
+
+
+LN_NORMS = st.one_of(st.sampled_from([-700.0, 700.0]), st.floats(-700.0, 700.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(0, 40), LN_NORMS, min_size=1, max_size=6), SCALES, SIGMAS)
+@example({25: -700.0}, ProximateOrder("constant", 0.5), 1e-6)
+@example({0: 700.0, 30: -700.0}, ProximateOrder("loglog", 0.5, -1.5), 1e-6)
+@example({1: 700.0, 40: -700.0}, ProximateOrder("logshift", 2.0, 1.0), 1e6)
+@example({0: 0.0, 1: 0.0}, ProximateOrder("constant", 1.0), 1.0)
+def test_pruned_envelope_matches_full_grid_on_extreme_norms(ln_norms, po, sigma):
+    # single degrees, a constant plus one degree, and coefficient logs of
+    # +-700 that cancel against q*ln r near the peaks of small or large sigma
+    assume(any(q > 0 for q in ln_norms))  # else no grid: a constant series
+    f = norm_table({q: math.exp(v) for q, v in ln_norms.items()})
+    assert pruned_envelope(f, po, sigma) == full_grid_envelope(f, po, sigma)
 
 
 def test_growth_report_from_kq_only():

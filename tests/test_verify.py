@@ -28,6 +28,8 @@ def test_default_suite_all_pass():
     failed = [r for r in reports if not r.passed]
     assert not failed, summary_table(reports)
     assert {r.name for r in reports} == set(CHECK_NAMES)
+    # whichever check made it, a report carries its margin as a Python float
+    assert all(type(r.margin) is float for r in reports)
 
 
 def test_suite_deterministic():
