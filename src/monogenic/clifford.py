@@ -161,7 +161,16 @@ class CliffordNumber:
         return sum((v * v for v in self._coeffs.values()), 0)
 
     def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+        """Euclidean norm of the blade coefficients.  Where the sum of squares
+        underflows to 0 or overflows for nonzero coefficients, math.hypot
+        scales them instead."""
+        try:
+            value = math.sqrt(self.norm_sq())
+        except OverflowError:  # an exact sum of squares beyond the float range
+            value = math.inf
+        if (value == 0.0 or value == math.inf) and self._coeffs:
+            return math.hypot(*map(float, self._coeffs.values()))
+        return value
 
     def to_float(self) -> "CliffordNumber":
         """The float copy; ValueError if a coefficient is beyond the float range."""

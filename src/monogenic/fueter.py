@@ -236,5 +236,10 @@ def sampled_sups(
         return [0.0] * len(radii)
     dirs = sphere_directions(n + 1, samples, seed=seed)
     points = np.concatenate([r * dirs for r in radii])
-    moduli = np.linalg.norm(basis_combination(coeffs, points), axis=1)
+    values = basis_combination(coeffs, points)
+    with np.errstate(over="ignore"):
+        moduli = np.linalg.norm(values, axis=1)
+    # where the sum of squares underflows to 0 or overflows, hypot scales
+    redo = ((moduli == 0.0) | (moduli == np.inf)) & np.isfinite(values).all(axis=1)
+    moduli[redo] = np.hypot.reduce(values[redo], axis=1)
     return moduli.reshape(len(radii), -1).max(axis=1).tolist()

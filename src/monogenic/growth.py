@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import logsumexp
 
+from ._numeric import brentq, logsumexp
 from .errors import InvariantViolationError, UndefinedOrderError
 from .fueter import sampled_sups
 from .multiindex import MultiIndex, ln_c_nm, mi_abs
@@ -355,7 +354,7 @@ def log_coeff_norms(f: MonogenicSeries) -> dict[MultiIndex, float]:
 
 
 def ln_sum(values) -> float:
-    """ln of the sum of e^v over the values (scipy's logsumexp)."""
+    """ln of the sum of e^v over the values (a log-sum-exp)."""
     return float(logsumexp(values))
 
 

@@ -8,24 +8,23 @@ families attain their suprema exactly.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import qmc
 
+from ._numeric import ndtri, sobol_base2
 from .clifford import Paravector
 
 
 def sphere_directions(dim: int, count: int, seed: int = 0) -> np.ndarray:
     """~count unit vectors in R^dim: all +/- axis points, then a scrambled
-    Sobol set pushed through the inverse normal CDF and normalised."""
+    Sobol set pushed through the inverse normal CDF and normalised.  The
+    Sobol set exists for dim <= 10; beyond that a count above the 2*dim
+    axis points raises ValueError."""
     axes = np.concatenate([np.eye(dim), -np.eye(dim)])
     extra = max(count - len(axes), 0)
     if extra == 0:
         return axes
-    sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
     m = max(int(np.ceil(np.log2(extra))), 0)
-    u = sampler.random_base2(m=m)[:extra]
+    u = sobol_base2(dim, m, seed)[:extra]
     # Clip away the corners where ndtri is infinite.
-    from scipy.special import ndtri
-
     g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     norms[norms == 0] = 1.0

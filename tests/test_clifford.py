@@ -120,6 +120,15 @@ def test_norm_values():
     )
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e160, 1e200])
+def test_norm_of_coefficients_whose_squares_leave_the_float_range(scale):
+    for coeff in (scale, Fraction(scale)):
+        v = CliffordNumber(2, {0b00: 3 * coeff, 0b11: 4 * coeff})
+        assert math.isclose(v.norm(), 5 * scale, rel_tol=1e-15)
+    assert CliffordNumber(2, {0b00: 0.0}).norm() == 0.0
+    assert CliffordNumber(2, {0b00: math.inf, 0b01: scale}).norm() == math.inf
+
+
 def test_paravector_embedding_grades():
     x = Paravector(2.0, [1.0, 0.0, -1.0])
     c = x.to_clifford()

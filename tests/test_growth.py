@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
 
+import monogenic
 import monogenic.growth as growth
+from monogenic._numeric import logsumexp
 from monogenic.errors import InvariantViolationError, UndefinedOrderError
 from monogenic.growth import (
     GrowthReport,
@@ -24,6 +29,7 @@ from monogenic.growth import (
     weighted_norm_ln,
 )
 from monogenic.multiindex import mi_abs
+from monogenic.sampling import sphere_directions
 from monogenic.series import MonogenicSeries, max_modulus
 from monogenic.clifford import CliffordNumber
 from monogenic.verify import random_rational_series
@@ -461,3 +467,57 @@ def test_growth_report_csv_shape():
     # kq_rhs and membership_value are one per-degree type under two headers
     assert all(row.split(",")[4] == row.split(",")[5] for row in rows)
     assert rep.member_verdict is True
+
+
+@pytest.mark.parametrize("power", [-200, 160, 200])
+@pytest.mark.parametrize("exact", [False, True])
+def test_weighted_norm_of_extreme_coefficients(power, exact):
+    # the squared coefficient norm underflows or overflows; the bracket must
+    # still be the unit-coefficient bracket shifted by ln(scale)
+    po = ProximateOrder("constant", 1.0)
+    coeff = Fraction(10) ** power
+    scale = float(coeff)
+    if not exact:
+        coeff = scale
+    f = MonogenicSeries(2, 1, {(1, 0): CliffordNumber.scalar(2, coeff)})
+    unit = MonogenicSeries(2, 1, {(1, 0): CliffordNumber.scalar(2, 1.0)})
+    ln_lower, ln_upper = weighted_norm_ln(f, po, 1.0, samples=0)
+    assert ln_lower == -math.inf and math.isfinite(ln_upper)
+    expected = weighted_norm_ln(unit, po, 1.0, samples=0)[1] + math.log(scale)
+    assert ln_upper == pytest.approx(expected, rel=1e-12)
+    sampled_lower, sampled_upper = weighted_norm_ln(f, po, 1.0, samples=8)
+    assert math.isfinite(sampled_lower) and sampled_lower <= sampled_upper == ln_upper
+
+
+def test_sphere_directions_name_the_dimension_limit():
+    assert len(sphere_directions(11, 22)) == 22  # the axis points need no Sobol set
+    with pytest.raises(ValueError, match="10"):
+        sphere_directions(11, 32)
+
+
+NO_SCIPY_SCRIPT = """
+import os, sys, tempfile
+import monogenic
+from monogenic import serialize
+from monogenic.cli import main
+from monogenic.verify import VerifyConfig, random_rational_series, run_all
+
+run_all(VerifyConfig(n=2))
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "f.json")
+    serialize.write_file(path, serialize.series_to_obj(random_rational_series(2, 4, 3).to_float()))
+    code = main(["--samples", "8", "growth", path, "--po", "loglog:1:1", "--window", "1:4",
+                 "--sigma", "1", "--out", os.path.join(tmp, "r.csv")])
+assert code == 0, code
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+def test_runtime_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(monogenic.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
