@@ -11,20 +11,20 @@ Evaluation uses the right-factor recursion
     V_m(x) = (1/|m|) * sum_i  m_i * V_{m-e_i}(x) * z_i(x),      V_0 = 1,
 
 which regroups the permutation sum by last factor: it costs O(prod(m_i+1))
-per point instead of |m|! and is exact in exact mode.
+per point instead of |m|! and is exact at an exact point.
 
-``FueterCache`` runs it one point at a time on ``CliffordNumber`` values; in
-exact mode it is the reference.  ``basis_values`` runs the same recursion in
-float mode over a batch of points at once on dense numpy blade arrays, and
-``basis_combination`` contracts it with series coefficients; float series
-evaluation and the sampled sup norms go through these two.
+``FueterCache`` runs it one point at a time on ``CliffordNumber`` values; at
+an exact point it is the reference.  ``basis_values`` runs it in floats over
+a batch of points on dense numpy blade arrays, and ``basis_combination``
+contracts it with series coefficients; float series evaluation, the sampled
+sup norms and the Dirac residuals go through these two.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Collection, Mapping
 
 import numpy as np
 
@@ -42,40 +42,35 @@ def fueter_var(axis: int, x: Paravector) -> CliffordNumber:
 
 
 class FueterCache:
-    """Memoised basis evaluation at one fixed point.
+    """Memoised basis evaluation at one fixed point, in the point's arithmetic:
+    V_0 is an exact 1 and the weights are Fraction(1, |m|), whose float is 1.0/|m|.
 
     The memo is confined to this object; share one cache per point per task.
     """
 
-    def __init__(self, x: Paravector, exact: bool = False):
-        self.x = x
+    def __init__(self, x: Paravector):
         self.n = x.dim
-        self.exact = exact
         self._vars = [fueter_var(i, x) for i in range(1, self.n + 1)]
-        one: CliffordNumber = CliffordNumber.scalar(self.n, Fraction(1) if exact else 1.0)
-        self._memo: dict[MultiIndex, CliffordNumber] = {(0,) * self.n: one}
+        self._memo = {(0,) * self.n: CliffordNumber.scalar(self.n, Fraction(1))}
 
     def value(self, m: MultiIndex) -> CliffordNumber:
         memo = self._memo
         got = memo.get(m)
         if got is not None:
             return got
-        q = mi_abs(m)
         acc = CliffordNumber.zero(self.n)
         for i, mi in enumerate(m):
             if mi == 0:
                 continue
             prev = self.value(tuple(v - 1 if j == i else v for j, v in enumerate(m)))
             acc = acc + cl_mul(prev, self._vars[i]).scale(mi)
-        weight = Fraction(1, q) if self.exact else 1.0 / q
-        out = acc.scale(weight)
-        memo[m] = out
+        memo[m] = out = acc.scale(Fraction(1, mi_abs(m)))
         return out
 
 
-def fueter_eval(m: MultiIndex, x: Paravector, exact: bool = False) -> CliffordNumber:
+def fueter_eval(m: MultiIndex, x: Paravector) -> CliffordNumber:
     """Evaluate the basis element for m at x (fresh cache; see FueterCache)."""
-    return FueterCache(x, exact=exact).value(m)
+    return FueterCache(x).value(m)
 
 
 def fueter_derivative_rule(m: MultiIndex, axis: int) -> tuple[int, MultiIndex | None]:
@@ -171,7 +166,7 @@ def basis_values(points, degree: int) -> np.ndarray:
     ``points`` is (P, n+1) with rows (x0, x1, ..., xn); the middle axis follows
     ``enumerate_up_to(n, degree)``.  The recursion runs degree by degree over
     all points at once and multiplies in the order ``FueterCache`` does, so
-    each value equals the float ``FueterCache(x).value(m)``.  The array holds
+    each value equals ``FueterCache(x).value(m)`` at a float x.  The array holds
     every point; ``basis_combination`` bounds its size by working in blocks.
     """
     pts = np.asarray(points, dtype=float)
@@ -190,6 +185,19 @@ def basis_values(points, degree: int) -> np.ndarray:
     return out
 
 
+def blade_rows(n: int, values: Collection[CliffordNumber]) -> np.ndarray:
+    """The blade coefficients of each value as one float row: (len, 2^n)."""
+    out = np.zeros((len(values), 1 << n))
+    for s, a in enumerate(values):
+        try:
+            for mask, value in a.coeffs.items():
+                out[s, mask] = value
+        except OverflowError:  # an exact value beyond the float range
+            a.to_float()  # raises the ValueError that names it
+            raise
+    return out
+
+
 def basis_combination(coeffs: Mapping[MultiIndex, CliffordNumber], points) -> np.ndarray:
     """sum_m V_m(x) a_m at every point: an array (P, 2^n), one row per point.
 
@@ -202,14 +210,7 @@ def basis_combination(coeffs: Mapping[MultiIndex, CliffordNumber], points) -> np
     degree = max(map(mi_abs, coeffs), default=0)
     position, _ = _layout(n, degree)
     rows = [position[m] for m in coeffs]
-    dense = np.zeros((len(rows), size))
-    for s, a in enumerate(coeffs.values()):
-        try:
-            for mask, value in a.coeffs.items():
-                dense[s, mask] = value
-        except OverflowError:  # an exact value beyond the float range
-            a.to_float()  # raises the ValueError that names it
-            raise
+    dense = blade_rows(n, coeffs.values())
     # right multiplication by a: (v a)[k] = sum_b v[b] signs[b, b^k] a[b^k]
     blades = np.arange(size)[:, None]
     xor = blades ^ blades.T

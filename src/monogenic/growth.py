@@ -333,7 +333,7 @@ def k_q(
     Lower: sampled max on the unit sphere (the part is homogeneous, so the
     ball sup sits on the boundary), axis points included.  Upper: sum of
     coefficient norms, since each basis polynomial has unit-ball sup <= 1.
-    ``samples=0`` keeps the axis points only; a negative count raises.
+    ``samples=0`` keeps the axis points only; a negative count or q raises.
     """
     return max_modulus(f.homogeneous_part(q), 1.0, samples, seed=seed)
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 from .clifford import (
     CliffordNumber,
@@ -21,7 +23,7 @@ from .clifford import (
     integer_numerators,
 )
 from .errors import DimensionMismatchError
-from .fueter import FueterCache, basis_combination, sampled_sups
+from .fueter import FueterCache, _blade_signs, basis_combination, blade_rows, sampled_sups
 from .multiindex import (
     MultiIndex,
     check_index,
@@ -120,7 +122,7 @@ class MonogenicSeries:
     def homogeneous_part(self, q: int) -> "MonogenicSeries":
         """The degree-q slice: sum over |m| = q of V_m a_m."""
         return MonogenicSeries(
-            self.n, max(q, 0), {m: a for m, a in self._coeffs.items() if mi_abs(m) == q}
+            self.n, q, {m: a for m, a in self._coeffs.items() if mi_abs(m) == q}
         )
 
     def degree_norms(self) -> dict[int, float]:
@@ -147,15 +149,15 @@ def series_eval(f: MonogenicSeries, x: Paravector, exact: bool = False) -> Cliff
 
     Float mode goes through the batched kernel ``basis_combination`` and keeps
     only the blades whose value is nonzero.  Exact mode shares one
-    ``FueterCache`` for the point and is the reference the kernel is tested
-    against.
+    ``FueterCache`` for the point, in the point's arithmetic, and is the
+    reference the kernel is tested against.
     """
     if x.dim != f.n:
         raise DimensionMismatchError(f"point of dimension {x.dim}, series of dimension {f.n}")
     if not exact:
         row = basis_combination(f._coeffs, [x.components()])[0].tolist()
         return from_numerators(f.n, row, None)
-    cache = FueterCache(x, exact=True)
+    cache = FueterCache(x)
     acc = CliffordNumber.zero(f.n)
     for m, a in f._coeffs.items():
         acc = acc + cl_mul(cache.value(m), a)
@@ -246,46 +248,45 @@ def ck_sums(
     return out
 
 
-PointFunction = Callable[[Paravector], CliffordNumber]
-
-
 def dirac_residuals(
-    evaluate: Callable[[Paravector], Mapping[Hashable, CliffordNumber]],
-    x: Paravector,
-    h: float = 1e-5,
-) -> dict[Hashable, float]:
+    evaluate: Callable[[np.ndarray], np.ndarray], x: Paravector, h: float = 1e-5
+) -> list[float]:
     """Central-difference Dirac residual norm(d/dx0 f + sum_i e_i d/dx_i f) at x
-    for every key of a keyed table of functions; small exactly when the keyed
-    function is monogenic.  ``evaluate`` is called once per offset point, so a
-    table can share one basis cache per point."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    of K functions; small exactly when a function is monogenic.  ``evaluate``
+    maps the offset points x + h e_0, x - h e_0, x + h e_1, ... (an array
+    (2(n+1), n+1)) to their values, an array (2(n+1), K, 2^n); e_i acts by a
+    signed blade permutation, and each residual is the ``CliffordNumber.norm``
+    of its row (squares summed in mask order), so a NaN value gives NaN."""
+    if not 0 < h < np.inf:
+        raise ValueError(f"step h must be positive and finite, got {h}")
     n = x.dim
-    tables = []
-    for axis in range(n + 1):
-        for sign in (1.0, -1.0):
-            comps = list(x.components())
-            comps[axis] += sign * h
-            tables.append(evaluate(Paravector.from_components(comps)))
-    out = {}
-    for key in tables[0]:
-        acc = CliffordNumber.zero(n)
-        for axis in range(n + 1):
-            diff = (tables[2 * axis][key] - tables[2 * axis + 1][key]).scale(1.0 / (2.0 * h))
-            acc = acc + (diff if axis == 0 else cl_mul(CliffordNumber.unit(n, axis), diff))
-        out[key] = acc.norm()
-    return out
+    points = np.array([x.components()] * (2 * n + 2), dtype=float)
+    points[range(2 * n + 2), np.arange(2 * n + 2) // 2] += [h, -h] * (n + 1)
+    values = evaluate(points)
+    diff = (values[0::2] - values[1::2]) * (1.0 / (2.0 * h))
+    acc = diff[0]
+    for axis in range(1, n + 1):
+        flip = np.arange(1 << n) ^ (1 << (axis - 1))  # (e_i d)[k] = sign(e_i e_flip) d[flip]
+        acc = acc + diff[axis][:, flip] * _blade_signs(n)[1 << (axis - 1), flip]
+    return [CliffordNumber(n, dict(enumerate(row))).norm() for row in acc.tolist()]
 
 
 def dirac_residual(
-    f: MonogenicSeries | PointFunction,
+    f: MonogenicSeries | Callable[[Paravector], CliffordNumber],
     points: list[Paravector],
     h: float = 1e-5,
 ) -> float:
-    """Max over points of the Dirac residual of one series or point function."""
-    func = (lambda x: series_eval(f, x)) if isinstance(f, MonogenicSeries) else f
-    evaluate = lambda x: {0: func(x)}
-    return max([0.0] + [dirac_residuals(evaluate, x, h)[0] for x in points])
+    """Max over points of the Dirac residual of one series (one
+    ``basis_combination`` call per point) or point function; NaN if one is NaN."""
+    if isinstance(f, MonogenicSeries):
+        if any(x.dim != f.n for x in points):
+            raise DimensionMismatchError(f"a point is not of the series dimension {f.n}")
+        evaluate = lambda pts: basis_combination(f._coeffs, pts)[:, None]
+    else:
+        evaluate = lambda pts: blade_rows(
+            pts.shape[1] - 1, [f(Paravector.from_components(p)) for p in pts.tolist()]
+        )[:, None]
+    return float(np.max([dirac_residuals(evaluate, x, h)[0] for x in points], initial=0.0))
 
 
 def max_modulus(
@@ -294,8 +295,8 @@ def max_modulus(
     """(sampled lower bound, coefficient upper bound) for sup of norm(f) on the
     sphere of radius r.  Directions are deterministic and include the axes;
     ``samples=0`` keeps the axis points only."""
-    if r < 0:
-        raise ValueError("radius must be >= 0")
+    if not 0 <= r < np.inf:
+        raise ValueError(f"radius must be finite and >= 0, got {r}")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     upper = f.coeff_upper_bound(r)

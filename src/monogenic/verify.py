@@ -21,7 +21,7 @@ import numpy as np
 
 from .clifford import CliffordNumber, Paravector, cl_mul
 from .errors import SerializationError
-from .fueter import basis_values, ordered_word_eval
+from .fueter import basis_values, blade_rows, ordered_word_eval
 from .growth import (
     ProximateOrder,
     axis_log_norms,
@@ -261,20 +261,18 @@ def check_monogenicity(n: int, seed: int = 0, corruption: str | None = None) -> 
     q_max, points, h = 5, 12, 1e-5
     indices = enumerate_up_to(n, q_max)
 
-    def evaluate(p: Paravector) -> dict:
+    def evaluate(pts: np.ndarray) -> np.ndarray:
         if corruption == "ordered-words":
-            return {m: ordered_word_eval(m, p) for m in indices}
-        # every blade, in mask order: each residual sums the same squares in
-        # the same order whichever blades happen to be zero
-        table = basis_values([p.components()], q_max)[0].tolist()
-        return {m: CliffordNumber(n, dict(enumerate(row))) for m, row in zip(indices, table)}
+            xs = map(Paravector.from_components, pts.tolist())
+            return np.stack([blade_rows(n, [ordered_word_eval(m, x) for m in indices]) for x in xs])
+        return basis_values(pts, q_max)
 
     margin = math.inf
     worst = None
     for point in ball_points(n, 1.2, points, seed=seed):
         residuals = dirac_residuals(evaluate, point, h)
         r = point.norm()
-        for m, res in residuals.items():
+        for m, res in zip(indices, residuals):
             bound = 1e-6 * (1.0 + r ** mi_abs(m))
             gap = bound - res
             if gap < margin:

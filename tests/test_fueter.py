@@ -34,12 +34,12 @@ def test_fueter_var_values():
 
 def test_low_degree_closed_forms():
     x = Paravector(Fraction(1, 3), [Fraction(2), Fraction(-1, 2)])
-    assert fueter_eval((0, 0), x, exact=True) == CliffordNumber.scalar(2, Fraction(1))
-    v = fueter_eval((1, 0), x, exact=True)
+    assert fueter_eval((0, 0), x) == CliffordNumber.scalar(2, Fraction(1))
+    v = fueter_eval((1, 0), x)
     assert v == CliffordNumber(2, {0: Fraction(2), 0b01: Fraction(-1, 3)})
     # the mixed element at the time axis vanishes: (e1 e2 + e2 e1)/2 = 0
     e0 = Paravector(Fraction(1), [Fraction(0), Fraction(0)])
-    assert fueter_eval((1, 1), e0, exact=True).is_zero()
+    assert fueter_eval((1, 1), e0).is_zero()
 
 
 def test_symmetrization_oracle_exact():
@@ -59,7 +59,7 @@ def test_symmetrization_oracle_exact():
             total = total + term
             count += 1
         expected = total.scale(Fraction(1, count))
-        assert fueter_eval(m, x, exact=True) == expected
+        assert fueter_eval(m, x) == expected
 
 
 def test_left_and_right_recursions_agree():
@@ -84,7 +84,7 @@ def test_left_and_right_recursions_agree():
 
     memo = {(0, 0): CliffordNumber.scalar(2, Fraction(1))}
     for m in enumerate_up_to(2, 5):
-        assert left_recursion(m, memo) == fueter_eval(m, x, exact=True)
+        assert left_recursion(m, memo) == fueter_eval(m, x)
 
 
 @pytest.mark.parametrize(
@@ -166,8 +166,8 @@ def test_axis_relabeling_symmetry():
     x = Paravector(Fraction(1, 3), [Fraction(1, 2), Fraction(-2)])
     x_swapped = Paravector(x.x0, [x.xv[1], x.xv[0]])
     for m in [(2, 1), (1, 3), (2, 2)]:
-        v = fueter_eval(m, x, exact=True)
-        w = fueter_eval((m[1], m[0]), x_swapped, exact=True)
+        v = fueter_eval(m, x)
+        w = fueter_eval((m[1], m[0]), x_swapped)
         assert w[0b00] == v[0b00]
         assert w[0b01] == v[0b10]
         assert w[0b10] == v[0b01]

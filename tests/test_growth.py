@@ -255,6 +255,8 @@ def test_k_q_bounds():
     assert lo == pytest.approx(2.5, rel=1e-12)
     assert up == pytest.approx(2.5, rel=1e-12)
     assert k_q(f, 3) == (0.0, 0.0)
+    with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+        k_q(f, -1)
     lo2, up2 = k_q(f, 2, samples=256)
     assert 0.0 < lo2 <= up2 == pytest.approx(1.0)
 

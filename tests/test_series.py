@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -156,13 +157,35 @@ def test_dirac_residual_detects_corruption(rng):
         return series_eval(f, x).scale(x.x0)
 
     assert dirac_residual(corrupted, points, h=1e-5) > 1e-2
-    # a keyed table gives each key the residual of that function alone
+    # K stacked functions: each gets the residual of that function alone
     x = points[0]
-    table = dirac_residuals(lambda p: {"f": series_eval(f, p), "bad": corrupted(p)}, x, h=1e-5)
-    assert table == {
-        "f": dirac_residual(f, [x], h=1e-5),
-        "bad": dirac_residual(corrupted, [x], h=1e-5),
-    }
+    funcs = [lambda p: series_eval(f, p), corrupted]
+
+    def evaluate(pts):
+        xs = [Paravector.from_components(p) for p in pts.tolist()]
+        return np.stack([fueter.blade_rows(2, [g(y) for g in funcs]) for y in xs])
+
+    residuals = dirac_residuals(evaluate, x, h=1e-5)
+    assert residuals == [dirac_residual(g, [x], h=1e-5) for g in funcs]
+    assert residuals[0] < 1e-6 < residuals[1]
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -1e-5])
+def test_dirac_residual_rejects_bad_step(h):
+    f = MonogenicSeries.basis_element(2, (1, 1), exact=False)
+    with pytest.raises(ValueError, match="step h must be positive and finite"):
+        dirac_residual(f, [Paravector(0.1, [0.2, 0.3])], h=h)
+
+
+def test_dirac_residual_nan_is_not_monogenic():
+    """A NaN point or a NaN value gives a NaN residual, wherever it sits
+    among the points, never the 0.0 that reads as monogenic."""
+    f = MonogenicSeries.basis_element(2, (1, 1), exact=False)
+    good, bad = Paravector(0.1, [0.2, 0.3]), Paravector(math.nan, [0.2, 0.3])
+    assert math.isnan(dirac_residual(f, [good, bad]))
+    assert math.isnan(dirac_residual(f, [bad, good]))
+    assert math.isnan(dirac_residual(lambda x: CliffordNumber.scalar(2, math.nan), [good]))
+    assert dirac_residual(f, []) == 0.0
 
 
 def test_dirac_residual_constant_is_roundoff():
@@ -178,6 +201,14 @@ def test_max_modulus_axis_family():
         assert lower == pytest.approx(r**5, rel=1e-12)  # axis point is sampled
     lower, upper = max_modulus(f, 0.0)
     assert lower == upper == 0.0
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, -1.0])
+def test_max_modulus_rejects_bad_radius(r):
+    f = MonogenicSeries.basis_element(2, (2, 0), exact=False)
+    for samples in (0, 8):
+        with pytest.raises(ValueError, match="radius must be finite and >= 0, got"):
+            max_modulus(f, r, samples=samples)
 
 
 def test_max_modulus_bracket(rng):
