@@ -21,6 +21,7 @@ from .errors import (
 )
 from .fueter import (
     FueterCache,
+    dirac_residuals,
     fueter_derivative_rule,
     fueter_eval,
     fueter_sup_unit_ball,
@@ -56,7 +57,6 @@ from .series import (
     MonogenicSeries,
     ck_mul_left,
     dirac_residual,
-    dirac_residuals,
     max_modulus,
     series_derivative,
     series_eval,

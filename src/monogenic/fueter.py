@@ -17,18 +17,19 @@ per point instead of |m|! and is exact at an exact point.
 an exact point it is the reference.  ``basis_values`` runs it in floats over
 a batch of points on dense numpy blade arrays, and ``basis_combination``
 contracts it with series coefficients; float series evaluation, the sampled
-sup norms and the Dirac residuals go through these two.
+sup norms and the Dirac residuals (``dirac_residuals``) use these blade arrays.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Collection, Mapping
+from typing import Callable, Collection, Mapping
 
 import numpy as np
 
 from .clifford import CliffordNumber, Paravector, blade_signs, cl_mul
+from .errors import DimensionMismatchError
 from .multiindex import MultiIndex, enumerate_degree, enumerate_up_to, mi_abs
 from .sampling import sphere_directions
 
@@ -43,7 +44,8 @@ def fueter_var(axis: int, x: Paravector) -> CliffordNumber:
 
 class FueterCache:
     """Memoised basis evaluation at one fixed point, in the point's arithmetic:
-    V_0 is an exact 1 and the weights are Fraction(1, |m|), whose float is 1.0/|m|.
+    V_0 is Fraction(1) at an exact point and 1.0 otherwise, and the weights are
+    Fraction(1, |m|), whose float is 1.0/|m|.
 
     The memo is confined to this object; share one cache per point per task.
     """
@@ -51,7 +53,8 @@ class FueterCache:
     def __init__(self, x: Paravector):
         self.n = x.dim
         self._vars = [fueter_var(i, x) for i in range(1, self.n + 1)]
-        self._memo = {(0,) * self.n: CliffordNumber.scalar(self.n, Fraction(1))}
+        one = Fraction(1) if x.to_clifford().is_exact() else 1.0
+        self._memo = {(0,) * self.n: CliffordNumber.scalar(self.n, one)}
 
     def value(self, m: MultiIndex) -> CliffordNumber:
         memo = self._memo
@@ -189,6 +192,8 @@ def blade_rows(n: int, values: Collection[CliffordNumber]) -> np.ndarray:
     """The blade coefficients of each value as one float row: (len, 2^n)."""
     out = np.zeros((len(values), 1 << n))
     for s, a in enumerate(values):
+        if a.dim != n:
+            raise DimensionMismatchError(f"a value of dimension {a.dim} among rows of {n}")
         try:
             for mask, value in a.coeffs.items():
                 out[s, mask] = value
@@ -221,6 +226,29 @@ def basis_combination(coeffs: Mapping[MultiIndex, CliffordNumber], points) -> np
         values = basis_values(pts[start : start + step], degree)[:, rows]
         out[start : start + step] = values.reshape(len(values), -1) @ right
     return out
+
+
+def dirac_residuals(
+    evaluate: Callable[[np.ndarray], np.ndarray], x: Paravector, h: float = 1e-5
+) -> list[float]:
+    """Central-difference Dirac residual norm(d/dx0 f + sum_i e_i d/dx_i f) at x
+    of K functions; small exactly when a function is monogenic.  ``evaluate``
+    maps the offset points x + h e_0, x - h e_0, x + h e_1, ... (an array
+    (2(n+1), n+1)) to their values, an array (2(n+1), K, 2^n); e_i acts by a
+    signed blade permutation, and each residual is the ``CliffordNumber.norm``
+    of its row (squares summed in mask order), so a NaN value gives NaN."""
+    if not 0 < h < np.inf:
+        raise ValueError(f"step h must be positive and finite, got {h}")
+    n = x.dim
+    points = np.array([x.components()] * (2 * n + 2), dtype=float)
+    points[range(2 * n + 2), np.arange(2 * n + 2) // 2] += [h, -h] * (n + 1)
+    values = evaluate(points)
+    diff = (values[0::2] - values[1::2]) * (1.0 / (2.0 * h))
+    acc = diff[0]
+    for axis in range(1, n + 1):
+        flip = np.arange(1 << n) ^ (1 << (axis - 1))  # (e_i d)[k] = sign(e_i e_flip) d[flip]
+        acc = acc + diff[axis][:, flip] * _blade_signs(n)[1 << (axis - 1), flip]
+    return [CliffordNumber(n, dict(enumerate(row))).norm() for row in acc.tolist()]
 
 
 def sampled_sups(

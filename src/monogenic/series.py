@@ -23,7 +23,7 @@ from .clifford import (
     integer_numerators,
 )
 from .errors import DimensionMismatchError
-from .fueter import FueterCache, _blade_signs, basis_combination, blade_rows, sampled_sups
+from .fueter import FueterCache, basis_combination, blade_rows, dirac_residuals, sampled_sups
 from .multiindex import (
     MultiIndex,
     check_index,
@@ -248,44 +248,16 @@ def ck_sums(
     return out
 
 
-def dirac_residuals(
-    evaluate: Callable[[np.ndarray], np.ndarray], x: Paravector, h: float = 1e-5
-) -> list[float]:
-    """Central-difference Dirac residual norm(d/dx0 f + sum_i e_i d/dx_i f) at x
-    of K functions; small exactly when a function is monogenic.  ``evaluate``
-    maps the offset points x + h e_0, x - h e_0, x + h e_1, ... (an array
-    (2(n+1), n+1)) to their values, an array (2(n+1), K, 2^n); e_i acts by a
-    signed blade permutation, and each residual is the ``CliffordNumber.norm``
-    of its row (squares summed in mask order), so a NaN value gives NaN."""
-    if not 0 < h < np.inf:
-        raise ValueError(f"step h must be positive and finite, got {h}")
-    n = x.dim
-    points = np.array([x.components()] * (2 * n + 2), dtype=float)
-    points[range(2 * n + 2), np.arange(2 * n + 2) // 2] += [h, -h] * (n + 1)
-    values = evaluate(points)
-    diff = (values[0::2] - values[1::2]) * (1.0 / (2.0 * h))
-    acc = diff[0]
-    for axis in range(1, n + 1):
-        flip = np.arange(1 << n) ^ (1 << (axis - 1))  # (e_i d)[k] = sign(e_i e_flip) d[flip]
-        acc = acc + diff[axis][:, flip] * _blade_signs(n)[1 << (axis - 1), flip]
-    return [CliffordNumber(n, dict(enumerate(row))).norm() for row in acc.tolist()]
-
-
 def dirac_residual(
     f: MonogenicSeries | Callable[[Paravector], CliffordNumber],
     points: list[Paravector],
     h: float = 1e-5,
 ) -> float:
-    """Max over points of the Dirac residual of one series (one
-    ``basis_combination`` call per point) or point function; NaN if one is NaN."""
-    if isinstance(f, MonogenicSeries):
-        if any(x.dim != f.n for x in points):
-            raise DimensionMismatchError(f"a point is not of the series dimension {f.n}")
-        evaluate = lambda pts: basis_combination(f._coeffs, pts)[:, None]
-    else:
-        evaluate = lambda pts: blade_rows(
-            pts.shape[1] - 1, [f(Paravector.from_components(p)) for p in pts.tolist()]
-        )[:, None]
+    """Max over points (NaN if any is NaN) of the Dirac residual of a series or point function."""
+    func = (lambda x: series_eval(f, x)) if isinstance(f, MonogenicSeries) else f
+    evaluate = lambda pts: blade_rows(
+        pts.shape[1] - 1, [func(Paravector.from_components(p)) for p in pts.tolist()]
+    )[:, None]
     return float(np.max([dirac_residuals(evaluate, x, h)[0] for x in points], initial=0.0))
 
 

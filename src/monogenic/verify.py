@@ -21,7 +21,7 @@ import numpy as np
 
 from .clifford import CliffordNumber, Paravector, cl_mul
 from .errors import SerializationError
-from .fueter import basis_values, blade_rows, ordered_word_eval
+from .fueter import basis_values, blade_rows, dirac_residuals, ordered_word_eval
 from .growth import (
     ProximateOrder,
     axis_log_norms,
@@ -42,7 +42,7 @@ from .multiindex import (
 from .operators import OperatorSymbol, hom_to_op, op_apply, op_to_hom
 from .sampling import ball_points
 from .serialize import is_finite_number, is_integer, obj_to_scale
-from .series import MonogenicSeries, ck_mul_left, dirac_residuals, series_derivative
+from .series import MonogenicSeries, ck_mul_left, series_derivative
 
 LOG_TOL = 1e-9
 

@@ -12,7 +12,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from monogenic.clifford import CliffordNumber, Paravector, cl_mul
-from monogenic.fueter import FueterCache, basis_values, fueter_derivative_rule, fueter_eval
+from monogenic.fueter import (
+    FueterCache,
+    basis_values,
+    dirac_residuals,
+    fueter_derivative_rule,
+    fueter_eval,
+)
 from monogenic.growth import (
     ProximateOrder,
     axis_log_norms,
@@ -43,7 +49,6 @@ from monogenic.series import (
     MonogenicSeries,
     ck_mul_left,
     dirac_residual,
-    dirac_residuals,
     series_derivative,
 )
 from monogenic.verify import (

@@ -42,6 +42,17 @@ def test_low_degree_closed_forms():
     assert fueter_eval((1, 1), e0).is_zero()
 
 
+def test_cache_arithmetic_follows_the_point():
+    """A float point gives floats everywhere, V_0 included; an exact point,
+    ints among its components, gives Fractions."""
+    points = [(Paravector(0.1, [0.2, 0.3]), float), (Paravector(0, [2, Fraction(-1, 2)]), Fraction)]
+    for x, kind in points:
+        cache = FueterCache(x)
+        for m in enumerate_up_to(2, 3):
+            assert {type(v) for v in cache.value(m).coeffs.values()} <= {kind}, (x, m)
+        assert type(cache.value((0, 0))[0]) is kind
+
+
 def test_symmetrization_oracle_exact():
     """Recursion equals the explicit permutation-sum definition."""
     from itertools import permutations

@@ -15,7 +15,6 @@ from monogenic.series import (
     MonogenicSeries,
     ck_mul_left,
     dirac_residual,
-    dirac_residuals,
     max_modulus,
     series_derivative,
     series_eval,
@@ -165,9 +164,18 @@ def test_dirac_residual_detects_corruption(rng):
         xs = [Paravector.from_components(p) for p in pts.tolist()]
         return np.stack([fueter.blade_rows(2, [g(y) for g in funcs]) for y in xs])
 
-    residuals = dirac_residuals(evaluate, x, h=1e-5)
-    assert residuals == [dirac_residual(g, [x], h=1e-5) for g in funcs]
+    residuals = fueter.dirac_residuals(evaluate, x, h=1e-5)
+    assert residuals == [dirac_residual(f, [x], h=1e-5), dirac_residual(corrupted, [x], h=1e-5)]
     assert residuals[0] < 1e-6 < residuals[1]
+
+
+def test_dirac_residual_rejects_value_of_another_dimension():
+    x = Paravector(0.1, [0.2, 0.3])
+    for dim in (1, 3):
+        with pytest.raises(DimensionMismatchError):
+            dirac_residual(lambda p: CliffordNumber.scalar(dim, p.x0), [x])
+    with pytest.raises(DimensionMismatchError):
+        dirac_residual(MonogenicSeries.basis_element(1, (1,), exact=False), [x])
 
 
 @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -1e-5])
