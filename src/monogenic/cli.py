@@ -241,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, InvariantViolationError, FileNotFoundError) as exc:
+    except (ValueError, InvariantViolationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

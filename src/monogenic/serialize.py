@@ -9,8 +9,10 @@ Scale spec:     {"family": "constant"|"logshift"|"loglog", "rho": num, "a": num}
 
 Blade keys are digit strings with strictly increasing digits ("" is the
 scalar part), multi-indices are emitted in lexicographic order, blade keys
-sorted, exact rationals as "p/q" strings, floats with 17 significant digits.
-Emission is deterministic so canonical files are diffable byte for byte.
+sorted, exact rationals as "p/q" strings, floats in Python's shortest
+round-trip repr (``json.dumps``), so every finite float, -0.0 included,
+reads back bit for bit. Emission is deterministic so canonical files are
+diffable byte for byte.
 On input, "n", "degree" and index entries must be JSON integers and numbers
 must be finite JSON numbers; booleans are neither.
 """
@@ -215,47 +217,13 @@ def obj_to_log_norms(obj: dict) -> tuple[int, dict[MultiIndex, float]]:
     return n, out
 
 
-# ---------------------------------------------------------------------------
-# Canonical JSON emission (fixed float formatting, stable ordering)
-# ---------------------------------------------------------------------------
-
-
-def _emit(value: Any, out: list[str]) -> None:
-    if isinstance(value, dict):
-        out.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _emit(item, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(value, bool) or value is None:
-        out.append(json.dumps(value))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise SerializationError(f"cannot serialize non-finite float {value}")
-        out.append(format(value, ".17g"))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    else:
-        raise SerializationError(f"cannot serialize {type(value).__name__}")
-
-
 def canonical_dumps(obj: Any) -> str:
-    out: list[str] = []
-    _emit(obj, out)
-    out.append("\n")
-    return "".join(out)
+    """Compact JSON with a final newline; floats in their shortest
+    round-trip form, and a non-finite float or unknown type rejected."""
+    try:
+        return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(f"cannot serialize: {exc}") from None
 
 
 def loads(text: str) -> Any:
@@ -266,8 +234,9 @@ def loads(text: str) -> Any:
 
 
 def write_file(path: str, obj: Any) -> None:
+    text = canonical_dumps(obj)  # before open, so a rejected document truncates nothing
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(obj))
+        fh.write(text)
 
 
 def read_file(path: str) -> Any:

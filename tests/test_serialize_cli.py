@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from monogenic.clifford import CliffordNumber
@@ -42,6 +43,23 @@ def test_series_round_trip_float_17_digits():
     back = serialize.obj_to_series(serialize.loads(text))
     assert back.coeffs[(1, 1)][0b11] == 0.1 + 0.2
     assert back.coeffs[(1, 1)][0] == 1.0 / 3.0
+    # the sign of zero, a subnormal, an integral float and the largest double
+    # read back bit for bit
+    values = (-0.0, 5e-324, 1e16, 1.7976931348623157e308)
+    g = MonogenicSeries(2, 2, {(1, 1): CliffordNumber(2, dict(enumerate(values)))})
+    text = serialize.canonical_dumps(serialize.series_to_obj(g))
+    back = serialize.obj_to_series(serialize.loads(text))
+    assert [float.hex(back.coeffs[(1, 1)][mask]) for mask in range(4)] == list(map(float.hex, values))
+
+
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), -float("inf"), object(), np.float32(1)]
+)
+def test_canonical_dumps_rejects_what_json_cannot_hold(value):
+    for doc in (value, {"n": 2, "coeffs": [{"value": {"": value}}]}):
+        with pytest.raises(SerializationError) as info:
+            serialize.canonical_dumps(doc)
+        assert "\n" not in str(info.value)
 
 
 def test_exact_mode_rejects_floats():
@@ -246,6 +264,20 @@ def test_cli_apply_mixed_modes_rejected(tmp_path, capsys):
     assert serialize.read_file(out)["mode"] == "float"
 
 
+def test_cli_failed_write_keeps_existing_out(tmp_path, capsys):
+    """A product that overflows to inf is rejected before --out is opened."""
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(
+        {"n": 2, "degree": 0, "mode": "float", "coeffs": [{"m": [0, 0], "value": {"": 1e200}}]}
+    ))
+    out = tmp_path / "o.json"
+    out.write_bytes(b"previous contents\n")
+    assert main(["ckprod", str(big), str(big), "--degree", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot serialize") and err.count("\n") == 1
+    assert out.read_bytes() == b"previous contents\n"
+
+
 def test_cli_hom_op_file_round_trip(tmp_path):
     P = random_rational_operator(2, 3, 2, 11)
     pp = tmp_path / "P.json"
@@ -436,10 +468,22 @@ def _hom(degree, *indices):
         (_SERIES, ["diff", "IN", "--index", "1,a", "--out", "OUT"]),
         # the same exact value evaluated in float mode, which is the default
         (_series_with([1, 0], "1e400", "exact"), ["eval", "IN", "--point", "0,1,2"]),
+        # paths that are not readable or writable files: a directory as an
+        # input, a config or an output, and a missing input
+        (_SERIES, ["eval", "DIR", "--point", "0,1,2"]),
+        (_SERIES, ["verify", "--config", "DIR"]),
+        (_SERIES, ["diff", "IN", "--index", "1,0", "--out", "DIR"]),
+        (_SERIES, ["growth", "IN", "--po", "constant:1", "--window", "1:2", "--out", "DIR"]),
+        (_SERIES, ["eval", "MISSING", "--point", "0,1,2"]),
     ],
 )
 def test_cli_bad_input_files_exit_2(tmp_path, capsys, obj, argv):
-    paths = {"IN": tmp_path / "in.json", "OUT": tmp_path / "out"}
+    paths = {
+        "IN": tmp_path / "in.json",
+        "OUT": tmp_path / "out",
+        "DIR": tmp_path,
+        "MISSING": tmp_path / "missing.json",
+    }
     paths["IN"].write_text(json.dumps(obj))
     assert main([str(paths.get(a, a)) for a in argv]) == 2
     err = capsys.readouterr().err
