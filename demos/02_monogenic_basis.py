@@ -28,10 +28,15 @@ for m in [(1, 1), (3, 2)]:
     f = MonogenicSeries.basis_element(2, m, exact=False)
     print(f"Dirac residual of V_{m}: {dirac_residual(f, points, h=1e-5):.2e}")
 
-# the unsymmetrised word z1*z2 is NOT monogenic; the residual says so
-from monogenic.fueter import ordered_word_eval
+# the unsymmetrised word z1*z2 is NOT monogenic; the residual says so.
+# ordered_words evaluates every word z1^m1 z2^m2 with |m| <= 2 on a batch of
+# points (rows in enumerate_up_to order); dirac_residuals gives one residual
+# per word at a base point.
+from monogenic import dirac_residuals, enumerate_up_to
+from monogenic.fueter import ordered_words
 
-res = dirac_residual(lambda p: ordered_word_eval((1, 1), p), points, h=1e-5)
+row = enumerate_up_to(2, 2).index((1, 1))
+res = max(dirac_residuals(lambda pts: ordered_words(pts, 2), p, h=1e-5)[row] for p in points)
 print(f"Dirac residual of the ordered word z1 z2: {res:.2e}")
 
 # unit-ball sups never exceed 1 and axis indices attain it

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -66,6 +67,14 @@ def _check_one_mode(*sides) -> None:
     modes = {serialize.mode_of(side) for side in sides if not all(u.is_zero() for u in side)}
     if len(modes) > 1:
         raise SerializationError("mixed exact/float inputs; convert one side first")
+
+
+def _check_out(path: str | None) -> None:
+    """Refuse, before any work, an output path that is a directory or in a missing one."""
+    if path is not None and os.path.isdir(path):
+        raise SerializationError(f"--out {path!r} is a directory")
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise SerializationError(f"--out {path!r}: no such directory")
 
 
 def cmd_eval(args) -> int:
@@ -240,6 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(getattr(args, "out", None))
         return args.func(args)
     except (ValueError, InvariantViolationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,6 +18,9 @@ an exact point it is the reference.  ``basis_values`` runs it in floats over
 a batch of points on dense numpy blade arrays, and ``basis_combination``
 contracts it with series coefficients; float series evaluation, the sampled
 sup norms and the Dirac residuals (``dirac_residuals``) use these blade arrays.
+``ordered_words`` builds the unsymmetrised words z_1^m_1 ... z_n^m_n, the
+non-monogenic negative control, on the same arrays; both take every factor
+through one step, ``_times_z``: V z_j = V x_j - x0 (V e_j).
 """
 
 from __future__ import annotations
@@ -104,20 +107,6 @@ def fueter_sup_unit_ball(m: MultiIndex, samples: int, seed: int = 0) -> float:
     return min(sup, 1.0)
 
 
-def ordered_word_eval(m: MultiIndex, x: Paravector) -> CliffordNumber:
-    """The unsymmetrised product z_1^m_1 * ... * z_n^m_n.
-
-    Deliberately not monogenic for mixed m; used as a negative control for
-    the Dirac-residual checks.
-    """
-    out = CliffordNumber.scalar(x.dim, 1.0)
-    for i, mi in enumerate(m):
-        z = fueter_var(i + 1, x)
-        for _ in range(mi):
-            out = cl_mul(out, z)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Batched float evaluation
 # ---------------------------------------------------------------------------
@@ -162,6 +151,12 @@ def _layout(n: int, degree: int) -> tuple[dict[MultiIndex, int], tuple]:
     return position, tuple(steps)
 
 
+def _times_z(values: np.ndarray, pts: np.ndarray, axis: int, flip, sign) -> np.ndarray:
+    """V z_axis = V x_axis - x0 (V e_axis) of a blade array V (P, K, 2^n) at
+    points (P, n+1), with V e_axis from ``_layout``'s ``flip`` and ``sign``."""
+    return values * pts[:, axis, None, None] - pts[:, :1, None] * (values[:, :, flip] * sign)
+
+
 def basis_values(points, degree: int) -> np.ndarray:
     """Float values of every basis element with |m| <= degree at a batch of
     points: an array (P, #indices, 2^n) of blade coefficients.
@@ -177,14 +172,26 @@ def basis_values(points, degree: int) -> np.ndarray:
     position, steps = _layout(n, degree)
     out = np.zeros((len(pts), len(position), 1 << n))
     out[:, 0, 0] = 1.0
-    x0 = pts[:, :1, None]
     for q, (lo, hi, axes) in enumerate(steps, start=1):
         acc = out[:, lo:hi]
         for axis, rows, prev, mult, flip, sign in axes:
-            v = out[:, prev]
-            # V z_i = V x_i - x0 (V e_i), summed over i in axis order
-            acc[:, rows] += (v * pts[:, axis, None, None] - x0 * (v[:, :, flip] * sign)) * mult
+            acc[:, rows] += _times_z(out[:, prev], pts, axis, flip, sign) * mult
         acc *= 1.0 / q
+    return out
+
+
+def ordered_words(points, degree: int) -> np.ndarray:
+    """The unsymmetrised words z_1^m_1 ... z_n^m_n, not monogenic for mixed m,
+    laid out as ``basis_values``.  W_m = W_(m - e_j) z_j with j the last axis
+    where m_j > 0: the axes write their rows in turn, so the last one wins."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[1] - 1
+    position, steps = _layout(n, degree)
+    out = np.zeros((len(pts), len(position), 1 << n))
+    out[:, 0, 0] = 1.0
+    for lo, _, axes in steps:
+        for axis, rows, prev, _, flip, sign in axes:
+            out[:, lo + rows] = _times_z(out[:, prev], pts, axis, flip, sign)
     return out
 
 

@@ -577,10 +577,9 @@ def growth_report(
         raise ValueError("need coefficient norms or K_q data")
     if sigma_test is not None:
         _check_sigma(sigma_test)
-    bounds: dict[int, tuple[float, float]] = {}
     if log_kq_bounds is not None:
-        bounds.update({int(q): (float(v[0]), float(v[1])) for q, v in log_kq_bounds.items()})
-    elif log_norms is not None:
+        bounds = {int(q): (float(v[0]), float(v[1])) for q, v in log_kq_bounds.items()}
+    else:
         lower = log_kq_lower_from_norms(log_norms, n)
         upper = log_kq_upper(log_norms)
         bounds = {q: (lower[q], upper[q]) for q in upper}

@@ -150,10 +150,7 @@ def clifford_to_obj(c: CliffordNumber, mode: str) -> dict:
 def obj_to_clifford(obj: dict, n: int, mode: str) -> CliffordNumber:
     if not isinstance(obj, dict):
         raise SerializationError(f"expected a blade map, got {type(obj).__name__}")
-    table = {}
-    for key, value in obj.items():
-        table[str_to_blade(key, n)] = _decode_value(value, mode)
-    return CliffordNumber(n, table)
+    return CliffordNumber(n, {str_to_blade(k, n): _decode_value(v, mode) for k, v in obj.items()})
 
 
 def series_to_obj(f: MonogenicSeries, mode: str | None = None) -> dict:

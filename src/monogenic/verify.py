@@ -19,9 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .clifford import CliffordNumber, Paravector, cl_mul
+from .clifford import CliffordNumber, cl_mul
 from .errors import SerializationError
-from .fueter import basis_values, blade_rows, dirac_residuals, ordered_word_eval
+from .fueter import basis_values, dirac_residuals, ordered_words
 from .growth import (
     ProximateOrder,
     axis_log_norms,
@@ -260,17 +260,11 @@ def check_monogenicity(n: int, seed: int = 0, corruption: str | None = None) -> 
     with |m| <= 5 stays below 1e-6 * (1 + norm(x)^|m|) at 12 sampled points."""
     q_max, points, h = 5, 12, 1e-5
     indices = enumerate_up_to(n, q_max)
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        if corruption == "ordered-words":
-            xs = map(Paravector.from_components, pts.tolist())
-            return np.stack([blade_rows(n, [ordered_word_eval(m, x) for m in indices]) for x in xs])
-        return basis_values(pts, q_max)
-
+    evaluate = ordered_words if corruption == "ordered-words" else basis_values
     margin = math.inf
     worst = None
     for point in ball_points(n, 1.2, points, seed=seed):
-        residuals = dirac_residuals(evaluate, point, h)
+        residuals = dirac_residuals(lambda pts: evaluate(pts, q_max), point, h)
         r = point.norm()
         for m, res in zip(indices, residuals):
             bound = 1e-6 * (1.0 + r ** mi_abs(m))
@@ -424,9 +418,8 @@ def check_subadditive_power(po, corruption: str | None = None) -> CheckReport:
     half = grid_max / 2.0
     for r in rs:
         for s in rs:
-            deficit = scale.scale(r + s) - k * (t[r] + t[s])
             if max(r, s) <= half:
-                fit_b = max(fit_b, deficit)
+                fit_b = max(fit_b, scale.scale(r + s) - k * (t[r] + t[s]))
     for r in rs:
         for s in rs:
             if max(r, s) > half:
@@ -450,26 +443,22 @@ def check_scaling_bound(po, eta: float = 0.1, corruption: str | None = None) -> 
     """
     factors = (2.0, 3.0)
     scale = _BrokenScale() if corruption == "broken-scale" else po
-    if corruption == "broken-scale":
-        # keep the exponential pseudo-scale inside float range at k*r
-        grid = np.geomspace(0.1, 200.0, 120)
-        tail_from = 200.0 / math.sqrt(10.0)
-    else:
-        grid = np.geomspace(0.1, 1e6, 120)
-        tail_from = 1e6 / math.sqrt(10.0)
+    # the exponential pseudo-scale stays inside float range at k*r up to 200
+    top = 200.0 if corruption == "broken-scale" else 1e6
+    grid = np.geomspace(0.1, top, 120)
+    tail_from = top / math.sqrt(10.0)
     margin = math.inf
     constants = {}
     for k in factors:
         lead = (1.0 + eta) * k**scale.rho
         c_eta = 0.0
         for r in grid:
-            c_eta = max(c_eta, scale.scale(k * r) - lead * scale.scale(r))
-        constants[f"C_eta_k{k:g}"] = c_eta
-        for r in grid:
+            t_kr = scale.scale(k * r)
+            deficit = t_kr - lead * scale.scale(r)
+            c_eta = max(c_eta, deficit)
             if r >= tail_from:
-                t_kr = scale.scale(k * r)
-                deficit = t_kr - lead * scale.scale(r)
                 margin = min(margin, -deficit / (1.0 + t_kr))
+        constants[f"C_eta_k{k:g}"] = c_eta
     return _report(
         "scaling-bound",
         f"{scale.family}(rho={scale.rho}), eta={eta}, k in {factors}",
@@ -513,8 +502,6 @@ def check_y_sigma(
         if worst >= -LOG_TOL:
             best_t1, margin = t1, worst
             break
-    if best_t1 is None:
-        margin = -math.inf
     return _report(
         "y-sigma-bound",
         f"{po.family}(rho={po.rho}), sigma={sigma}, sigma'={sigma_prime}",

@@ -7,11 +7,13 @@ from monogenic.clifford import CliffordNumber, Paravector, cl_mul
 from monogenic.fueter import (
     FueterCache,
     basis_values,
+    blade_rows,
+    dirac_residuals,
     fueter_derivative_rule,
     fueter_eval,
     fueter_sup_unit_ball,
     fueter_var,
-    ordered_word_eval,
+    ordered_words,
 )
 from monogenic.multiindex import enumerate_up_to, mi_abs
 from monogenic.series import MonogenicSeries, dirac_residual
@@ -158,10 +160,42 @@ def test_monogenicity_residuals(rng):
         assert res <= bound
 
 
+def ordered_word_oracle(m, x):
+    """The point form of ``ordered_words``: z_1^m_1 ... z_n^m_n as ``cl_mul``
+    products taken factor by factor from the left."""
+    out = CliffordNumber.scalar(x.dim, 1.0)
+    for i, mi in enumerate(m):
+        z = fueter_var(i + 1, x)
+        for _ in range(mi):
+            out = cl_mul(out, z)
+    return out
+
+
+def test_ordered_words_equal_the_point_form(rng):
+    """The batched words equal the cl_mul products at random points, the
+    origin and points with zero coordinates: every nonzero blade bit for bit
+    (a zero blade may differ in sign)."""
+    for n in range(1, 5):
+        points = [random_point(n, rng, radius=1.5) for _ in range(10)]
+        points += [Paravector(0.0, [0.0] * n), Paravector(0.0, [1.25] + [0.0] * (n - 1))]
+        points += [Paravector(-0.75, [0.0] * (n - 1) + [0.5]), Paravector(0.5, [0.0] * n)]
+        indices = enumerate_up_to(n, 5)
+        values = ordered_words([x.components() for x in points], 5)
+        assert values.shape == (len(points), len(indices), 1 << n)
+        for x, table in zip(points, values):
+            expected = blade_rows(n, [ordered_word_oracle(m, x) for m in indices])
+            assert (table == expected).all(), (n, x)
+
+
 def test_ordered_words_are_not_monogenic(rng):
     points = [random_point(2, rng, radius=1.0) for _ in range(5)]
-    res = dirac_residual(lambda x: ordered_word_eval((1, 1), x), points, h=1e-5)
+    row = enumerate_up_to(2, 2).index((1, 1))
+    res = max(dirac_residuals(lambda pts: ordered_words(pts, 2), x, h=1e-5)[row] for x in points)
     assert res > 1e-2
+    # the pure powers z_i^k are monogenic: only the mixed word fails
+    for m in [(1, 0), (0, 2)]:
+        row = enumerate_up_to(2, 2).index(m)
+        assert dirac_residuals(lambda pts: ordered_words(pts, 2), points[0])[row] <= 1e-6
 
 
 def test_cache_shares_subterms():

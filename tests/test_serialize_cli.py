@@ -9,7 +9,7 @@ from monogenic.errors import SerializationError
 from monogenic.growth import ProximateOrder
 from monogenic.operators import OperatorSymbol, op_to_hom
 from monogenic.series import MonogenicSeries
-from monogenic import serialize
+from monogenic import cli, serialize
 from monogenic.cli import main
 from monogenic.verify import random_rational_operator, random_rational_series
 
@@ -276,6 +276,26 @@ def test_cli_failed_write_keeps_existing_out(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot serialize") and err.count("\n") == 1
     assert out.read_bytes() == b"previous contents\n"
+
+
+@pytest.mark.parametrize("where", ["a directory", "in a missing directory"])
+def test_cli_bad_out_fails_before_any_work(tmp_path, capsys, monkeypatch, where):
+    """An --out that is a directory or lies in a missing one exits 2 with one
+    line before the command's work starts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command's work ran")
+
+    monkeypatch.setattr(cli, "run_all", refuse)
+    monkeypatch.setattr(cli, "k_q", refuse)
+    fp = tmp_path / "f.json"
+    _write_series(fp, random_rational_series(2, 3, 5).to_float())
+    out = str(tmp_path if where == "a directory" else tmp_path / "missing" / "r.out")
+    growth = ["growth", str(fp), "--po", "constant:1", "--window", "1:3", "--out", out]
+    for argv in (["verify", "--out", out], growth):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out!r}") and err.count("\n") == 1
 
 
 def test_cli_hom_op_file_round_trip(tmp_path):

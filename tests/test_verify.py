@@ -12,6 +12,7 @@ from monogenic.verify import (
     check_ck_norm_bound,
     check_coeff_bound,
     check_derivative_bound,
+    check_monogenicity,
     check_vm_norm_bound,
     check_y_sigma,
     random_rational_series,
@@ -46,6 +47,19 @@ def test_negative_controls(corruption):
     assert any(
         not r.passed for r in reports if r.name == target
     ), f"corruption {corruption} did not break {target}"
+
+
+@pytest.mark.parametrize(
+    "n, worst_index, margin",
+    [(2, (1, 4), -16.588796512596737), (3, (1, 2, 2), -16.588796513172735)],
+)
+def test_ordered_words_control_is_pinned(n, worst_index, margin):
+    """The unsymmetrised words fail the Dirac-residual check at the same
+    worst index and margin as their point-by-point cl_mul form did."""
+    rep = check_monogenicity(n, corruption="ordered-words")
+    assert not rep.passed
+    assert rep.details["worst"][0] == worst_index
+    assert rep.margin == pytest.approx(margin, rel=1e-12)
 
 
 def test_only_filter():
