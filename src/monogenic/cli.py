@@ -70,7 +70,9 @@ def _check_one_mode(*sides) -> None:
 
 
 def _check_out(path: str | None) -> None:
-    """Refuse, before any work, an output path that is a directory or in a missing one."""
+    """Refuse, before any work, an output path that is empty, a directory or in a missing one."""
+    if path == "":
+        raise SerializationError("--out '' is an empty path")
     if path is not None and os.path.isdir(path):
         raise SerializationError(f"--out {path!r} is a directory")
     if path is not None and not os.path.isdir(os.path.dirname(path) or "."):

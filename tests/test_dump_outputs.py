@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from monogenic.verify import CHECK_NAMES
+from monogenic.verify import CHECK_NAMES, CORRUPTION_TARGETS
 
 _ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location("dump_outputs", _ROOT / "tools" / "dump_outputs.py")
@@ -58,6 +58,13 @@ def test_quick_dump_covers_every_section(quick_dump):
     assert len(checks) == 27
     for name in CHECK_NAMES:
         assert any(line.split(" ", 3)[3].startswith(f"('{name}', ") for line in checks), name
+    # under each corruption, the reports of its target check and nothing else
+    corrupted = [line for line in lines if line.startswith("check n=2 corruption=")]
+    corrupted = [line.split(" ", 3)[2:] for line in corrupted if line not in checks]
+    assert len(corrupted) == 23
+    for corruption, target in CORRUPTION_TARGETS.items():
+        got = {rest.split("'", 2)[1] for cor, rest in corrupted if cor == f"corruption={corruption}"}
+        assert got == {target}, corruption
     assert not any(line.startswith("check n=3") for line in lines)
     for section in ("scale ", "weighted_norm_ln ", "max_modulus ", "k_q ", "fueter_sup_unit_ball ",
                     "op_class_check ", "tail_bound_profile ", "q,ln_Kq_lower,ln_Kq_upper"):

@@ -278,10 +278,10 @@ def test_cli_failed_write_keeps_existing_out(tmp_path, capsys):
     assert out.read_bytes() == b"previous contents\n"
 
 
-@pytest.mark.parametrize("where", ["a directory", "in a missing directory"])
+@pytest.mark.parametrize("where", ["a directory", "in a missing directory", "empty"])
 def test_cli_bad_out_fails_before_any_work(tmp_path, capsys, monkeypatch, where):
-    """An --out that is a directory or lies in a missing one exits 2 with one
-    line before the command's work starts."""
+    """An --out that is empty, a directory or lies in a missing one exits 2
+    with one line before the command's work starts."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the command's work ran")
@@ -290,7 +290,11 @@ def test_cli_bad_out_fails_before_any_work(tmp_path, capsys, monkeypatch, where)
     monkeypatch.setattr(cli, "k_q", refuse)
     fp = tmp_path / "f.json"
     _write_series(fp, random_rational_series(2, 3, 5).to_float())
-    out = str(tmp_path if where == "a directory" else tmp_path / "missing" / "r.out")
+    out = {
+        "a directory": str(tmp_path),
+        "in a missing directory": str(tmp_path / "missing" / "r.out"),
+        "empty": "",
+    }[where]
     growth = ["growth", str(fp), "--po", "constant:1", "--window", "1:3", "--out", out]
     for argv in (["verify", "--out", out], growth):
         assert main(argv) == 2
@@ -392,6 +396,8 @@ def test_cli_verify_subset_and_corruption(tmp_path, capsys):
         {"families": [5]},
         # a scale spec with a key it does not read
         {"families": [{"family": "constant", "rho": 1, "b": 3}], "only": ["scaling-bound"]},
+        # a corruption that cannot break its check in this dimension
+        {"n": 1, "corruption": "ordered-words"},
     ],
 )
 def test_cli_verify_bad_config_exits_2(tmp_path, capsys, cfg):

@@ -42,11 +42,20 @@ def test_suite_deterministic():
 @pytest.mark.parametrize("corruption", sorted(CORRUPTION_TARGETS))
 def test_negative_controls(corruption):
     target = CORRUPTION_TARGETS[corruption]
-    reports = run_all(VerifyConfig(corruption=corruption, only=(target,)))
-    assert reports, f"no reports produced for {target}"
-    assert any(
-        not r.passed for r in reports if r.name == target
-    ), f"corruption {corruption} did not break {target}"
+    for n in (1, 2, 3):
+        if (n, corruption) == (1, "ordered-words"):
+            # every word at n=1 is a power of z_1, so the control cannot fail
+            with pytest.raises(ValueError, match="'ordered-words' .* n=1"):
+                VerifyConfig(n=n, corruption=corruption, only=(target,))
+            continue
+        reports = run_all(VerifyConfig(n=n, corruption=corruption, only=(target,)))
+        assert reports, f"no reports produced for {target} at n={n}"
+        assert any(
+            not r.passed for r in reports if r.name == target
+        ), f"corruption {corruption} did not break {target} at n={n}"
+        for r in reports:
+            assert type(r.margin) is float, r
+            assert all(type(v) is float for v in r.constants.values()), r
 
 
 @pytest.mark.parametrize(
@@ -60,6 +69,42 @@ def test_ordered_words_control_is_pinned(n, worst_index, margin):
     assert not rep.passed
     assert rep.details["worst"][0] == worst_index
     assert rep.margin == pytest.approx(margin, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, limit",
+    [("coefficient-radius-bound", 200), ("subadditive-power", 650), ("scaling-bound", 360)],
+)
+def test_grid_checks_evaluate_each_scale_value_once(monkeypatch, name, limit):
+    """t(r) is evaluated once per grid point, not once per factor, pair half
+    or coefficient index."""
+    calls = []
+    scale = ProximateOrder.scale
+
+    def counted(self, r):
+        calls.append(r)
+        return scale(self, r)
+
+    monkeypatch.setattr(ProximateOrder, "scale", counted)
+    (rep,) = run_all(VerifyConfig(n=3, families=(PO1,), only=(name,)))
+    assert rep.passed, rep
+    assert len(calls) <= limit
+
+
+@pytest.mark.parametrize(
+    "rho, overflow",
+    [
+        (50.0, lambda: math.exp(1e3)),  # t(r) leaves the float range
+        (1100.0, lambda: 2.0**1100.0),  # k^rho does, before any t(r)
+    ],
+)
+def test_scale_beyond_float_range_is_reported(rho, overflow):
+    with pytest.raises(OverflowError) as err:
+        overflow()
+    cfg = VerifyConfig(families=(ProximateOrder("constant", rho),), only=("scaling-bound",))
+    (rep,) = run_all(cfg)
+    assert rep.instance == f"raised OverflowError: {err.value}"
+    assert rep.margin == -math.inf and not rep.passed
 
 
 def test_only_filter():
