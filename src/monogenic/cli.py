@@ -85,6 +85,8 @@ def cmd_eval(args) -> int:
     point = _parse_point(args.point, exact=exact)
     value = series_eval(f, point, exact=exact)
     mode = "exact" if value.is_exact() else "float"
+    if mode == "float" and not all(map(math.isfinite, value.coeffs.values())):
+        raise SerializationError(f"the value at point {args.point!r} is not finite in floats")
     print(serialize.canonical_dumps(serialize.clifford_to_obj(value, mode)), end="")
     return 0
 

@@ -15,12 +15,17 @@ per point instead of |m|! and is exact at an exact point.
 
 ``FueterCache`` runs it one point at a time on ``CliffordNumber`` values; at
 an exact point it is the reference.  ``basis_values`` runs it in floats over
-a batch of points on dense numpy blade arrays, and ``basis_combination``
-contracts it with series coefficients; float series evaluation, the sampled
-sup norms and the Dirac residuals (``dirac_residuals``) use these blade arrays.
-``ordered_words`` builds the unsymmetrised words z_1^m_1 ... z_n^m_n, the
-non-monogenic negative control, on the same arrays; both take every factor
-through one step, ``_times_z``: V z_j = V x_j - x0 (V e_j).
+a batch of points on dense numpy blade arrays, one step per degree: the
+values of degree q - 1 are multiplied by all n variables z_i in one array
+operation (``_z_products``: V z_i = V x_i - x0 (V e_i)), and each row of
+degree q gathers and sums its products.  ``ordered_words`` builds the
+unsymmetrised words z_1^m_1 ... z_n^m_n, the non-monogenic negative control,
+from the same products.  ``basis_combination`` contracts the values with a
+coefficient table through its ``contraction_operand``, which a float series
+builds once and keeps; it works in blocks of points sized by its largest
+array, the products (``_BLOCK_FLOATS``).  Float series evaluation, the
+sampled sup norms and the Dirac residuals (``dirac_residuals``) use these
+blade arrays.
 """
 
 from __future__ import annotations
@@ -102,7 +107,8 @@ def fueter_sup_unit_ball(m: MultiIndex, samples: int, seed: int = 0) -> float:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n = len(m)
-    (sup,) = sampled_sups(n, {tuple(m): CliffordNumber.scalar(n, 1.0)}, [1.0], samples, seed)
+    operand = contraction_operand(n, {tuple(m): CliffordNumber.scalar(n, 1.0)})
+    (sup,) = sampled_sups(n, operand, [1.0], samples, seed)
     # the true sup is <= 1; trim float jitter at attaining points
     return min(sup, 1.0)
 
@@ -111,8 +117,9 @@ def fueter_sup_unit_ball(m: MultiIndex, samples: int, seed: int = 0) -> float:
 # Batched float evaluation
 # ---------------------------------------------------------------------------
 
-#: floats in one block of basis values (points x indices x blades), 512 KiB:
-#: ``basis_combination`` evaluates its points in blocks of this size
+#: floats in the largest array of one block of points, 512 KiB: the products
+#: of a degree's values with all n variables, at most #indices x 2^n x n per
+#: point; ``basis_combination`` evaluates its points in blocks of this size
 _BLOCK_FLOATS = 1 << 16
 
 
@@ -126,35 +133,67 @@ def _blade_signs(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _layout(n: int, degree: int) -> tuple[dict[MultiIndex, int], tuple]:
-    """Row of every index |m| <= degree (the order of ``enumerate_up_to``) and,
-    per degree q >= 1, the rows lo:hi of that degree with one step per axis i:
-    the rows (relative to lo) of the indices with m_i > 0, the rows of their
-    predecessors m - e_i, the factors m_i, and right multiplication by e_i as
-    a blade permutation k -> k XOR e_i with the sign of e_(k XOR e_i) e_i."""
+def _layout(n: int, degree: int) -> tuple[dict[MultiIndex, int], np.ndarray, np.ndarray, tuple]:
+    """Row of every index |m| <= degree (the order of ``enumerate_up_to``),
+    right multiplication by each e_i as a blade permutation k -> k XOR e_i
+    (``flips``) with the sign of e_(k XOR e_i) e_i (``signs``), and per
+    degree q >= 1 a step (lo, hi, plo, gather, mult, last) from the rows
+    plo:lo of degree q - 1 to the rows lo:hi of degree q.  Its tables index
+    the products of ``_z_products``: ``gather[i, k]`` is V_(m - e_(i+1))
+    z_(i+1) for the index m of row lo + k, or the zero row where m_(i+1) = 0,
+    ``mult[i, k]`` is m_(i+1), and ``last[k]`` the product of the last axis
+    with m_j > 0."""
     position = {m: row for row, m in enumerate(enumerate_up_to(n, degree))}
-    signs = _blade_signs(n)
-    blades = np.arange(1 << n)
+    units = [1 << i for i in range(n)]
+    flips = np.array([np.arange(1 << n) ^ e for e in units])
+    signs = np.array([_blade_signs(n)[flip, e, None] for flip, e in zip(flips, units)])
     steps = []
-    lo = 1
+    plo, lo = 0, 1
     for q in range(1, degree + 1):
         block = enumerate_degree(n, q)
-        axes = []
-        for i in range(n):
-            rows = [k for k, m in enumerate(block) if m[i] > 0]
-            prev = [position[tuple(v - (j == i) for j, v in enumerate(block[k]))] for k in rows]
-            mult = np.array([[float(block[k][i])] for k in rows])
-            flip = blades ^ (1 << i)
-            axes.append((i + 1, np.array(rows), np.array(prev), mult, flip, signs[flip, 1 << i]))
-        steps.append((lo, lo + len(block), tuple(axes)))
-        lo += len(block)
-    return position, tuple(steps)
+        zero = (lo - plo) * n
+        gather = np.full((n, len(block)), zero)
+        for k, m in enumerate(block):
+            for i in range(n):
+                if m[i]:
+                    prev = tuple(v - (j == i) for j, v in enumerate(m))
+                    gather[i, k] = (position[prev] - plo) * n + i
+        last = [next(g for g in col[::-1] if g != zero) for col in gather.T.tolist()]
+        mult = np.array(block, dtype=float).T[:, :, None, None]
+        steps.append((lo, lo + len(block), plo, gather, mult, np.array(last)))
+        plo, lo = lo, lo + len(block)
+    return position, flips, signs, tuple(steps)
 
 
-def _times_z(values: np.ndarray, pts: np.ndarray, axis: int, flip, sign) -> np.ndarray:
-    """V z_axis = V x_axis - x0 (V e_axis) of a blade array V (P, K, 2^n) at
-    points (P, n+1), with V e_axis from ``_layout``'s ``flip`` and ``sign``."""
-    return values * pts[:, axis, None, None] - pts[:, :1, None] * (values[:, :, flip] * sign)
+def _z_products(block: np.ndarray, pts: np.ndarray, flips, signs) -> np.ndarray:
+    """Every product V z_i = V x_i - x0 (V e_i), i = 1..n, of a block V
+    (K, 2^n, P) of blade arrays at points (n+1, P), with V e_i from
+    ``_layout``'s ``flips`` and ``signs``: an array (K n + 1, 2^n, P) whose
+    row r n + i - 1 is V_r z_i and whose last row is zero."""
+    k, size, count = block.shape
+    out = np.empty((k * len(flips) + 1, size, count))
+    out[-1] = 0.0
+    prod = out[:-1].reshape(k, len(flips), size, count)
+    np.multiply(block[:, None], pts[1:, None], out=prod)
+    prod -= pts[0] * (block[:, flips] * signs)
+    return out
+
+
+def _basis_block(pts: np.ndarray, degree: int) -> np.ndarray:
+    """``basis_values`` with the points on the last axis: points (n+1, P),
+    values (#indices, 2^n, P)."""
+    n = len(pts) - 1
+    position, flips, signs, steps = _layout(n, degree)
+    out = np.zeros((len(position), 1 << n, pts.shape[1]))
+    out[0, 0] = 1.0
+    for q, (lo, hi, plo, gather, mult, _) in enumerate(steps, start=1):
+        terms = _z_products(out[plo:lo], pts, flips, signs)[gather]
+        terms *= mult
+        acc = out[lo:hi]
+        for term in terms:
+            acc += term
+        acc *= 1.0 / q
+    return out
 
 
 def basis_values(points, degree: int) -> np.ndarray:
@@ -162,37 +201,29 @@ def basis_values(points, degree: int) -> np.ndarray:
     points: an array (P, #indices, 2^n) of blade coefficients.
 
     ``points`` is (P, n+1) with rows (x0, x1, ..., xn); the middle axis follows
-    ``enumerate_up_to(n, degree)``.  The recursion runs degree by degree over
-    all points at once and multiplies in the order ``FueterCache`` does, so
-    each value equals ``FueterCache(x).value(m)`` at a float x.  The array holds
-    every point; ``basis_combination`` bounds its size by working in blocks.
+    ``enumerate_up_to(n, degree)``.  Each row m of degree q sums its products
+    m_i V_(m - e_i) z_i in axis order onto +0.0; an absent axis adds a zero
+    row, which changes no bit of a sum that starts at +0.0.  So it multiplies
+    and adds in the order ``FueterCache`` does, and each value equals
+    ``FueterCache(x).value(m)`` at a float x.  The array holds every point;
+    ``basis_combination`` bounds its size by working in blocks.
     """
     pts = np.asarray(points, dtype=float)
-    n = pts.shape[1] - 1
-    position, steps = _layout(n, degree)
-    out = np.zeros((len(pts), len(position), 1 << n))
-    out[:, 0, 0] = 1.0
-    for q, (lo, hi, axes) in enumerate(steps, start=1):
-        acc = out[:, lo:hi]
-        for axis, rows, prev, mult, flip, sign in axes:
-            acc[:, rows] += _times_z(out[:, prev], pts, axis, flip, sign) * mult
-        acc *= 1.0 / q
-    return out
+    return _basis_block(pts.T, degree).transpose(2, 0, 1)
 
 
 def ordered_words(points, degree: int) -> np.ndarray:
     """The unsymmetrised words z_1^m_1 ... z_n^m_n, not monogenic for mixed m,
-    laid out as ``basis_values``.  W_m = W_(m - e_j) z_j with j the last axis
-    where m_j > 0: the axes write their rows in turn, so the last one wins."""
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[1] - 1
-    position, steps = _layout(n, degree)
-    out = np.zeros((len(pts), len(position), 1 << n))
-    out[:, 0, 0] = 1.0
-    for lo, _, axes in steps:
-        for axis, rows, prev, _, flip, sign in axes:
-            out[:, lo + rows] = _times_z(out[:, prev], pts, axis, flip, sign)
-    return out
+    laid out as ``basis_values``: W_m = W_(m - e_j) z_j with j the last axis
+    where m_j > 0, one gather of the products per degree."""
+    pts = np.asarray(points, dtype=float).T
+    n = len(pts) - 1
+    position, flips, signs, steps = _layout(n, degree)
+    out = np.zeros((len(position), 1 << n, pts.shape[1]))
+    out[0, 0] = 1.0
+    for lo, hi, plo, _, _, last in steps:
+        out[lo:hi] = _z_products(out[plo:lo], pts, flips, signs)[last]
+    return out.transpose(2, 0, 1)
 
 
 def blade_rows(n: int, values: Collection[CliffordNumber]) -> np.ndarray:
@@ -210,28 +241,54 @@ def blade_rows(n: int, values: Collection[CliffordNumber]) -> np.ndarray:
     return out
 
 
-def basis_combination(coeffs: Mapping[MultiIndex, CliffordNumber], points) -> np.ndarray:
-    """sum_m V_m(x) a_m at every point: an array (P, 2^n), one row per point.
-
-    ``points`` is (P, n+1) as for ``basis_values``; the points are evaluated
-    in blocks of at most ``_BLOCK_FLOATS`` basis-value floats.
-    """
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[1] - 1
-    size = 1 << n
-    degree = max(map(mi_abs, coeffs), default=0)
-    position, _ = _layout(n, degree)
-    rows = [position[m] for m in coeffs]
+def contraction_operand(
+    n: int, coeffs: Mapping[MultiIndex, CliffordNumber]
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """What ``basis_combination`` needs of a coefficient table, built once
+    per table: (degree, rows, right), with degree the largest |m|, rows the
+    row of each index among ``enumerate_up_to(n, degree)`` and right the
+    (#coeffs 2^n, 2^n) matrix of right multiplication by the coefficients,
+    in table order.  A ``MonogenicSeries`` keeps its operand.  An empty
+    table builds no layout or sign table."""
+    if not coeffs:
+        return 0, np.empty(0, dtype=np.intp), np.empty((0, 1 << n))
+    degree = max(map(mi_abs, coeffs))
+    position = _layout(n, degree)[0]
+    rows = np.array([position[m] for m in coeffs], dtype=np.intp)
     dense = blade_rows(n, coeffs.values())
     # right multiplication by a: (v a)[k] = sum_b v[b] signs[b, b^k] a[b^k]
-    blades = np.arange(size)[:, None]
+    blades = np.arange(1 << n)[:, None]
     xor = blades ^ blades.T
-    right = (_blade_signs(n)[blades, xor] * dense[:, xor]).reshape(len(rows) * size, size)
+    right = (_blade_signs(n)[blades, xor] * dense[:, xor]).reshape(len(rows) << n, 1 << n)
+    right.flags.writeable = False
+    return degree, rows, right
+
+
+def basis_combination(operand: tuple[int, np.ndarray, np.ndarray], points) -> np.ndarray:
+    """sum_m V_m(x) a_m at every point: an array (P, 2^n), one row per point.
+
+    ``operand`` is the table's ``contraction_operand`` and ``points`` is
+    (P, n+1) as for ``basis_values``; points of another width raise
+    ``DimensionMismatchError``.  The points are evaluated in blocks whose
+    largest array, the products of one degree with all n variables, holds at
+    most ``_BLOCK_FLOATS`` floats.  A value beyond the float range is inf or
+    NaN, without a warning.
+    """
+    degree, rows, right = operand
+    size = right.shape[1]
+    n = size.bit_length() - 1
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != n + 1:
+        raise DimensionMismatchError(
+            f"points of shape {pts.shape} for a series of dimension {n}: expected rows of {n + 1}"
+        )
     out = np.empty((len(pts), size))
-    step = max(1, _BLOCK_FLOATS // (len(position) * size))
-    for start in range(0, len(pts), step):
-        values = basis_values(pts[start : start + step], degree)[:, rows]
-        out[start : start + step] = values.reshape(len(values), -1) @ right
+    step = max(1, _BLOCK_FLOATS // (len(_layout(n, degree)[0]) * size * n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(pts), step):
+            block = pts[start : start + step].T
+            values = _basis_block(block, degree)[rows].reshape(-1, block.shape[1])
+            out[start : start + step] = np.ascontiguousarray(values.T) @ right
     return out
 
 
@@ -259,20 +316,21 @@ def dirac_residuals(
 
 
 def sampled_sups(
-    n: int, coeffs: Mapping[MultiIndex, CliffordNumber], radii, samples: int, seed: int = 0
+    n: int, operand: tuple[int, np.ndarray, np.ndarray], radii, samples: int, seed: int = 0
 ) -> list[float]:
-    """Sampled max of norm(sum_m V_m(x) a_m) on the sphere of each radius.
+    """Sampled max of norm(sum_m V_m(x) a_m) on the sphere of each radius,
+    for the table whose ``contraction_operand`` is given.
 
     One set of about ``samples`` directions (``sphere_directions``, axis points
     included) is scaled to every radius, and all points go through one
     ``basis_combination`` call.  An empty table is zero everywhere, and no
-    point or sign table is built for it.
+    point is built for it.
     """
-    if not coeffs:
+    if not len(operand[1]):
         return [0.0] * len(radii)
     dirs = sphere_directions(n + 1, samples, seed=seed)
     points = np.concatenate([r * dirs for r in radii])
-    values = basis_combination(coeffs, points)
+    values = basis_combination(operand, points)
     with np.errstate(over="ignore"):
         moduli = np.linalg.norm(values, axis=1)
     # where the sum of squares underflows to 0 or overflows, hypot scales

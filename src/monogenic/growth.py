@@ -316,7 +316,7 @@ def weighted_norm_ln(
 
     best = int(np.argmax(grid_vals))
     candidates = list({grid[best], *peaks.tolist()})
-    sups = sampled_sups(f.n, f.coeffs, [math.exp(L) for L in candidates], samples, seed)
+    sups = sampled_sups(f.n, f.operand(), [math.exp(L) for L in candidates], samples, seed)
     ln_lower = -math.inf
     for L, sampled in zip(candidates, sups):
         if sampled > 0.0:

@@ -23,7 +23,14 @@ from .clifford import (
     integer_numerators,
 )
 from .errors import DimensionMismatchError
-from .fueter import FueterCache, basis_combination, blade_rows, dirac_residuals, sampled_sups
+from .fueter import (
+    FueterCache,
+    basis_combination,
+    blade_rows,
+    contraction_operand,
+    dirac_residuals,
+    sampled_sups,
+)
 from .multiindex import (
     MultiIndex,
     check_index,
@@ -36,7 +43,7 @@ from .multiindex import (
 class MonogenicSeries:
     """Truncated expansion f = sum V_m(x) a_m with right Clifford coefficients."""
 
-    __slots__ = ("n", "degree", "_coeffs")
+    __slots__ = ("n", "degree", "_coeffs", "_operand")
 
     def __init__(self, n: int, degree: int, coeffs: Mapping[MultiIndex, CliffordNumber] | None = None):
         if n < 1:
@@ -56,11 +63,20 @@ class MonogenicSeries:
                 if not a.is_zero():
                     table[m] = a
         self._coeffs = table
+        self._operand = None
 
     @property
     def coeffs(self) -> dict[MultiIndex, CliffordNumber]:
         """Coefficient table (treat as read-only)."""
         return self._coeffs
+
+    def operand(self) -> tuple:
+        """The float ``fueter.contraction_operand`` of the coefficients, which
+        float evaluation and the sampled sup norms contract with: built on
+        first use and kept, since a series does not change."""
+        if self._operand is None:
+            self._operand = contraction_operand(self.n, self._coeffs)
+        return self._operand
 
     @classmethod
     def unit(cls, n: int, degree: int = 0, exact: bool = True) -> "MonogenicSeries":
@@ -147,15 +163,15 @@ class MonogenicSeries:
 def series_eval(f: MonogenicSeries, x: Paravector, exact: bool = False) -> CliffordNumber:
     """Evaluate sum V_m(x) a_m.
 
-    Float mode goes through the batched kernel ``basis_combination`` and keeps
-    only the blades whose value is nonzero.  Exact mode shares one
-    ``FueterCache`` for the point, in the point's arithmetic, and is the
-    reference the kernel is tested against.
+    Float mode contracts the series' kept ``operand`` with the batched
+    kernel ``basis_combination`` and keeps only the blades whose value is
+    nonzero.  Exact mode shares one ``FueterCache`` for the point, in the
+    point's arithmetic, and is the reference the kernel is tested against.
     """
     if x.dim != f.n:
         raise DimensionMismatchError(f"point of dimension {x.dim}, series of dimension {f.n}")
     if not exact:
-        row = basis_combination(f._coeffs, [x.components()])[0].tolist()
+        row = basis_combination(f.operand(), [x.components()])[0].tolist()
         return from_numerators(f.n, row, None)
     cache = FueterCache(x)
     acc = CliffordNumber.zero(f.n)
@@ -275,7 +291,7 @@ def max_modulus(
     if r == 0:
         exact = f.coeff((0,) * f.n).norm()
         return exact, max(upper, exact)
-    (lower,) = sampled_sups(f.n, f._coeffs, [r], samples, seed)
+    (lower,) = sampled_sups(f.n, f.operand(), [r], samples, seed)
     return lower, upper
 
 

@@ -426,6 +426,20 @@ def check_subadditive_power(po, corruption: str | None = None) -> CheckReport:
     )
 
 
+def _fit_c_eta(scale, k: float, eta: float, grid, t=None):
+    """C_eta of the scaling bound t(k r) <= (1+eta) k^rho t(r) + C_eta on a
+    grid of radii r: max(0, max_r deficit) as a Python float, with deficit =
+    t(k r) - lead t(r) and lead = (1+eta) k^rho.  The lead comes before any
+    t value, so a k^rho beyond the float range raises first; t(r) is
+    evaluated unless given.  Returns (C_eta, lead, deficit, t(r), t(k r))."""
+    lead = (1.0 + eta) * k**scale.rho
+    if t is None:
+        t = np.array([scale.scale(r) for r in grid])
+    t_k = np.array([scale.scale(k * r) for r in grid])
+    deficit = t_k - lead * t
+    return float(max(0.0, deficit.max())), lead, deficit, t, t_k
+
+
 def check_scaling_bound(po, eta: float = 0.1, corruption: str | None = None) -> CheckReport:
     """t(k*r) <= (1+eta) k^rho t(r) + C_eta for k = 2, 3 on r in [0.1, 1e6].
 
@@ -442,12 +456,8 @@ def check_scaling_bound(po, eta: float = 0.1, corruption: str | None = None) -> 
     tail = grid >= top / math.sqrt(10.0)
     margin, constants, t = math.inf, {}, None
     for k in factors:
-        lead = (1.0 + eta) * k**scale.rho
-        if t is None:  # after the first lead, so a k^rho beyond float range raises first
-            t = np.array([scale.scale(r) for r in grid])
-        t_k = np.array([scale.scale(k * r) for r in grid])
-        deficit = t_k - lead * t
-        constants[f"C_eta_k{k:g}"] = float(max(0.0, deficit.max()))
+        c_eta, _, deficit, t, t_k = _fit_c_eta(scale, k, eta, grid, t)
+        constants[f"C_eta_k{k:g}"] = c_eta
         margin = min(margin, (-deficit / (1.0 + t_k))[tail].min())
     return _report(
         "scaling-bound",
@@ -588,12 +598,7 @@ def check_coeff_bound(
     degenerates as r -> 0 (right side diverges); radii below 0.1 are
     excluded by the grid, not failed.
     """
-    rho = po.rho
-    lead = (1.0 + eta) * (s + 1.0) ** rho
-    fit_grid = np.geomspace(0.1, 1e5, 80)
-    c_eta = max(
-        0.0, max(po.scale((s + 1.0) * r) - lead * po.scale(r) for r in fit_grid)
-    )
+    c_eta, lead, *_ = _fit_c_eta(po, s + 1.0, eta, np.geomspace(0.1, 1e5, 80))
     inflate = 50.0 if corruption == "inflated-coefficients" else 0.0
     _, ln_f = weighted_norm_ln(f, po, sigma, samples=0)
     grid = np.geomspace(0.1, 100.0, 40)

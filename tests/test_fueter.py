@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from monogenic import fueter
 from monogenic.clifford import CliffordNumber, Paravector, cl_mul
 from monogenic.fueter import (
     FueterCache,
@@ -221,12 +222,17 @@ def test_axis_relabeling_symmetry():
 
 def test_basis_values_equal_float_fueter_cache(rng):
     """The batched kernel gives every basis value bit for bit as the float
-    FueterCache does, the origin and points with zero coordinates included."""
+    FueterCache does, the origin and points with zero coordinates included,
+    up to degree 8 and, there, in a batch of more points than one block of
+    ``basis_combination`` holds."""
     for n in range(1, 5):
         points = [random_point(n, rng, radius=1.5) for _ in range(3)]
         points += [Paravector(0.0, [0.0] * n), Paravector(0.0, [1.25] + [0.0] * (n - 1))]
         points.append(Paravector(-0.75, [0.0] * (n - 1) + [0.5]))
-        for degree in (0, 1, 3, 6):
+        for degree in (0, 1, 3, 6, 8):
+            if degree == 8:
+                block = fueter._BLOCK_FLOATS // ((len(enumerate_up_to(n, 8)) << n) * n)
+                points += [random_point(n, rng, radius=1.5) for _ in range(block + 1)]
             values = basis_values([x.components() for x in points], degree)
             assert values.shape == (len(points), len(enumerate_up_to(n, degree)), 1 << n)
             for x, table in zip(points, values):

@@ -32,6 +32,7 @@ from monogenic.multiindex import mi_abs
 from monogenic.sampling import sphere_directions
 from monogenic.series import MonogenicSeries, max_modulus
 from monogenic.clifford import CliffordNumber
+from monogenic.fueter import contraction_operand
 from monogenic.verify import random_rational_series
 
 FAMILIES = (
@@ -198,17 +199,17 @@ def test_weighted_norm_unsampled_evaluates_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("samples=0 must not evaluate the series")
 
-    kernel = fueter.basis_values
+    kernel = fueter._basis_block
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(len(args[0]))
+        calls.append(args[0].shape[1])  # the points are (n+1, P)
         return kernel(*args, **kwargs)
 
     f = random_rational_series(2, 5, 7).to_float()
     for po in (ProximateOrder("constant", 1.0), ProximateOrder("loglog", 1.0, 1.0)):
         with monkeypatch.context() as patch:
-            patch.setattr(fueter, "basis_values", counted)
+            patch.setattr(fueter, "_basis_block", counted)
             _, ln_up = weighted_norm_ln(f, po, 0.9, samples=32)
         # the sampled side reaches the kernel, with 32 points per candidate radius
         assert calls and sum(calls) % 32 == 0
@@ -216,7 +217,7 @@ def test_weighted_norm_unsampled_evaluates_nothing(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(growth, "series_eval", refuse)
             patch.setattr(growth, "sampled_sups", refuse)
-            patch.setattr(fueter, "basis_values", refuse)
+            patch.setattr(fueter, "_basis_block", refuse)
             assert weighted_norm_ln(f, po, 0.9, samples=0) == (-math.inf, ln_up)
 
 
@@ -424,8 +425,11 @@ def test_pruned_envelope_matches_full_grid(n, degree, seed, po, sigma):
 def norm_table(table):
     """A stand-in series with the given per-degree norm sums, the only data
     the envelope reads; lets a norm reach the edges of the float range,
-    which a coefficient's norm (a square root of a sum of squares) cannot."""
-    return SimpleNamespace(n=2, coeffs={}, degree_norms=lambda: dict(table))
+    which a coefficient's norm (a square root of a sum of squares) cannot.
+    Its ``operand`` is that of no coefficients: it reaches only the sampler."""
+    return SimpleNamespace(
+        n=2, coeffs={}, degree_norms=lambda: dict(table), operand=lambda: contraction_operand(2, {})
+    )
 
 
 LN_NORMS = st.one_of(st.sampled_from([-700.0, 700.0]), st.floats(-700.0, 700.0))

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import monogenic
 from monogenic.clifford import CliffordNumber
 from monogenic.errors import SerializationError
 from monogenic.growth import ProximateOrder
@@ -144,6 +148,21 @@ def test_cli_eval_exact_point(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     # value is x1 - x0 e1 = 1/2 - (1/3) e1, exactly
     assert out == {"": "1/2", "1": "-1/3"}
+
+
+def test_cli_eval_beyond_float_range_is_one_line(tmp_path):
+    """A value that overflows exits 2 with one stderr line and no numpy
+    warning; run as a process, since warnings bypass capsys."""
+    path = tmp_path / "f.json"
+    _write_series(path, random_rational_series(2, 4, 5).to_float())
+    src = os.path.dirname(os.path.dirname(monogenic.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["eval", str(path), "--point", "1e200,1e200,1"]
+    done = subprocess.run(
+        [sys.executable, "-m", "monogenic.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.splitlines() == ["error: the value at point '1e200,1e200,1' is not finite in floats"]
 
 
 def test_cli_eval_malformed_file(tmp_path, capsys):

@@ -11,6 +11,7 @@ from monogenic import fueter
 from monogenic.clifford import CliffordNumber, Paravector
 from monogenic.errors import DimensionMismatchError
 from monogenic.multiindex import enumerate_up_to, mi_add, mi_abs
+from monogenic.growth import ProximateOrder, weighted_norm_ln
 from monogenic.series import (
     MonogenicSeries,
     ck_mul_left,
@@ -138,6 +139,40 @@ def test_negative_index_and_point_dimension_rejected():
         series_derivative(f, (-1, 1))
     with pytest.raises(DimensionMismatchError):
         series_eval(f, Paravector(0.0, [1.0]))
+
+
+def test_kernel_rejects_points_of_another_width():
+    """The operand knows n: points of width n+1 for another n raise one line."""
+    f = random_rational_series(3, 4, 5).to_float()
+    for call in (
+        lambda: fueter.basis_combination(f.operand(), [[0.1, 0.2]]),
+        lambda: fueter.sampled_sups(2, f.operand(), [1.0], 8),
+    ):
+        with pytest.raises(DimensionMismatchError) as err:
+            call()
+        assert "\n" not in str(err.value) and "dimension 3" in str(err.value)
+
+
+def test_float_series_builds_its_operand_once(monkeypatch):
+    """One float series contracts with one kept operand: its coefficients
+    become blade rows once over evaluations and sampled sup norms."""
+    calls = []
+    rows = fueter.blade_rows
+
+    def counted(*args):
+        calls.append(args[0])
+        return rows(*args)
+
+    monkeypatch.setattr(fueter, "blade_rows", counted)
+    f = random_rational_series(3, 5, 11).to_float()
+    rng = random.Random(3)
+    for _ in range(10):
+        series_eval(f, Paravector(rng.uniform(-1, 1), [rng.uniform(-1, 1) for _ in range(3)]))
+    max_modulus(f, 0.5, samples=8)
+    max_modulus(f, 2.0, samples=8)
+    lower, _ = weighted_norm_ln(f, ProximateOrder("constant", 1.0), 1.0, samples=8)
+    assert lower > -math.inf  # the sampled side ran
+    assert calls == [3]
 
 
 def test_dirac_residual_small_for_series(rng):
@@ -408,7 +443,7 @@ def test_kernel_blocks_agree_with_exact_mode():
             (0, 0, 0, 0, 3): CliffordNumber(n, {0b11111: Fraction(7, 4)}),
         },
     )
-    rows = fueter.basis_combination(f.coeffs, [[float(c) for c in x.components()] for x in points])
+    rows = fueter.basis_combination(f.operand(), [[float(c) for c in x.components()] for x in points])
     assert len(rows) == len(points) > 3 * per_block
     for x, row in zip(points, rows.tolist()):
         value = CliffordNumber(n, dict(enumerate(row)))
