@@ -79,6 +79,14 @@ def _check_out(path: str | None) -> None:
         raise SerializationError(f"--out {path!r}: no such directory")
 
 
+def _check_finite(f, what: str) -> None:
+    """Raise unless every coefficient of the float series f is finite, naming
+    f and the index of the first that is not: JSON holds finite numbers only."""
+    for m, a in f.coeffs.items():
+        if not all(map(math.isfinite, a.coeffs.values())):
+            raise SerializationError(f"{what} is not finite in floats at index {list(m)}")
+
+
 def cmd_eval(args) -> int:
     f = _load_series(args.series, args.mode)
     exact = args.mode == "exact" and f.is_exact()
@@ -96,7 +104,10 @@ def cmd_ckprod(args) -> int:
     g = _load_series(args.g, args.mode)
     _check_one_mode([f], [g])
     out = ck_mul_left(f, g, args.degree)
-    serialize.write_file(args.out, serialize.series_to_obj(out, mode=f.mode()))
+    mode = f.mode()
+    if mode == "float":
+        _check_finite(out, "the CK product")
+    serialize.write_file(args.out, serialize.series_to_obj(out, mode=mode))
     return 0
 
 
@@ -151,13 +162,19 @@ def cmd_apply(args) -> int:
         raise DimensionMismatchError(f"operator dimension {P.n} != series dimension {f.n}")
     _check_one_mode(P.entries.values(), [f])
     out = op_apply(P, f, args.degree)
-    serialize.write_file(args.out, serialize.series_to_obj(out, mode=f.mode()))
+    mode = f.mode()
+    if mode == "float":
+        _check_finite(out, "the applied series")
+    serialize.write_file(args.out, serialize.series_to_obj(out, mode=mode))
     return 0
 
 
 def cmd_hom2op(args) -> int:
     table = serialize.obj_to_homtable(serialize.read_file(args.table))
     P = hom_to_op(table)
+    if serialize.mode_of(table.entries.values()) == "float":
+        for m, u in P.entries.items():
+            _check_finite(u, f"the operator coefficient at m={list(m)}")
     serialize.write_file(args.out, serialize.operator_to_obj(P))
     return 0
 
@@ -165,6 +182,9 @@ def cmd_hom2op(args) -> int:
 def cmd_op2hom(args) -> int:
     P = serialize.obj_to_operator(serialize.read_file(args.operator))
     table = op_to_hom(P, args.degree)
+    if serialize.mode_of(P.entries.values()) == "float":
+        for p, b in table.entries.items():
+            _check_finite(b, f"the table entry at p={list(p)}")
     serialize.write_file(args.out, serialize.homtable_to_obj(table))
     return 0
 

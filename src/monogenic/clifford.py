@@ -5,11 +5,9 @@ indices {1..n}, encoded as an n-bit mask (bit i-1 set means unit i is a
 factor, factors ordered by increasing index).  Coefficients are either exact
 ``fractions.Fraction``/``int`` values (exact mode) or binary64 floats (float
 mode).  ``cl_mul`` multiplies two single values in either mode.  Sums of
-products of whole coefficient tables (``series.ck_sums``) combine numerators
-with the sign table ``blade_signs`` instead: exact tables are written over
-one common denominator by ``integer_numerators``, other values are their own
-numerators, and ``from_numerators`` turns a dense result row back into a
-value, dividing once per blade when there is a denominator.
+products of whole coefficient tables (``series.ck_sums``) work on dense rows
+of 2^n numerators with the sign table ``blade_signs`` instead, and
+``from_numerators`` turns a dense row of values back into a value.
 
 Values are immutable after construction and every operation is a pure
 function, so instances may be shared freely between threads.
@@ -20,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Hashable, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import DimensionMismatchError
 
@@ -200,31 +198,14 @@ def cl_mul(a: CliffordNumber, b: CliffordNumber) -> CliffordNumber:
     return CliffordNumber(a.dim, out)
 
 
-def integer_numerators(
-    *tables: Mapping[Hashable, CliffordNumber],
-) -> tuple[int, list[dict[Hashable, list[tuple[int, int]]]]]:
-    """Exact tables over one common denominator D, the lcm of the denominators
-    of all their values: ``(D, [{key: [(mask, N)]} per table])`` with each
-    coefficient equal to N / D and each value's blades in their own order."""
-    den = math.lcm(
-        *(v.denominator for table in tables for c in table.values() for v in c._coeffs.values())
-    )
-    return den, [
-        {
-            key: [(mask, v.numerator * (den // v.denominator)) for mask, v in c._coeffs.items()]
-            for key, c in table.items()
-        }
-        for table in tables
-    ]
-
-
-def from_numerators(dim: int, row: list, den: int | None) -> CliffordNumber:
-    """The value with blade coefficients row[mask] / den, in mask order, keeping
-    only the nonzero blades: the way back from ``integer_numerators``.  With
-    ``den`` None the row holds the values themselves."""
-    if den is None:
-        return CliffordNumber(dim, {mask: v for mask, v in enumerate(row) if v})
-    return CliffordNumber(dim, {mask: Fraction(v, den) for mask, v in enumerate(row) if v})
+def from_numerators(dim: int, row: Iterable[Scalar]) -> CliffordNumber:
+    """The value with blade coefficients row[mask], in mask order, keeping
+    only the nonzero blades: the way back from a dense row of 2^dim values.
+    The masks are the row's positions, so none is checked again."""
+    value = CliffordNumber.__new__(CliffordNumber)
+    value.dim = dim
+    value._coeffs = {mask: v for mask, v in enumerate(row) if v}
+    return value
 
 
 class Paravector:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any
 
 from .clifford import CliffordNumber
@@ -51,6 +52,12 @@ def blade_to_str(mask: int, n: int) -> str:
     if n > 9:
         raise SerializationError("blade strings support at most 9 units")
     return "".join(str(i + 1) for i in range(n) if mask >> i & 1)
+
+
+@lru_cache(maxsize=None)
+def _blade_names(n: int) -> tuple[str, ...]:
+    """The blade string of every mask of dimension n."""
+    return tuple(blade_to_str(mask, n) for mask in range(1 << n))
 
 
 def str_to_blade(text: str, n: int) -> int:
@@ -143,8 +150,9 @@ def _checked(make, *args):
 
 
 def clifford_to_obj(c: CliffordNumber, mode: str) -> dict:
-    named = sorted((blade_to_str(mask, c.dim), value) for mask, value in c.coeffs.items())
-    return {key: _encode_value(value, mode) for key, value in named}
+    coeffs = c.coeffs
+    names = _blade_names(c.dim) if coeffs else ()  # a zero value names no blade, in any dimension
+    return {names[mask]: _encode_value(coeffs[mask], mode) for mask in sorted(coeffs, key=names.__getitem__)}
 
 
 def obj_to_clifford(obj: dict, n: int, mode: str) -> CliffordNumber:

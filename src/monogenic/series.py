@@ -8,8 +8,10 @@ values; every product states its output truncation degree explicitly.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -20,7 +22,6 @@ from .clifford import (
     blade_signs,
     cl_mul,
     from_numerators,
-    integer_numerators,
 )
 from .errors import DimensionMismatchError
 from .fueter import (
@@ -172,7 +173,7 @@ def series_eval(f: MonogenicSeries, x: Paravector, exact: bool = False) -> Cliff
         raise DimensionMismatchError(f"point of dimension {x.dim}, series of dimension {f.n}")
     if not exact:
         row = basis_combination(f.operand(), [x.components()])[0].tolist()
-        return from_numerators(f.n, row, None)
+        return from_numerators(f.n, row)
     cache = FueterCache(x)
     acc = CliffordNumber.zero(f.n)
     for m, a in f._coeffs.items():
@@ -210,6 +211,84 @@ def ck_mul_left(f: MonogenicSeries, g: MonogenicSeries, q_out: int) -> Monogenic
     return MonogenicSeries(f.n, q_out, out)
 
 
+@lru_cache(maxsize=None)
+def _partners(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each left blade a, the right blades a ^ c that land on each result
+    blade c, and the signs in e_a e_(a ^ c) = sign * e_c."""
+    signs = blade_signs(n)
+    size = 1 << n
+    partner = [[a ^ c for c in range(size)] for a in range(size)]
+    sign = [[signs[a][b] for b in row] for a, row in enumerate(partner)]
+    return np.array(partner), np.array(sign)
+
+
+def _stack(side: list, size: int, exact: bool) -> tuple[int, list[int], list[MultiIndex], list[list]]:
+    """One side's tables as dense rows: (den, the first row of each table and
+    the end, the index m of each row, the rows).  Exact values are written
+    as integer numerators over den, the lcm of their denominators; floats
+    are their own numerators, over 1."""
+    den, scale = 1, None
+    if exact:
+        dens = {v.denominator for t in side for c in t.values() for v in c.coeffs.values()}
+        den = math.lcm(*dens)
+        scale = {d: den // d for d in dens}
+    starts, index, rows = [0], [], []
+    for table in side:
+        for m, c in table.items():
+            row = [0] * size
+            for mask, v in c.coeffs.items():
+                row[mask] = v.numerator * scale[v.denominator] if scale else v
+            index.append(m)
+            rows.append(row)
+        starts.append(len(rows))
+    return den, starts, index, rows
+
+
+def _slots(
+    n: int,
+    a_start: list[int],
+    a_index: list[MultiIndex],
+    b_start: list[int],
+    b_index: list[MultiIndex],
+    groups: list,
+    q_out: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, MultiIndex]]]:
+    """Every (pair, a-row, b-row) triple of every group with |m| + |k| <=
+    q_out, pair by pair with a-rows before b-rows: the a-row, b-row and
+    result slot of each triple, and the (group, p) of each slot.  Slots are
+    numbered in order of first appearance."""
+    # every entry of p = m + k is below the radix, so key(p) = key(m) + key(k)
+    radix = max(map(max, a_index), default=0) + max(map(max, b_index), default=0) + 1
+    a_deg, b_deg = ([sum(m) for m in index] for index in (a_index, b_index))
+    a_key, b_key = (
+        [sum(e * radix**i for i, e in enumerate(reversed(m))) for m in index] for index in (a_index, b_index)
+    )
+    shift = radix**n
+    number: dict[int, int] = {}
+    heads, ia, ib, slot = [], [], [], []
+    for g, group in enumerate(groups):
+        base = g * shift
+        for i, j in group:
+            b_rows = range(b_start[j], b_start[j + 1])
+            for a in range(a_start[i], a_start[i + 1]):
+                qa, ka = a_deg[a], base + a_key[a]
+                for b in b_rows:
+                    if qa + b_deg[b] <= q_out:
+                        key = ka + b_key[b]
+                        s = number.get(key)
+                        if s is None:
+                            s = number[key] = len(heads)
+                            heads.append((g, mi_add(a_index[a], b_index[b])))
+                        ia.append(a)
+                        ib.append(b)
+                        slot.append(s)
+    return np.array(ia, dtype=np.intp), np.array(ib, dtype=np.intp), np.array(slot, dtype=np.intp), heads
+
+
+#: numerators in one block of triple products
+_BLOCK = 1 << 13
+
+
 def ck_sums(
     n: int,
     left: list[Mapping[MultiIndex, CliffordNumber]],
@@ -218,49 +297,72 @@ def ck_sums(
     q_out: int,
 ) -> list[dict[MultiIndex, CliffordNumber]]:
     """Per group of pairs (i, j), the sum of the CK products left[i] (ck)
-    right[j] truncated at |p| <= q_out: the one convolution of both modes,
-    row[ma ^ mb] += sign * va * vb on a dense row per index p.
+    right[j] truncated at |p| <= q_out: the one convolution of both modes.
 
-    The mode is decided once, in the numerator step.  When every value is
-    exact and not every one is an int, each side is written over its common
-    denominator (``integer_numerators``) and each result blade is divided
-    once by the product of the two.  Otherwise (ints, floats or a mix) the
-    values are their own numerators and nothing is divided.  Every result
-    keeps only its nonzero blades, in mask order; a group's indices come in
-    the order of their first pair."""
+    Each side is one dense array of numerator rows (``_stack``).  Every
+    (pair, m, k) triple of every group with |m| + |k| <= q_out is listed at
+    once by ``_slots``, pair by pair with m before k; the products run over
+    the left blades on blocks of triples, each step gathering the signed
+    partner blades, and are scatter-added into one result row per (group,
+    p).  The bookkeeping stays in Python: every numpy function a run has
+    not used yet adds resident memory on its first call.
+    Exact values multiply in int64 when max|a| max|b| 2^n #triples < 2^63
+    proves that no sum overflows, and in Python ints (object arrays)
+    otherwise; each distinct result numerator becomes one Fraction.
+    Int-only input gives ints; a float anywhere makes the call float64.
+    Every result keeps only its nonzero blades, in mask order; a group's
+    indices come in the order of their first pair."""
     kinds = {type(v) for t in (*left, *right) for c in t.values() for v in c.coeffs.values()}
-    if Fraction in kinds and kinds <= {int, Fraction}:
-        den_l, left_nums = integer_numerators(*left)
-        den_r, right_nums = integer_numerators(*right)
-        den = den_l * den_r
-    else:  # ints, floats or a mix: the values are their own numerators
-        den = None
-        left_nums, right_nums = (
-            [{key: list(c.coeffs.items()) for key, c in t.items()} for t in side]
-            for side in (left, right)
-        )
-    signs = blade_signs(n)
+    exact = kinds <= {int, Fraction}
     size = 1 << n
-    a_lists, b_lists = (
-        [[(m, mi_abs(m), a) for m, a in t.items()] for t in side] for side in (left_nums, right_nums)
+    (den_a, a_start, a_index, a_rows), (den_b, b_start, b_index, b_rows) = (
+        _stack(side, size, exact) for side in (left, right)
     )
-    out = []
-    for group in groups:
-        acc: defaultdict[MultiIndex, list] = defaultdict(lambda: [0] * size)
-        for i, j in group:
-            b_list = b_lists[j]
-            for m, qm, a in a_lists[i]:
-                if qm > q_out:
-                    continue
-                for k, qk, b in b_list:
-                    if qm + qk > q_out:
-                        continue
-                    row = acc[mi_add(m, k)]
-                    for ma, va in a:
-                        sign = signs[ma]
-                        for mb, vb in b:
-                            row[ma ^ mb] += sign[mb] * va * vb
-        out.append({p: from_numerators(n, row, den) for p, row in acc.items()})
+    groups = list(groups)
+    ia, ib, slot, heads = _slots(n, a_start, a_index, b_start, b_index, groups, q_out)
+    if exact:
+        top_a, top_b = (max(map(abs, chain.from_iterable(rows)), default=0) for rows in (a_rows, b_rows))
+        # each side must also fit on its own, for when the other is empty
+        fits = max(top_a, top_b) < 2**63 and top_a * top_b * size * len(slot) < 2**63
+        dtype = np.int64 if fits else object
+    else:
+        dtype = np.float64
+    # the left side blade-major, so that one blade of a block is one gather
+    A = np.array(a_rows, dtype=dtype).reshape(-1, size).T.copy()
+    B = np.array(b_rows, dtype=dtype).reshape(-1, size)
+    partner, sign = _partners(n)
+    # the signs in the data's type: a mixed-type multiply is one more numpy
+    # loop to page in, about 0.1 MB of resident memory on its first use
+    sign = sign.astype(dtype)
+    live = sorted({mask for t in left for c in t.values() for mask in c.coeffs})
+    # a blade that a value does not have adds nothing, even against inf or NaN
+    unfinite = not exact and not all(
+        math.isfinite(v) for t in (*left, *right) for c in t.values() for v in c.coeffs.values()
+    )
+    sums = np.zeros((len(heads), size), dtype)
+    step = max(1, _BLOCK // size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(slot), step):
+            at, b = ia[lo : lo + step], B[ib[lo : lo + step]]
+            prod = np.zeros_like(b)
+            for blade in live:
+                term = b[:, partner[blade]]
+                term *= sign[blade]
+                term *= A[blade, at, None]
+                if unfinite:
+                    term[(b[:, partner[blade]] == 0) | (A[blade, at, None] == 0)] = 0
+                prod += term
+            np.add.at(sums, slot[lo : lo + step], prod)
+
+    rows = sums.tolist()
+    if exact and Fraction in kinds:
+        den = den_a * den_b
+        # zero stays the int 0, which from_numerators drops at no cost
+        table = {v: Fraction(v, den) if v else 0 for v in set(chain.from_iterable(rows))}
+        rows = [map(table.__getitem__, row) for row in rows]
+    out: list[dict[MultiIndex, CliffordNumber]] = [{} for _ in groups]
+    for (g, p), row in zip(heads, rows):
+        out[g][p] = from_numerators(n, row)
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monogenic.clifford import CliffordNumber
+from monogenic.clifford import CliffordNumber, cl_mul
 from monogenic.errors import DimensionMismatchError
 from monogenic.growth import ProximateOrder
 from monogenic.multiindex import enumerate_up_to, mi_abs, mi_add, mi_factorial, mi_leq, mi_sub
@@ -24,7 +24,7 @@ from monogenic.operators import (
     tail_bound_profile,
 )
 from monogenic.series import MonogenicSeries, ck_mul_left, series_derivative, series_eval
-from monogenic.verify import random_rational_operator, random_rational_series
+from monogenic.verify import brute_force_ck, random_rational_operator, random_rational_series
 
 from conftest import DYADIC_VALUE, exact_series, scale_right
 
@@ -187,6 +187,82 @@ def test_exact_inverse_of_random_table_matches_fraction_oracle(H):
     """hom_to_op of a table that no operator was mapped to."""
     want = fraction_basis_transform(H.n, H.degree, H.entries, -1)
     _assert_same_tables(hom_to_op(H).entries, {s: u for s, u in want.items() if not u.is_zero()})
+
+
+def fraction_apply(P, f, q_out):
+    """op_apply in Fraction arithmetic through cl_mul: every (term, m, k) in
+    order, indices in the order they first appear, zeros dropped at the end."""
+    acc = {}
+    for s, u in P.entries.items():
+        if mi_abs(s) > f.degree:
+            continue
+        for m, a in u.coeffs.items():
+            for k, b in series_derivative(f, s).coeffs.items():
+                p = mi_add(m, k)
+                if mi_abs(p) <= q_out:
+                    acc[p] = acc[p] + cl_mul(a, b) if p in acc else cl_mul(a, b)
+    return {p: a for p, a in acc.items() if not a.is_zero()}
+
+
+#: the kernel's number regimes: numerators beyond 2^63 (object arrays); ints,
+#: small or with products beyond 2^63 (int64 and object arrays)
+BIG_VALUE = st.builds(
+    lambda num, sign, den: Fraction(sign * num, den),
+    st.integers(2**63, 2**70),
+    st.sampled_from([1, -1]),
+    st.sampled_from([1, 3, 2**64 + 13]),
+)
+INT_VALUE = st.one_of(st.integers(-9, 9), st.integers(2**40, 2**62))
+
+
+@st.composite
+def kernel_case(draw):
+    """Series f and g, an operator P and a degree, all of one dimension n <= 4
+    and one value regime; any table may be empty."""
+    n = draw(st.integers(1, 4))
+    value = draw(st.sampled_from([BIG_VALUE, INT_VALUE]))
+    series = lambda degree: exact_series(n, degree, max_terms=4, value=value)
+    f, g = draw(series(draw(st.integers(0, 3)))), draw(series(draw(st.integers(0, 3))))
+    index = st.sampled_from(enumerate_up_to(n, draw(st.integers(0, 2))))
+    P = OperatorSymbol(n, draw(st.dictionaries(index, series(draw(st.integers(0, 2))), max_size=3)))
+    return f, g, P, draw(st.integers(0, 5))
+
+
+def _values(*tables):
+    return [v for t in tables for u in t.values() for a in u.coeffs.values() for v in a.coeffs.values()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_case())
+@example((MonogenicSeries(4, 2), MonogenicSeries(4, 2), OperatorSymbol(4), 3))
+@example((  # index entries beyond 2^63: the (group, p) keys are Python ints
+    MonogenicSeries(2, 2**70, {(2**70, 0): CliffordNumber(2, {0: Fraction(1, 3), 3: 2})}),
+    MonogenicSeries(2, 2**70 + 1, {(1, 2**70): CliffordNumber(2, {0: 7, 2: 5}), (0, 0): CliffordNumber(2, {1: 1})}),
+    OperatorSymbol(2),
+    2**71 + 1,
+))
+@example((
+    MonogenicSeries(2, 1, {(1, 0): CliffordNumber(2, {0: 2**62, 3: -(2**62)})}),
+    MonogenicSeries(2, 1, {(0, 1): CliffordNumber(2, {0: 2**62, 1: 5})}),
+    OperatorSymbol(2, {(0, 0): MonogenicSeries.unit(2)}),
+    2,
+))
+def test_exact_kernel_matches_oracles_in_every_regime(case):
+    """ck_mul_left, op_apply, op_to_hom and hom_to_op against the Fraction
+    oracles at n = 1..4: equal values in the same index order, and int
+    input gives ints."""
+    f, g, P, q = case
+    product, applied = ck_mul_left(f, g, q), op_apply(P, f, q)
+    want = brute_force_ck(f, g, q)
+    assert list(product.coeffs) == list(want.coeffs) and product.coeffs == want.coeffs
+    want = fraction_apply(P, f, q)
+    assert list(applied.coeffs) == list(want) and applied.coeffs == want
+    H = op_to_hom(P, q % 3)
+    _assert_same_tables(H.entries, fraction_basis_transform(P.n, q % 3, P.entries, 1))
+    want = fraction_basis_transform(P.n, q % 3, H.entries, -1)
+    _assert_same_tables(hom_to_op(H).entries, {s: u for s, u in want.items() if not u.is_zero()})
+    if all(type(v) is int for v in _values({0: f, 1: g}, P.entries)):
+        assert all(type(v) is int for v in _values({0: product, 1: applied}))
 
 
 def _l1(series) -> Fraction:

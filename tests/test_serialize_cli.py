@@ -11,7 +11,7 @@ import monogenic
 from monogenic.clifford import CliffordNumber
 from monogenic.errors import SerializationError
 from monogenic.growth import ProximateOrder
-from monogenic.operators import OperatorSymbol, op_to_hom
+from monogenic.operators import HomTable, OperatorSymbol, op_to_hom
 from monogenic.series import MonogenicSeries
 from monogenic import cli, serialize
 from monogenic.cli import main
@@ -293,8 +293,61 @@ def test_cli_failed_write_keeps_existing_out(tmp_path, capsys):
     out.write_bytes(b"previous contents\n")
     assert main(["ckprod", str(big), str(big), "--degree", "0", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: cannot serialize") and err.count("\n") == 1
+    assert err == "error: the CK product is not finite in floats at index [0, 0]\n"
     assert out.read_bytes() == b"previous contents\n"
+
+
+def _float_series(n, degree, coeffs):
+    return MonogenicSeries(n, degree, {m: CliffordNumber(n, value) for m, value in coeffs.items()})
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("ckprod", "the CK product is not finite in floats at index [1, 0]"),
+        ("apply", "the applied series is not finite in floats at index [1, 0]"),
+        ("op2hom", "the table entry at p=[1, 0] is not finite in floats at index [1, 0]"),
+        ("hom2op", "the operator coefficient at m=[1, 0] is not finite in floats at index [1, 0]"),
+    ],
+)
+def test_cli_float_overflow_names_the_result(tmp_path, capsys, command, message):
+    """Float products beyond the float range exit 2 with one line that names
+    the result, and write nothing; a numpy warning would fail the test."""
+    f = _float_series(2, 1, {(1, 0): {0: 1e300, 1: -1e300}, (0, 0): {0: 1.0}})
+    g = _float_series(2, 1, {(0, 0): {0: 1e300, 1: 1e300}})
+    big = _float_series(2, 1, {(0, 0): {0: 1.5e308}, (1, 0): {0: 1.5e308}})
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("f", "g", "P", "H", "out")}
+    _write_series(paths["f"], f)
+    _write_series(paths["g"], g)
+    # two entries whose terms meet at p = (1, 0) of the t = (1, 0) table entry
+    P = OperatorSymbol(2, {(0, 0): big.homogeneous_part(0), (1, 0): big.homogeneous_part(1)})
+    serialize.write_file(paths["P"], serialize.operator_to_obj(P))
+    H = HomTable(2, 1, {(0, 0): big.homogeneous_part(0), (1, 0): big.homogeneous_part(1).scale(-1.0),
+                        (0, 1): MonogenicSeries(2, 1)})
+    serialize.write_file(paths["H"], serialize.homtable_to_obj(H))
+    argv = {
+        "ckprod": ["ckprod", paths["f"], paths["g"], "--degree", "2"],
+        "apply": ["apply", paths["P"], paths["f"], "--degree", "1"],
+        "op2hom": ["op2hom", paths["P"], "--degree", "1"],
+        "hom2op": ["hom2op", paths["H"]],
+    }[command]
+    assert main(argv + ["--out", paths["out"]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(paths["out"])
+
+
+def test_cli_ckprod_huge_degree_keeps_every_term(tmp_path):
+    """A truncation degree far above |f| + |g| drops nothing and changes nothing."""
+    f, g = random_rational_series(3, 3, 21), random_rational_series(3, 2, 22)
+    fp, gp = tmp_path / "f.json", tmp_path / "g.json"
+    _write_series(fp, f)
+    _write_series(gp, g)
+    outs = {}
+    for degree in ("1000000000", "5"):
+        outs[degree] = tmp_path / f"fg{degree}.json"
+        assert main(["ckprod", str(fp), str(gp), "--degree", degree, "--out", str(outs[degree])]) == 0
+    huge, exact = (serialize.read_file(str(path)) for path in outs.values())
+    assert huge["degree"] == 1000000000 and huge["coeffs"] == exact["coeffs"] != []
 
 
 @pytest.mark.parametrize("where", ["a directory", "in a missing directory", "empty"])

@@ -359,6 +359,29 @@ def test_exact_ck_kernel_matches_brute_force(case):
             assert all(type(v) is int for a in got.coeffs.values() for v in a.coeffs.values())
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_float_ck_keeps_non_finite_values_in_their_blades(bad):
+    """An inf or NaN coefficient reaches only the blades its products reach,
+    as in the double loop of ``brute_force_ck`` (the other sums are small
+    integers, so every order of adding them gives the same bits)."""
+    f = MonogenicSeries(2, 1, {(0, 0): CliffordNumber(2, {0: 1.0}), (1, 0): CliffordNumber(2, {1: 2.0, 3: -1.0})})
+    g = MonogenicSeries(2, 1, {(0, 0): CliffordNumber(2, {0: bad, 1: 3.0}), (0, 1): CliffordNumber(2, {2: 5.0})})
+    for left, right in ((f, g), (g, f)):
+        got, want = ck_mul_left(left, right, 2), brute_force_ck(left, right, 2)
+        assert list(got.coeffs) == list(want.coeffs)
+        for p, a in want.coeffs.items():
+            assert {k: str(v) for k, v in got.coeffs[p].coeffs.items()} == {k: str(v) for k, v in a.coeffs.items()}
+
+
+def test_ck_of_exact_and_float_values_is_float():
+    """A float anywhere makes the product float, as in the double loop."""
+    f = MonogenicSeries(2, 1, {(1, 0): CliffordNumber(2, {0: Fraction(1, 3), 1: 2})})
+    g = MonogenicSeries(2, 1, {(0, 1): CliffordNumber(2, {0: 0.5, 3: 1.5})})
+    got, want = ck_mul_left(f, g, 2), brute_force_ck(f, g, 2)
+    assert got.coeffs == want.coeffs
+    assert all(type(v) is float for a in got.coeffs.values() for v in a.coeffs.values())
+
+
 def test_exact_ck_of_zero_divisors_is_zero():
     assert ck_mul_left(*_ZERO_DIVISORS, 2).is_zero()
 
