@@ -44,6 +44,10 @@ _ENVELOPE_CELLS = 20000
 #: cells per block of that grid in the first, coarse pass; divides
 #: _ENVELOPE_CELLS
 _ENVELOPE_BLOCK = 100
+#: values (grid points times degrees) per logsumexp call of the envelope:
+#: bounds its temporary arrays, and with them the peak resident memory, when
+#: many grid points or degrees are evaluated at once
+_ENVELOPE_CHUNK = 1 << 14
 
 
 def _check_sigma(sigma: float) -> None:
@@ -225,47 +229,41 @@ class ProximateOrder:
 # ---------------------------------------------------------------------------
 
 
-def _degree_log_norms(f: MonogenicSeries) -> tuple[np.ndarray, np.ndarray]:
-    table = f.degree_norms()
-    qs = np.array(sorted(q for q, v in table.items() if v > 0.0), dtype=float)
-    lnA = np.array([math.log(table[int(q)]) for q in qs])
+def _degree_log_norms(norms: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    qs = np.array(sorted(q for q, v in norms.items() if v > 0.0), dtype=float)
+    lnA = np.array([math.log(norms[int(q)]) for q in qs])
     return qs, lnA
 
 
-def weighted_norm_ln(
-    f: MonogenicSeries,
-    po: ProximateOrder,
-    sigma: float,
-    samples: int = 32,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Natural-log bracket of sup_x norm(f(x)) * exp(-sigma * t(norm(x))).
+def weighted_upper_ln(
+    norms: Mapping[int, float], po: ProximateOrder, sigma: float
+) -> tuple[float, list[float]]:
+    """The upper side of ``weighted_norm_ln`` from a series' degree data
+    alone: ``norms`` maps each degree q to the sum of the coefficient norms
+    at degree q (``MonogenicSeries.degree_norms``).  Returns (ln upper, the
+    ln radii where the lower side samples: the grid argmax and every
+    per-degree peak).  The radii are empty when no degree has a nonzero
+    norm (ln upper -inf) and for a constant, whose sup is its norm,
+    approached as r -> 0.
 
-    Upper bound: per-degree peak bounds (sum over degrees of the sup of each
-    triangle-inequality term) intersected with a cell envelope on a grid of
-    ``_ENVELOPE_CELLS`` cells in ln r covering every per-degree peak -- on
-    each cell the envelope multiplies the increasing factor at the right
-    edge by the decreasing weight at the left edge, so the bound is rigorous
-    for the coefficient-envelope functional.  The envelope is certified in
-    two passes: the coefficient envelope ln U is evaluated at every
-    ``_ENVELOPE_BLOCK``-th grid point first, which bounds every cell of the
-    block between two such points (ln U and t both increase), and then only
-    on the blocks whose bound can reach the best value already found.  The
-    result is the maximum over the whole grid, bit for bit.  Lower bound:
-    sampled max modulus at candidate radii near the peak (the grid argmax
-    and every per-degree peak; axis directions always included).
-    ``samples=0`` returns the upper side only, with the trivial lower bound
-    -inf: no point is evaluated.
+    The upper bound is the per-degree peak bounds (sum over degrees of the
+    sup of each triangle-inequality term) intersected with a cell envelope
+    on a grid of ``_ENVELOPE_CELLS`` cells in ln r covering every per-degree
+    peak -- on each cell the envelope multiplies the increasing factor at
+    the right edge by the decreasing weight at the left edge, so the bound
+    is rigorous for the coefficient-envelope functional.  The envelope is
+    certified in two passes: the coefficient envelope ln U is evaluated at
+    every ``_ENVELOPE_BLOCK``-th grid point first, which bounds every cell
+    of the block between two such points (ln U and t both increase), and
+    then only on the blocks whose bound can reach the best value already
+    found.  The result is the maximum over the whole grid, bit for bit.
     """
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
     _check_sigma(sigma)
-    qs, lnA = _degree_log_norms(f)
+    qs, lnA = _degree_log_norms(norms)
     if len(qs) == 0:
-        return -math.inf, -math.inf
+        return -math.inf, []
     if len(qs) == 1 and qs[0] == 0:
-        # constant series: the sup is the constant's norm, approached as r -> 0
-        return float(lnA[0]), float(lnA[0])
+        return float(lnA[0]), []
     peak_pairs = [po.ln_weight_peak(float(q), sigma) for q in qs]
     peaks = np.array([p[0] for p in peak_pairs])
     term_sups = lnA + np.array([p[1] for p in peak_pairs])
@@ -280,11 +278,16 @@ def weighted_norm_ln(
     # evaluated so far and -inf elsewhere.  Each row is computed on its own,
     # so a value does not depend on which other rows are evaluated with it.
     ln_u = np.full(len(grid), -math.inf)
+    # rows per logsumexp call, so that each of its temporary arrays holds
+    # about _ENVELOPE_CHUNK values whatever the number of rows
+    step = max(1, _ENVELOPE_CHUNK // len(qs))
 
     def evaluate(idx):
         """Fill ln U at the grid points idx; return the cell envelope and the
         grid values over every point evaluated so far."""
-        ln_u[idx] = logsumexp(lnA[None, :] + qs[None, :] * grid[idx, None], axis=1)
+        for start in range(0, len(idx), step):
+            rows = idx[start : start + step]
+            ln_u[rows] = logsumexp(lnA[None, :] + qs[None, :] * grid[rows, None], axis=1)
         # every per-degree term rises toward its peak and falls past it, so
         # left of the window everything is below U at the left edge (weight
         # <= 1) and right of it everything is below the last edge value
@@ -310,12 +313,34 @@ def weighted_norm_ln(
     bounds = ln_u[edges[1:]] - least_weight + slack
     starts = edges[:-1][bounds >= min(upper_env, float(grid_vals.max()))]
     upper_env, grid_vals = evaluate((starts[:, None] + np.arange(1, _ENVELOPE_BLOCK)).ravel())
-    ln_upper = min(upper_sum_form, upper_env)
+    best = int(np.argmax(grid_vals))
+    return min(upper_sum_form, upper_env), list({grid[best], *peaks.tolist()})
+
+
+def weighted_norm_ln(
+    f: MonogenicSeries,
+    po: ProximateOrder,
+    sigma: float,
+    samples: int = 32,
+    seed: int = 0,
+) -> tuple[float, float]:
+    """Natural-log bracket of sup_x norm(f(x)) * exp(-sigma * t(norm(x))).
+
+    Upper bound: ``weighted_upper_ln`` of the series' degree norms.  Lower
+    bound: sampled max modulus at the candidate radii near the peak that it
+    returns (the grid argmax and every per-degree peak; axis directions
+    always included).  A series with no coefficients, or only a constant
+    one, is exact at once.  ``samples=0`` returns the upper side only, with
+    the trivial lower bound -inf: no point is evaluated.
+    """
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
+    ln_upper, candidates = weighted_upper_ln(f.degree_norms(), po, sigma)
+    if not candidates:
+        return ln_upper, ln_upper
     if samples == 0:
         return -math.inf, ln_upper
 
-    best = int(np.argmax(grid_vals))
-    candidates = list({grid[best], *peaks.tolist()})
     sups = sampled_sups(f.n, f.operand(), [math.exp(L) for L in candidates], samples, seed)
     ln_lower = -math.inf
     for L, sampled in zip(candidates, sups):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import product
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -31,8 +32,10 @@ from .growth import (
     tail_ln_sums,
     type_from_kq,
     weighted_norm_ln,
+    weighted_upper_ln,
 )
 from .multiindex import (
+    MultiIndex,
     enumerate_up_to,
     ln_c_nm,
     mi_abs,
@@ -312,18 +315,46 @@ def check_normalization(n: int, corruption: str | None = None) -> CheckReport:
     )
 
 
+def _over_lcm(f: MonogenicSeries, exact: bool) -> tuple[int, dict]:
+    """(den, f's coefficients as integer numerators over den), den the lcm
+    of f's denominators; (1, the coefficients as they are) if not exact."""
+    if not exact:
+        return 1, f.coeffs
+    den = math.lcm(*(v.denominator for a in f.coeffs.values() for v in a.coeffs.values()))
+    return den, {
+        m: CliffordNumber(f.n, {b: v.numerator * (den // v.denominator) for b, v in a.coeffs.items()})
+        for m, a in f.coeffs.items()
+    }
+
+
 def brute_force_ck(f: MonogenicSeries, g: MonogenicSeries, q_out: int) -> MonogenicSeries:
-    """Independent convolution: explicit double loop over all index pairs in
-    ``Fraction`` arithmetic through ``cl_mul``, sharing no inner loop with the
-    CK kernel ``series.ck_sums``."""
+    """Independent convolution: explicit double loop over all index pairs
+    through ``cl_mul``, sharing no inner loop with the CK kernel
+    ``series.ck_sums``.
+
+    Exact input runs the loop on Python ints: each side is written over the
+    lcm of its own denominators, den_f and den_g.  A product of two
+    numerators is then exact over den_f * den_g, and so is every sum of such
+    products, so each result blade is one ``Fraction(v, den_f * den_g)`` at
+    the end.  A float anywhere leaves both sides as they are, over 1, and
+    int-only input gives ints."""
+    values = [v for s in (f, g) for a in s.coeffs.values() for v in a.coeffs.values()]
+    exact = all(isinstance(v, (int, Fraction)) for v in values)
+    (den_f, left), (den_g, right) = _over_lcm(f, exact), _over_lcm(g, exact)
     out: dict = {}
-    for m, a in f.coeffs.items():
-        for k, b in g.coeffs.items():
+    for m, a in left.items():
+        for k, b in right.items():
             p = mi_add(m, k)
             if mi_abs(p) > q_out:
                 continue
             term = cl_mul(a, b)
             out[p] = out.get(p, CliffordNumber.zero(f.n)) + term
+    if exact and any(isinstance(v, Fraction) for v in values):
+        den = den_f * den_g
+        out = {
+            p: CliffordNumber(f.n, {mask: Fraction(v, den) for mask, v in c.coeffs.items()})
+            for p, c in out.items()
+        }
     return MonogenicSeries(f.n, q_out, {m: v for m, v in out.items() if not v.is_zero()})
 
 
@@ -547,6 +578,26 @@ def check_vm_norm_bound(
     )
 
 
+def _derivative_norms(f: MonogenicSeries, q_max: int) -> dict[MultiIndex, dict[int, float]]:
+    """m -> the ``degree_norms`` of d^m f, for every |m| <= q_max with d^m f
+    nonzero, in one pass over f's coefficients: a_k adds (k!/(k-m)!) norm(a_k)
+    at degree |k| - |m| of each m <= k.  Each table sums in f's order, as
+    ``series_derivative(f, m).degree_norms()`` does; on one-blade float
+    coefficients the two agree bit for bit (norm(c a) = c norm(a) is then
+    one rounding either way), on others to a few ulps."""
+    out: dict[MultiIndex, dict[int, float]] = {}
+    for k, a in f.coeffs.items():
+        norm, q_k, fact = a.norm(), mi_abs(k), mi_factorial(k)
+        for m in product(*(range(min(e, q_max) + 1) for e in k)):
+            q = sum(m)
+            if q > q_max:
+                continue
+            table = out.setdefault(m, {})
+            shift = fact // mi_factorial(tuple(e - d for e, d in zip(k, m)))
+            table[q_k - q] = table.get(q_k - q, 0.0) + norm * shift
+    return out
+
+
 def check_derivative_bound(
     f: MonogenicSeries,
     po: ProximateOrder,
@@ -560,16 +611,19 @@ def check_derivative_bound(
     k = 1.05 * 2.0**rho
     inflate = 1.5 if corruption == "inflated-derivatives" else 0.0
     _, ln_f = weighted_norm_ln(f, po, sigma, samples=0)
+    q_top = min(q_max, f.degree)
+    norms = _derivative_norms(f, q_top)
     reqs = {}
-    for m in enumerate_up_to(f.n, min(q_max, f.degree)):
-        df = series_derivative(f, m)
-        if df.is_zero():
+    for m in enumerate_up_to(f.n, q_top):
+        if m not in norms:  # d^m f = 0
             continue
         q = mi_abs(m)
-        _, ln_df = weighted_norm_ln(df, po, k * sigma, samples=0)
+        ln_df, _ = weighted_upper_ln(norms[m], po, k * sigma)
         lhs = ln_df - math.log(mi_factorial(m)) + inflate * q * math.log(q + 1.0)
         rhs = ln_f + (q / rho) * math.log(2.0 * k * sigma) + ln_c_nm(f.n, m) - po.ln_gq(q)
         reqs[m] = lhs - rhs
+    if not reqs:
+        raise ValueError(f"derivative-bound: no derivative of order <= {q_max} is nonzero (zero series)")
     per_q = per_degree(reqs, max)
     ln_c, margin = _fitted_cover(per_q, sorted(per_q)[len(per_q) // 2])
     return _report(

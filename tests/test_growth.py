@@ -27,13 +27,14 @@ from monogenic.growth import (
     type_from_coeffs,
     type_from_kq,
     weighted_norm_ln,
+    weighted_upper_ln,
 )
 from monogenic.multiindex import mi_abs
 from monogenic.sampling import sphere_directions
 from monogenic.series import MonogenicSeries, max_modulus
 from monogenic.clifford import CliffordNumber
 from monogenic.fueter import contraction_operand
-from monogenic.verify import random_rational_series
+from monogenic.verify import axis_series, random_rational_series
 
 FAMILIES = (
     ProximateOrder("constant", 1.0),
@@ -369,7 +370,7 @@ def test_weighted_norm_upper_vs_dense_scan():
 def full_grid_envelope(f, po, sigma):
     """The reference for weighted_norm_ln's grid work: ln U at every point of
     the grid, then (ln_upper, the sampled side's candidate radii)."""
-    qs, lnA = growth._degree_log_norms(f)
+    qs, lnA = growth._degree_log_norms(f.degree_norms())
     peak_pairs = [po.ln_weight_peak(float(q), sigma) for q in qs]
     peaks = np.array([p[0] for p in peak_pairs])
     upper_sum_form = float(logsumexp(lnA + np.array([p[1] for p in peak_pairs])))
@@ -420,6 +421,54 @@ def test_pruned_envelope_matches_full_grid(n, degree, seed, po, sigma):
     f = random_rational_series(n, degree, seed).to_float()
     assume(any(q > 0 for q in f.degree_norms()))  # else no grid: empty or constant
     assert pruned_envelope(f, po, sigma) == full_grid_envelope(f, po, sigma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 8), st.integers(0, 10**6), st.booleans(), SCALES, SIGMAS)
+@example(2, 10, 0, False, ProximateOrder("constant", 1.0), 1.0)
+@example(2, 3, 0, True, ProximateOrder("logshift", 1.0, 0.5), 1.0)
+def test_weighted_upper_side_is_a_function_of_the_degree_data(n, degree, seed, exact, po, sigma):
+    """For every family, the upper side of weighted_norm_ln is
+    weighted_upper_ln of the series' degree norms, bit for bit (also for
+    the axis family, a series with no coefficients and a constant)."""
+    for f in (
+        random_rational_series(n, degree, seed) if exact else random_rational_series(n, degree, seed).to_float(),
+        axis_series(n, 1.0, sigma, degree),
+        random_rational_series(n, degree, seed).truncate(0),
+        MonogenicSeries(n, degree),
+    ):
+        ln_up, radii = weighted_upper_ln(f.degree_norms(), po, sigma)
+        assert weighted_norm_ln(f, po, sigma, samples=0)[1] == ln_up
+        assert (len(radii) > 0) == any(q > 0 and v > 0 for q, v in f.degree_norms().items())
+
+
+@pytest.mark.parametrize(
+    "po, n, degree, seed, bracket",
+    [
+        (ProximateOrder("constant", 1.0), 2, 5, 4, (5.055593537901822, 6.65803709632126)),
+        (ProximateOrder("constant", 1.0), 3, 4, 8, (5.040424237793012, 6.521998258622862)),
+        (ProximateOrder("logshift", 1.5, 0.5), 2, 5, 4, (1.9420341817092406, 2.7989032969586676)),
+        (ProximateOrder("logshift", 1.5, 0.5), 3, 4, 8, (2.0998515491666803, 3.563195857066926)),
+        (ProximateOrder("loglog", 0.8, -1.0), 2, 5, 4, (16.998625370276123, 18.932989658728385)),
+        (ProximateOrder("loglog", 0.8, -1.0), 3, 4, 8, (14.344534554293658, 15.836347719004754)),
+    ],
+)
+def test_sampled_brackets_are_pinned(po, n, degree, seed, bracket):
+    """samples > 0 brackets as weighted_norm_ln gave them before its upper
+    side became weighted_upper_ln; the sampled side runs through BLAS, so
+    the pin allows 1e-12 relative."""
+    f = random_rational_series(n, degree, seed).to_float()
+    assert weighted_norm_ln(f, po, 0.7, samples=16, seed=2) == pytest.approx(bracket, rel=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1, 100, 5000])
+def test_envelope_chunks_keep_every_bit(monkeypatch, chunk):
+    """ln U is evaluated _ENVELOPE_CHUNK values at a time; any chunk gives
+    the full grid's result, since each row is computed on its own."""
+    f = random_rational_series(3, 8, 1).to_float()
+    po = ProximateOrder("loglog", 1.5, -2.0)
+    monkeypatch.setattr(growth, "_ENVELOPE_CHUNK", chunk)
+    assert pruned_envelope(f, po, 0.5) == full_grid_envelope(f, po, 0.5)
 
 
 def norm_table(table):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monogenic import fueter
-from monogenic.clifford import CliffordNumber, Paravector
+from monogenic.clifford import CliffordNumber, Paravector, cl_mul
 from monogenic.errors import DimensionMismatchError
 from monogenic.multiindex import enumerate_up_to, mi_add, mi_abs
 from monogenic.growth import ProximateOrder, weighted_norm_ln
@@ -357,6 +357,78 @@ def test_exact_ck_kernel_matches_brute_force(case):
         assert got.coeffs == want.coeffs
         if all(type(v) is int for h in case for a in h.coeffs.values() for v in a.coeffs.values()):
             assert all(type(v) is int for a in got.coeffs.values() for v in a.coeffs.values())
+
+
+def fraction_brute_force_ck(f, g, q_out):
+    """The double loop of ``brute_force_ck`` on the values as they are, one
+    ``cl_mul`` per index pair in the values' own arithmetic: the reference
+    for its integer-numerator form."""
+    out = {}
+    for m, a in f.coeffs.items():
+        for k, b in g.coeffs.items():
+            p = mi_add(m, k)
+            if mi_abs(p) > q_out:
+                continue
+            out[p] = out.get(p, CliffordNumber.zero(f.n)) + cl_mul(a, b)
+    return MonogenicSeries(f.n, q_out, {m: v for m, v in out.items() if not v.is_zero()})
+
+
+@st.composite
+def oracle_case(draw):
+    """Two series for ``brute_force_ck``: exact ones as in ``exact_ck_case``
+    (mixed denominators, cancelling pairs, empty sides), int-only ones, their
+    float copies, or exact ones with some coefficients made float."""
+    kind = draw(st.sampled_from(["exact", "int", "float", "mixed"]))
+    if kind == "int":
+        n, degree = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+        ints = st.integers(-9, 9)
+        return draw(exact_series(n, degree, value=ints)), draw(exact_series(n, degree, value=ints))
+    f, g = draw(exact_ck_case())
+    if kind == "float":
+        return f.to_float(), g.to_float()
+    if kind == "mixed":
+        f, g = (
+            MonogenicSeries(
+                h.n, h.degree, {m: a.to_float() if draw(st.booleans()) else a for m, a in h.coeffs.items()}
+            )
+            for h in (f, g)
+        )
+    return f, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_case())
+@example(_ZERO_DIVISORS)
+@example((MonogenicSeries(2, 3), random_rational_series(2, 3, 4)))
+@example((random_rational_series(2, 3, 4).to_float(), random_rational_series(2, 3, 5)))
+def test_integer_oracle_matches_fraction_double_loop(case):
+    """``brute_force_ck`` on integer numerators against the double loop in
+    the values' own arithmetic: equal values, the same index order and the
+    same declared degree; int inputs give ints, a float makes it float."""
+    f, g = case
+    for q_out in range(2 * f.degree + 1):
+        got, want = brute_force_ck(f, g, q_out), fraction_brute_force_ck(f, g, q_out)
+        assert got.degree == want.degree == q_out
+        assert list(got.coeffs) == list(want.coeffs)
+        assert got.coeffs == want.coeffs
+        assert got.is_exact() == want.is_exact()
+        if all(type(v) is int for h in case for a in h.coeffs.values() for v in a.coeffs.values()):
+            assert all(type(v) is int for a in got.coeffs.values() for v in a.coeffs.values())
+
+
+def test_integer_oracle_does_no_fraction_arithmetic(monkeypatch):
+    """Exact values enter the pair loop as int numerators: no Fraction is
+    added, subtracted, negated or multiplied; Fractions are only built."""
+    f, g = random_rational_series(3, 4, 0), random_rational_series(3, 4, 1)
+    want = fraction_brute_force_ck(f, g, 8)
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__"):
+        op = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda *args, op=op, name=name: calls.append(name) or op(*args))
+    got = brute_force_ck(f, g, 8)
+    monkeypatch.undo()
+    assert calls == []
+    assert got == want and not got.is_zero()
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

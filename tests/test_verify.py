@@ -2,7 +2,10 @@ import math
 
 import pytest
 
+from monogenic import series, verify
 from monogenic.growth import ProximateOrder
+from monogenic.multiindex import enumerate_up_to
+from monogenic.series import MonogenicSeries, series_derivative
 from monogenic.verify import (
     CHECK_NAMES,
     CORRUPTION_TARGETS,
@@ -144,6 +147,66 @@ def test_derivative_bound_zero_order_reduces_to_monotonicity():
     assert rep.passed
     # k sigma >= sigma so the zero-order constant is at most 1
     assert rep.constants["ln_C_sigma"] <= 1e-9
+
+
+def derivative_tables(f, q_max):
+    """``degree_norms`` of d^m f, one ``series_derivative`` per index: the
+    reference for the one-pass table of ``check_derivative_bound``."""
+    tables = {m: series_derivative(f, m) for m in enumerate_up_to(f.n, q_max)}
+    return {m: d.degree_norms() for m, d in tables.items() if not d.is_zero()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_pass_derivative_norms_match_bit_for_bit_on_the_axis_family(n):
+    f = axis_series(n, 1.0, 1.0, 24)
+    got, want = verify._derivative_norms(f, 12), derivative_tables(f, 12)
+    assert set(got) == set(want)
+    for m, table in want.items():
+        assert list(got[m].items()) == list(table.items())
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_pass_derivative_norms_within_four_ulps_on_multi_blade_series(n, exact):
+    """norm(c a) and c norm(a) round apart on multi-blade values; the
+    relative gap is at most 4 eps (1.8 eps is the worst seen over seeds
+    0-19), with the same degrees in the same order."""
+    eps = 2.0**-52
+    for seed in range(5):
+        f = random_rational_series(n, 5, seed)
+        f = f if exact else f.to_float()
+        got, want = verify._derivative_norms(f, 4), derivative_tables(f, 4)
+        assert set(got) == set(want)
+        for m, table in want.items():
+            assert list(got[m]) == list(table)
+            for q, value in table.items():
+                assert abs(got[m][q] - value) <= 4 * eps * value
+
+
+@pytest.mark.parametrize("corruption", [None, "inflated-derivatives"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_derivative_bound_makes_no_series_derivative_call(monkeypatch, n, corruption):
+    calls = []
+
+    def counted(f, p):
+        calls.append(p)
+        return series_derivative(f, p)
+
+    monkeypatch.setattr(verify, "series_derivative", counted)
+    monkeypatch.setattr(series, "series_derivative", counted)
+    (rep,) = run_all(VerifyConfig(n=n, corruption=corruption, only=("derivative-bound",)))
+    assert rep.passed == (corruption is None)
+    assert calls == []
+
+
+def test_derivative_bound_of_a_zero_series_is_a_one_line_error(monkeypatch):
+    with pytest.raises(ValueError, match="^derivative-bound: ") as err:
+        check_derivative_bound(MonogenicSeries(2, 3), PO1, 1.0, 12)
+    assert "\n" not in str(err.value)
+    monkeypatch.setattr(verify, "axis_series", lambda n, rho, sigma, degree: MonogenicSeries(n, degree))
+    (rep,) = run_all(VerifyConfig(only=("derivative-bound",)))
+    assert rep.instance == f"raised ValueError: {err.value}"
+    assert rep.margin == -math.inf and not rep.passed
 
 
 def test_ck_norm_bound_unit_factor():
