@@ -1,13 +1,12 @@
-"""Four numerical routines in numpy and ``math``, bit for bit as in scipy 1.17.1.
+"""Three numerical routines in numpy and ``math``, bit for bit as in scipy 1.17.1.
 
 The package needs a scrambled Sobol sequence and the inverse normal CDF (for
-the sphere directions of ``sampling``), a bracketing root finder and a
-log-sum-exp (for the growth scales and sup-norm envelopes of ``growth``).
-Each routine below follows scipy's algorithm operation for operation, so
-it returns the same bits as the scipy call it stands for (``qmc.Sobol`` with
-``scramble=True`` and an integer seed, ``special.ndtri``,
-``optimize.brentq``, ``special.logsumexp``); the tests compare them with
-scipy where scipy is installed.
+the sphere directions of ``sampling``) and a log-sum-exp (for the sup-norm
+envelopes of ``growth``).  Each routine below follows scipy's algorithm
+operation for operation, so it returns the same bits as the scipy call it
+stands for (``qmc.Sobol`` with ``scramble=True`` and an integer seed,
+``special.ndtri``, ``special.logsumexp``); the tests compare them with scipy
+where scipy is installed.
 
 Credits:
 
@@ -16,19 +15,14 @@ Credits:
   30 (2008), 2635-2654 (the ``new-joe-kuo-6.21201`` set, first dimensions);
   the linear matrix scramble and digital shift follow scipy's ``_sobol.pyx``.
 - ``ndtri``: the Cephes Math Library, ``ndtri.c``, by Stephen L. Moshier.
-- ``brentq``: scipy's ``optimize/Zeros/brentq.c`` (Brent's method with
-  inverse quadratic extrapolation).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
 
 import numpy as np
-
-from .errors import InvariantViolationError
 
 # ---------------------------------------------------------------------------
 # Scrambled Sobol points
@@ -219,81 +213,6 @@ def ndtri(y) -> np.ndarray:
     out[y0 == 0.0] = -np.inf
     out[y0 == 1.0] = np.inf
     return out
-
-
-# ---------------------------------------------------------------------------
-# Brent's root finder (scipy's brentq.c)
-# ---------------------------------------------------------------------------
-
-_BRENTQ_MAXITER = 100
-
-
-def brentq(
-    f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float
-) -> float:
-    """A root of f in [a, b], where f(a) and f(b) differ in sign, to within
-    xtol + rtol*|x|.  ValueError on a nan value of f or a bracket without a
-    sign change; InvariantViolationError after 100 iterations."""
-
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is nan")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre = value(xpre)
-    fcur = value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_BRENTQ_MAXITER):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                # C's step is then inf or nan, which fails the test below
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise InvariantViolationError(
-        f"brentq did not converge in {_BRENTQ_MAXITER} iterations (last x={xcur})"
-    )
 
 
 # ---------------------------------------------------------------------------

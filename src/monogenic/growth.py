@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ._numeric import brentq, logsumexp
+from ._numeric import logsumexp
 from .errors import InvariantViolationError, UndefinedOrderError
 from .fueter import sampled_sups
 from .multiindex import MultiIndex, ln_c_nm, mi_abs
@@ -122,11 +122,18 @@ class ProximateOrder:
             out = np.where(ln_r >= self.ln_cutover, self.rho + self.a / safe, self._cap_slope)
         return out if out.ndim else float(out)
 
-    def scale(self, r: float) -> float:
-        """t(r) = r^rho^(r); strictly increasing from (0,inf) onto (0,inf)."""
-        if r <= 0:
+    def scale(self, r):
+        """t(r) = r^rho^(r); strictly increasing from (0,inf) onto (0,inf).
+        Accepts scalars or numpy arrays; raises if any r <= 0."""
+        r = np.asarray(r, dtype=float)
+        if (r <= 0).any():
             raise ValueError("scale is defined for r > 0")
-        return math.exp(self.ln_scale_at_ln_r(math.log(r)))
+        ln_t = np.asarray(self.ln_scale_at_ln_r(np.log(r)))
+        with np.errstate(over="ignore"):
+            out = np.exp(ln_t)
+        if (np.isinf(out) & np.isfinite(ln_t)).any():
+            raise OverflowError("math range error")  # as math.exp reports it
+        return out if out.ndim else float(out)
 
     def exponent(self, r: float) -> float:
         """The normalised exponent at r, i.e. ln t(r) / ln r.
@@ -145,24 +152,65 @@ class ProximateOrder:
 
     # -- inverse phi --------------------------------------------------------
 
-    def ln_phi_at_ln_t(self, ln_t: float) -> float:
-        """ln of the inverse: the unique ln r with ln t(r) = ln_t."""
+    def ln_phis(self, ln_t) -> np.ndarray:
+        """ln of the inverse at each entry of ln_t, as a 1-D array: the ln r
+        with ln t(r) = ln_t; +-inf at +-inf, ValueError at nan.  Closed form
+        where ln t is affine in L = ln r (constant, logshift, the loglog cap).
+        Above the cap L solves h = rho L + a ln L - ln t = 0, L >= L1 =
+        max(2, 2|a|/rho), where h' = rho + a/L >= rho/2: L1 + 2 (ln t - ln t1)/rho
+        brackets the root, an iterate is within 2|h|/rho of it, and Newton
+        steps stop once |h| is within its rounding level 4 eps (rho L + |a ln L| + |ln t|)."""
+        y = np.array(ln_t, dtype=float, ndmin=1)
+        if np.isnan(y).any():
+            raise ValueError("ln t must not be nan")
         if self.family != "loglog":
-            return (ln_t - self.a) / self.rho
-        if ln_t <= self._cap_ln_t1:
-            return self.ln_cutover + (ln_t - self._cap_ln_t1) / self._cap_slope
-        lo = self.ln_cutover
-        hi = max(lo + 1.0, (ln_t - self.a * math.log(lo)) / self.rho + 1.0)
-        for _ in range(200):
-            if self.ln_scale_at_ln_r(hi) >= ln_t:
+            return (y - self.a) / self.rho
+        out = self.ln_cutover + (y - self._cap_ln_t1) / self._cap_slope
+        raw = (y > self._cap_ln_t1) & (y < math.inf)
+        y = y[raw]
+        hi = np.minimum(self.ln_cutover + 2.0 * (y - self._cap_ln_t1) / self.rho, np.finfo(float).max)
+        out[raw] = self._solve_above_cutover(y, np.full_like(y, self.ln_cutover), hi, peak=False)
+        return out
+
+    def _solve_above_cutover(self, target, lo, hi, peak: bool) -> np.ndarray:
+        """Per entry, the root in [lo, hi] of the increasing f = ln t - target,
+        or ln t + ln(d ln t/dL) - target for a ``peak``, above the loglog
+        cutover.  Newton steps bisect where they would leave the bracket; an
+        entry stops once |f| is within 4 eps times the sum of its terms' sizes,
+        takes one last step and is frozen, so its bits do not depend on the
+        batch.  InvariantViolationError if the scale's own methods disagree."""
+        rho, a = self.rho, self.a
+
+        def residual(L, t):
+            ln_L = np.log(L)
+            g = rho + a / L
+            ln_g = np.log(g) if peak else 0.0
+            level = 4.0 * np.finfo(float).eps * (rho * L + np.abs(a * ln_L) + np.abs(ln_g) + np.abs(t))
+            return rho * L + a * ln_L + ln_g - t, g - a / (L * L * g) if peak else g, level
+
+        L = np.clip((target - (math.log(rho) if peak else 0.0)) / rho, lo, hi)
+        todo = np.arange(len(L))
+        for _ in range(100):  # a solve that has not stopped by then fails the check below
+            here = L[todo]
+            value, slope, level = residual(here, target[todo])
+            left = lo[todo] = np.where(value < 0, here, lo[todo])
+            right = hi[todo] = np.where(value < 0, hi[todo], here)
+            step = here - value / slope
+            done = np.abs(value) <= level
+            inside = (step >= left) & (step <= right)
+            L[todo] = np.where(inside, step, np.where(done, here, left + 0.5 * (right - left)))
+            todo = todo[~done]
+            if not todo.size:
                 break
-            hi = lo + 2.0 * (hi - lo)
-        else:
-            raise InvariantViolationError("failed to bracket the scale inverse")
-        func = lambda L: self.ln_scale_at_ln_r(L) - ln_t
-        if func(lo) > 0 or func(hi) < 0:
-            raise InvariantViolationError("scale is not monotone on the bracket")
-        return float(brentq(func, lo, hi, xtol=1e-13, rtol=8.9e-16))
+        ln_g = np.log(self.log_slope_at_ln_r(L)) if peak else 0.0
+        bad = ~(np.abs(self.ln_scale_at_ln_r(L) + ln_g - target) <= residual(L, target)[2])
+        if bad.any():
+            raise InvariantViolationError(f"scale solve misses its root at ln r = {L[bad][0]}: not monotone")
+        return L
+
+    def ln_phi_at_ln_t(self, ln_t: float) -> float:
+        """ln of the inverse at one ln t (``ln_phis``)."""
+        return float(self.ln_phis(ln_t)[0])
 
     def phi(self, t: float) -> float:
         """Inverse of the normalised scale: phi(t(r)) = r."""
@@ -172,44 +220,78 @@ class ProximateOrder:
 
     # -- the gauge sequence -------------------------------------------------
 
-    def ln_gq(self, q: int) -> float:
-        """ln G_q = q*ln(phi(q)) - (q/rho)(1 + ln rho); G_0 = 1 by convention."""
-        if q < 0:
+    def ln_gqs(self, qs) -> np.ndarray:
+        """ln G_q = q*ln(phi(q)) - (q/rho)(1 + ln rho) for each q of qs, a
+        1-D array; G_0 = 1 by convention."""
+        q = np.array(qs, dtype=float, ndmin=1)
+        if (q < 0).any():
             raise ValueError("q must be >= 0")
-        if q == 0:
-            return 0.0
-        ln_phi_q = self.ln_phi_at_ln_t(math.log(q))
-        return q * ln_phi_q - (q / self.rho) * (1.0 + math.log(self.rho))
+        out, pos = np.zeros_like(q), q != 0
+        q = q[pos]
+        out[pos] = q * self.ln_phis(np.log(q)) - (q / self.rho) * (1.0 + math.log(self.rho))
+        return out
+
+    def ln_gq(self, q: int) -> float:
+        """ln G_q for one q (``ln_gqs``)."""
+        return float(self.ln_gqs(q)[0])
 
     # -- peaks of r^q * exp(-sigma*t(r)) -------------------------------------
 
-    def ln_weight_peak(self, q: float, sigma: float) -> tuple[float, float]:
-        """(ln r*, peak value) of q*ln r - sigma*t(r) over r > 0.
+    def ln_weight_peaks(self, qs, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        """(ln r*, peak value) of q*ln r - sigma*t(r) over r > 0 for each q of
+        qs, as two 1-D arrays; for q = 0 the sup 0 is approached as r -> 0
+        and ln r* = ln 1e-8 is reported.
 
-        For q = 0 the sup is 0, approached as r -> 0.  The objective's
-        stationarity condition sigma * t(r) * dlnt/dlnr = q has a unique
-        root because both factors increase.
+        In L = ln r the objective's slope is q (1 - e^E), with the excess
+        E = ln t + ln g - ln q + ln sigma, g = d ln t/dL.  Where ln t is affine
+        (constant, logshift, the loglog cap) E rises and the peak is closed
+        form: L* = (ln q - ln sigma - ln rho - a)/rho, or the same with the
+        cap's slope and end.  Above the loglog cutover L1, E' = ((rho L + a)^2
+        - a)/(L (rho L + a)) with rho L + a = L g > 0: E rises for a <= 0, and
+        for a > 0 above Lm = (sqrt(a) - a)/rho, below L1 >= 2 when rho > 1/8.
+        Otherwise E falls up to Lm: a root above L1 lies above max(L1, Lm),
+        and the cap may hold a second local maximum, so the larger value
+        wins.  E >= rho L + ln rho - ln q + ln sigma for a >= 0 and E' >= rho/2
+        for a < 0 bound the Newton solve's bracket from above.
         """
         _check_sigma(sigma)
-        if q == 0:
-            return _LN_R_MIN, 0.0
-        target = math.log(q / sigma)
+        q_all = np.array(qs, dtype=float, ndmin=1)
+        bad = ~(np.isfinite(q_all) & (q_all >= 0))
+        if bad.any():
+            raise ValueError(f"q must be finite and >= 0, got {q_all[bad][0]}")
+        ln_r, values = np.full_like(q_all, _LN_R_MIN), np.zeros_like(q_all)
+        pos = q_all > 0
+        q, ln_sigma = q_all[pos], math.log(sigma)
+        target = np.log(q) - ln_sigma
 
-        def excess(L):
-            return self.ln_scale_at_ln_r(L) + math.log(self.log_slope_at_ln_r(L)) - target
+        def value(L):
+            # sigma t(r*) = q/g at the peak: finite where t(r*) itself overflows
+            return q * L - np.exp(ln_sigma + self.ln_scale_at_ln_r(L))
 
-        lo, hi = -5.0, 5.0
-        for _ in range(300):
-            if excess(lo) < 0:
-                break
-            lo -= 5.0
-        for _ in range(300):
-            if excess(hi) > 0:
-                break
-            hi += 5.0
-        L_star = float(brentq(excess, lo, hi, xtol=1e-12, rtol=8.9e-16))
-        value = q * L_star - sigma * math.exp(self.ln_scale_at_ln_r(L_star))
-        return L_star, value
+        rho, a, ln_r1, s = self.rho, self.a, self.ln_cutover, self._cap_slope
+        if self.family != "loglog":
+            peak = (target - math.log(rho) - a) / rho
+            ln_r[pos], values[pos] = peak, value(peak)
+            return ln_r, values
+        peak = ln_r1 + (target - math.log(s) - self._cap_ln_t1) / s
+        lo = np.full_like(target, max(ln_r1, (math.sqrt(a) - a) / rho if a > 0 else ln_r1))
+        e_lo = self.ln_scale_at_ln_r(lo) + np.log(self.log_slope_at_ln_r(lo)) - target
+        solve = (peak > ln_r1) | (e_lo < 0)
+        above = np.full_like(target, math.nan)
+        t, lo, e_lo = target[solve], lo[solve], e_lo[solve]
+        hi = np.maximum(lo, (t - math.log(rho)) / rho) if a >= 0 else lo - 2.0 * e_lo / rho
+        above[solve] = self._solve_above_cutover(t, lo, hi, peak=True)
+        peak = np.minimum(peak, ln_r1)
+        v_above, v_cap = value(above), value(peak)
+        take = v_above > v_cap
+        ln_r[pos], values[pos] = np.where(take, above, peak), np.where(take, v_above, v_cap)
+        return ln_r, values
+
+    def ln_weight_peak(self, q: float, sigma: float) -> tuple[float, float]:
+        """(ln r*, peak value) of q*ln r - sigma*t(r) over r > 0 for one q
+        (``ln_weight_peaks``)."""
+        ln_r, values = self.ln_weight_peaks(q, sigma)
+        return float(ln_r[0]), float(values[0])
 
     def to_dict(self) -> dict:
         return {"family": self.family, "rho": self.rho, "a": self.a}
@@ -264,10 +346,8 @@ def weighted_upper_ln(
         return -math.inf, []
     if len(qs) == 1 and qs[0] == 0:
         return float(lnA[0]), []
-    peak_pairs = [po.ln_weight_peak(float(q), sigma) for q in qs]
-    peaks = np.array([p[0] for p in peak_pairs])
-    term_sups = lnA + np.array([p[1] for p in peak_pairs])
-    upper_sum_form = float(logsumexp(term_sups))
+    peaks, peak_values = po.ln_weight_peaks(qs, sigma)
+    upper_sum_form = float(logsumexp(lnA + peak_values))
 
     lo = min(peaks.min() - 1.0, _LN_R_MIN)
     hi = peaks.max() + 1.0
@@ -485,7 +565,8 @@ def _max_ln_type(
     K matters."""
     q_lo, q_hi = window
     picked = [q for q, v in ln_k.items() if q_lo <= q <= q_hi and q >= 1 and v > -math.inf]
-    return max((_ln_type(po.rho, q, ln_k[q], po.ln_gq(q)) for q in picked), default=-math.inf)
+    ln_gq = po.ln_gqs(picked).tolist()
+    return max((_ln_type(po.rho, q, ln_k[q], g) for q, g in zip(picked, ln_gq)), default=-math.inf)
 
 
 def type_from_coeffs(
@@ -612,7 +693,7 @@ def growth_report(
     qs = sorted(q for q in bounds if q_lo <= q <= q_hi and q >= 1)
     if not qs:
         raise UndefinedOrderError(f"no degrees with data in window [{q_lo}, {q_hi}]")
-    ln_gq = [po.ln_gq(q) for q in qs]
+    ln_gq = po.ln_gqs(qs).tolist()
     member = [math.exp(_ln_type(po.rho, q, bounds[q][1], g)) for q, g in zip(qs, ln_gq)]
     order_est = None
     type_coeffs = None

@@ -165,6 +165,49 @@ def test_phi_raises_on_non_monotone_scale():
         broken.ln_phi_at_ln_t(po._cap_ln_t1 + 5.0)
 
 
+def test_peak_raises_on_non_monotone_scale():
+    class Broken(ProximateOrder):
+        def ln_scale_at_ln_r(self, ln_r):
+            return -super().ln_scale_at_ln_r(ln_r)
+
+    broken = Broken("loglog", 1.0, 1.0)
+    # the peak of q = 100, sigma = 1 lies above the cutover ln r1 = 2
+    assert ProximateOrder("loglog", 1.0, 1.0).ln_weight_peak(100.0, 1.0)[0] > 2.0
+    with pytest.raises(InvariantViolationError):
+        broken.ln_weight_peak(100.0, 1.0)
+    with pytest.raises(InvariantViolationError):
+        broken.ln_weight_peaks([1.0, 10.0, 100.0], 1.0)
+
+
+@pytest.mark.parametrize("q", [-1.0, math.nan, math.inf, -math.inf])
+def test_peak_rejects_bad_degrees(q):
+    po = ProximateOrder("loglog", 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"q must be finite and >= 0, got"):
+        po.ln_weight_peak(q, 1.0)
+    with pytest.raises(ValueError, match=r"q must be finite and >= 0, got"):
+        po.ln_weight_peaks([2.0, q], 1.0)
+
+
+@pytest.mark.parametrize("po", FAMILIES, ids=lambda p: f"{p.family}-{p.rho}-{p.a}")
+def test_peak_of_extreme_finite_degree_and_weight(po):
+    # ln q - ln sigma = 1381.6 stays finite where q/sigma overflows
+    ln_r, value = po.ln_weight_peak(1e300, 1e-300)
+    assert math.isfinite(ln_r) and math.isfinite(value) and value > 0
+    assert po.ln_weight_peak(0.0, 1e-300) == (math.log(1e-8), 0.0)
+
+
+@pytest.mark.parametrize("spec", ["constant:1", "logshift:0.7:-1.5", "loglog:1:1", "loglog:0.5:-3"])
+def test_inverse_at_infinities_and_nan(spec):
+    po = ProximateOrder.parse(spec)
+    assert po.ln_phi_at_ln_t(math.inf) == math.inf
+    assert po.ln_phi_at_ln_t(-math.inf) == -math.inf
+    assert po.phi(math.inf) == math.inf
+    with pytest.raises(ValueError, match="nan"):
+        po.ln_phi_at_ln_t(math.nan)
+    with pytest.raises(ValueError, match="nan"):
+        po.ln_phis([1.0, math.nan])
+
+
 def test_weighted_norm_constant_series():
     po = ProximateOrder("constant", 1.0)
     c = MonogenicSeries(2, 0, {(0, 0): CliffordNumber.scalar(2, 4.0)})
@@ -496,6 +539,80 @@ def test_pruned_envelope_matches_full_grid_on_extreme_norms(ln_norms, po, sigma)
     assume(any(q > 0 for q in ln_norms))  # else no grid: a constant series
     f = norm_table({q: math.exp(v) for q, v in ln_norms.items()})
     assert pruned_envelope(f, po, sigma) == full_grid_envelope(f, po, sigma)
+
+
+def bisect_root(func, lo=-8.0, hi=8.0):
+    """The root of an increasing scalar function by bisection: the bracket
+    grows until func changes sign, then halves until it is two adjacent
+    floats.  The reference of the scale solves."""
+    while func(lo) >= 0:
+        lo *= 2.0
+    while func(hi) <= 0:
+        hi *= 2.0
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if mid in (lo, hi):
+            return mid
+        if func(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def peak_excess(po, q, sigma):
+    """ln t + ln(d ln t/d ln r) - ln(q/sigma) at ln r: zero at the peak."""
+    target = math.log(q) - math.log(sigma)
+    return lambda L: po.ln_scale_at_ln_r(L) + math.log(po.log_slope_at_ln_r(L)) - target
+
+
+DEGREES = st.lists(st.floats(1.0, 1e4), min_size=1, max_size=6)
+WEIGHTS = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SCALES, DEGREES, WEIGHTS)
+@example(ProximateOrder("loglog", 0.3, 2.0), [1.0, 1e4], 1e3)
+@example(ProximateOrder("loglog", 0.3, -2.0), [1.0, 1e4], 1e-3)
+@example(ProximateOrder("loglog", 3.0, 2.0), [1.0, 3.0], 1e3)
+def test_weight_peaks_match_bisection(po, qs, sigma):
+    ln_r, values = po.ln_weight_peaks([0.0, *qs], sigma)
+    assert (ln_r[0], values[0]) == (math.log(1e-8), 0.0)
+    for i, q in enumerate(qs, start=1):
+        excess = peak_excess(po, q, sigma)
+        assert ln_r[i] == pytest.approx(bisect_root(excess), rel=1e-12, abs=1e-12)
+        assert abs(excess(ln_r[i])) <= 1e-12 * (1.0 + abs(math.log(q / sigma)))
+        weight = sigma * math.exp(po.ln_scale_at_ln_r(ln_r[i]))
+        assert values[i] == pytest.approx(q * ln_r[i] - weight, rel=1e-12, abs=1e-12 * q)
+        # an entry's bits do not depend on its batch
+        assert po.ln_weight_peak(q, sigma) == (ln_r[i], values[i])
+
+
+@settings(max_examples=80, deadline=None)
+@given(SCALES, st.lists(st.floats(-30.0, 60.0), min_size=1, max_size=6))
+@example(ProximateOrder("loglog", 0.3, -2.0), [-1.0, 0.0, 1e-3, 40.0])
+@example(ProximateOrder("loglog", 0.3, 2.0), [5.0, 5.5, 1e3])
+def test_scale_inverse_matches_bisection(po, ln_ts):
+    ln_phi = po.ln_phis(ln_ts)
+    for y, L in zip(ln_ts, ln_phi):
+        ref = bisect_root(lambda x: po.ln_scale_at_ln_r(x) - y, -100.0, 100.0)
+        assert L == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert po.ln_phi_at_ln_t(y) == L
+
+
+def test_weight_peak_is_the_larger_of_two_local_maxima():
+    # rho < 1/8: above the cutover the excess first falls, and q/sigma in
+    # (0.0768, 0.0796) gives one stationary maximum on the cap and one above
+    # it; the dense scan of the objective finds the global one
+    po = ProximateOrder("loglog", 0.05, 0.04)
+    grid = np.linspace(-5.0, 10.0, 300001)
+    ln_t = po.ln_scale_at_ln_r(grid)
+    for ratio, in_cap in ((0.0769, True), (0.0775, True), (0.078, False), (0.079, False)):
+        for q in (1.0, 50.0):
+            sigma = q / ratio
+            best = (q * grid - sigma * np.exp(ln_t)).max()
+            ln_r, value = po.ln_weight_peak(q, sigma)
+            assert (ln_r < po.ln_cutover) == in_cap
+            assert best - 1e-9 * q <= value <= best + 1e-6 * q
 
 
 def test_growth_report_from_kq_only():

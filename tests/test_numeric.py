@@ -12,14 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 pytest.importorskip("scipy")
-from scipy.optimize import brentq as scipy_brentq  # noqa: E402
 from scipy.special import logsumexp as scipy_logsumexp  # noqa: E402
 from scipy.special import ndtri as scipy_ndtri  # noqa: E402
 from scipy.stats import qmc  # noqa: E402
 
-import monogenic.growth as growth  # noqa: E402
-from monogenic._numeric import brentq, logsumexp, ndtri, sobol_base2  # noqa: E402
-from monogenic.errors import InvariantViolationError  # noqa: E402
+from monogenic._numeric import logsumexp, ndtri, sobol_base2  # noqa: E402
 from monogenic.sampling import sphere_directions  # noqa: E402
 
 SEEDS = st.integers(0, 2**63 - 1)
@@ -121,58 +118,3 @@ def test_logsumexp_of_rows_matches_scipy(data, width, height):
 def test_logsumexp_edge_values():
     for a in ([-math.inf] * 3, [2.0, 2.0, 2.0], [5.0], [1e3, -1e3, 1e3], [710.0, 709.0]):
         assert logsumexp(a) == scipy_logsumexp(a)
-
-
-TOLERANCES = st.sampled_from([(1e-12, 8.9e-16), (1e-13, 8.9e-16), (2e-12, 8.881784197001252e-16)])
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    root=st.floats(-50.0, 50.0),
-    left=st.floats(1e-3, 100.0),
-    right=st.floats(1e-3, 100.0),
-    slope=st.floats(1e-3, 1e3),
-    cubic=st.floats(0.0, 10.0),
-    wiggle=st.floats(0.0, 0.9),
-    tol=TOLERANCES,
-)
-def test_brentq_matches_scipy(root, left, right, slope, cubic, wiggle, tol):
-    def f(x):
-        d = x - root
-        return slope * (d + wiggle * math.sin(d)) + cubic * d**3
-
-    a, b = root - left, root + right
-    xtol, rtol = tol
-    assert brentq(f, a, b, xtol, rtol) == scipy_brentq(f, a, b, xtol=xtol, rtol=rtol)
-
-
-def test_brentq_errors():
-    with pytest.raises(ValueError, match="different signs"):
-        brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 8.9e-16)
-    with pytest.raises(ValueError, match="nan"):
-        brentq(lambda x: math.nan, -1.0, 1.0, 1e-12, 8.9e-16)
-    # a jump at 0 halves the bracket each step, far from 1e-300 in 100 steps
-    step = lambda x: -1.0 if x <= 0.0 else 1.0
-    with pytest.raises(RuntimeError):
-        scipy_brentq(step, -1.0, 1.0, xtol=1e-300, rtol=8.9e-16)
-    with pytest.raises(InvariantViolationError, match="100 iterations"):
-        brentq(step, -1.0, 1.0, 1e-300, 8.9e-16)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    rho=st.floats(0.3, 3.0),
-    a=st.floats(-2.0, 2.0),
-    ln_t=st.floats(-20.0, 60.0),
-    q=st.integers(1, 60),
-    sigma=st.floats(0.05, 20.0),
-)
-def test_growth_scale_solves_match_scipy(rho, a, ln_t, q, sigma):
-    po = growth.ProximateOrder("loglog", rho, a)
-    ours = (po.ln_phi_at_ln_t(ln_t), po.ln_weight_peak(float(q), sigma))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            growth, "brentq", lambda f, lo, hi, xtol, rtol: scipy_brentq(f, lo, hi, xtol=xtol, rtol=rtol)
-        )
-        theirs = (po.ln_phi_at_ln_t(ln_t), po.ln_weight_peak(float(q), sigma))
-    assert ours == theirs

@@ -15,7 +15,9 @@ and the output of the CLI commands on valid files (CK products, operator
 application and the operator/table transforms in exact and in float mode).
 ``--quick`` keeps only n=2: the clean suite and, under each corruption, the
 reports of the check it targets.  The script uses only names
-that have been stable across releases, so it runs against older trees too.
+that have been stable across releases, so it runs against older trees too;
+the one newer name, ``ProximateOrder.ln_weight_peaks``, is skipped where it
+is missing.
 """
 
 from __future__ import annotations
@@ -87,6 +89,9 @@ def scale_values():
         yield f"  ln_phi {[po.ln_phi_at_ln_t(float(L)) for L in ln_grid]!r}"
         yield f"  ln_gq {[po.ln_gq(q) for q in range(0, 40)]!r}"
         yield f"  peaks {[po.ln_weight_peak(q, s) for q in (0, 1, 3, 10) for s in (0.5, 2.0)]!r}"
+        if hasattr(po, "ln_weight_peaks"):  # absent from older trees
+            batch = [po.ln_weight_peaks(range(0, 40), s) for s in (0.5, 2.0)]
+            yield f"  batch peaks {[(ln_r.tolist(), v.tolist()) for ln_r, v in batch]!r}"
         yield f"  scale/phi {[(po.scale(r), po.phi(r)) for r in (0.01, 0.5, 2.0, 30.0)]!r}"
         yield f"  exponent {[po.exponent(r) for r in (0.01, 2.0, 30.0)]!r}"
         yield f"  dict {po.to_dict()!r}"
