@@ -272,6 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         _check_out(getattr(args, "out", None))
         return args.func(args)

@@ -25,7 +25,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ._numeric import logsumexp
 from .errors import InvariantViolationError, UndefinedOrderError
 from .fueter import sampled_sups
 from .multiindex import MultiIndex, ln_c_nm, mi_abs
@@ -37,6 +36,7 @@ from .series import MonogenicSeries, max_modulus, series_eval  # noqa: F401
 FAMILIES = ("constant", "logshift", "loglog")
 
 _LN_R_MIN = math.log(1e-8)
+_FLOAT_MAX = np.finfo(float).max
 
 #: cells of the log-radius grid on which weighted_norm_ln certifies its
 #: upper envelope
@@ -53,6 +53,36 @@ _ENVELOPE_CHUNK = 1 << 14
 def _check_sigma(sigma: float) -> None:
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+
+
+def _check_qs(qs) -> np.ndarray:
+    q = np.array(qs, dtype=float, ndmin=1)
+    bad = ~(np.isfinite(q) & (q >= 0))
+    if bad.any():
+        raise ValueError(f"q must be finite and >= 0, got {q[bad][0]}")
+    return q
+
+
+def logsumexp(a, axis: int = -1):
+    """ln of the sum of e^a along an axis (the last by default): a scalar for
+    1-D input, an array of one value per row otherwise; -inf for an empty
+    or all -inf sum.  Bit for bit ``scipy.special.logsumexp`` (scipy 1.17.1),
+    whose algorithm it follows operation for operation."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a.shape[axis] == 0:
+        return np.full(np.delete(a.shape, axis), -np.inf)[()]
+    a_max = a.max(axis=axis, keepdims=True)
+    tied = a == a_max
+    m = tied.sum(axis=axis, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # every tied maximum is taken out of the sum and counted in m
+        s = np.exp(np.where(tied, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out = np.where(bad, np.log(np.exp(a).sum(axis=axis, keepdims=True)), out)
+    return np.squeeze(out, axis=axis)[()]
 
 
 @dataclass(frozen=True)
@@ -108,7 +138,7 @@ class ProximateOrder:
         else:
             safe = np.maximum(ln_r, self.ln_cutover)
             raw = self.rho * safe + self.a * np.log(safe)
-            cap = self._cap_ln_t1 + self._cap_slope * (ln_r - self.ln_cutover)
+            cap = self._cap_ln_t1 + self._cap_slope * (np.minimum(ln_r, self.ln_cutover) - self.ln_cutover)
             out = np.where(ln_r >= self.ln_cutover, raw, cap)
         return out if out.ndim else float(out)
 
@@ -152,40 +182,47 @@ class ProximateOrder:
 
     # -- inverse phi --------------------------------------------------------
 
+    @np.errstate(over="ignore")
     def ln_phis(self, ln_t) -> np.ndarray:
         """ln of the inverse at each entry of ln_t, as a 1-D array: the ln r
-        with ln t(r) = ln_t; +-inf at +-inf, ValueError at nan.  Closed form
-        where ln t is affine in L = ln r (constant, logshift, the loglog cap).
-        Above the cap L solves h = rho L + a ln L - ln t = 0, L >= L1 =
-        max(2, 2|a|/rho), where h' = rho + a/L >= rho/2: L1 + 2 (ln t - ln t1)/rho
-        brackets the root, an iterate is within 2|h|/rho of it, and Newton
-        steps stop once |h| is within its rounding level 4 eps (rho L + |a ln L| + |ln t|)."""
+        with ln t(r) = ln_t; +-inf at +-inf, inf where the root lies beyond the
+        float range, ValueError at nan.  Closed form where ln t is affine in
+        L = ln r (constant, logshift, the loglog cap).  Above the cap L solves
+        h = rho L + a ln L - ln t = 0, L >= L1 = max(2, 2|a|/rho), where
+        h' = rho + a/L >= rho/2: L1 + 2 (ln t - ln t1)/rho brackets the root,
+        an iterate is within 2|h|/rho of it, and Newton steps stop once |h| is
+        within its rounding level 4 eps (rho L + |a ln L| + |ln t|)."""
         y = np.array(ln_t, dtype=float, ndmin=1)
         if np.isnan(y).any():
             raise ValueError("ln t must not be nan")
         if self.family != "loglog":
             return (y - self.a) / self.rho
         out = self.ln_cutover + (y - self._cap_ln_t1) / self._cap_slope
-        raw = (y > self._cap_ln_t1) & (y < math.inf)
+        top = self.rho * _FLOAT_MAX + self.a * math.log(_FLOAT_MAX)  # ln t at the largest L
+        out[y > top] = math.inf
+        raw = (y > self._cap_ln_t1) & (y <= top) & (y < math.inf)
         y = y[raw]
-        hi = np.minimum(self.ln_cutover + 2.0 * (y - self._cap_ln_t1) / self.rho, np.finfo(float).max)
+        hi = np.minimum(self.ln_cutover + 2.0 * (y - self._cap_ln_t1) / self.rho, _FLOAT_MAX)
         out[raw] = self._solve_above_cutover(y, np.full_like(y, self.ln_cutover), hi, peak=False)
         return out
 
+    @np.errstate(over="ignore")
     def _solve_above_cutover(self, target, lo, hi, peak: bool) -> np.ndarray:
         """Per entry, the root in [lo, hi] of the increasing f = ln t - target,
         or ln t + ln(d ln t/dL) - target for a ``peak``, above the loglog
         cutover.  Newton steps bisect where they would leave the bracket; an
-        entry stops once |f| is within 4 eps times the sum of its terms' sizes,
-        takes one last step and is frozen, so its bits do not depend on the
-        batch.  InvariantViolationError if the scale's own methods disagree."""
+        entry stops once |f| is within 4 eps times the sum of its terms' sizes
+        (capped at the largest float; where a term overflows, f is inf, right
+        of the root), takes one last step and is frozen, so its bits do not
+        depend on the batch.  InvariantViolationError if the scale's own methods disagree."""
         rho, a = self.rho, self.a
 
         def residual(L, t):
             ln_L = np.log(L)
             g = rho + a / L
             ln_g = np.log(g) if peak else 0.0
-            level = 4.0 * np.finfo(float).eps * (rho * L + np.abs(a * ln_L) + np.abs(ln_g) + np.abs(t))
+            size = rho * L + np.abs(a * ln_L) + np.abs(ln_g) + np.abs(t)
+            level = 4.0 * np.finfo(float).eps * np.minimum(size, _FLOAT_MAX)
             return rho * L + a * ln_L + ln_g - t, g - a / (L * L * g) if peak else g, level
 
         L = np.clip((target - (math.log(rho) if peak else 0.0)) / rho, lo, hi)
@@ -223,9 +260,7 @@ class ProximateOrder:
     def ln_gqs(self, qs) -> np.ndarray:
         """ln G_q = q*ln(phi(q)) - (q/rho)(1 + ln rho) for each q of qs, a
         1-D array; G_0 = 1 by convention."""
-        q = np.array(qs, dtype=float, ndmin=1)
-        if (q < 0).any():
-            raise ValueError("q must be >= 0")
+        q = _check_qs(qs)
         out, pos = np.zeros_like(q), q != 0
         q = q[pos]
         out[pos] = q * self.ln_phis(np.log(q)) - (q / self.rho) * (1.0 + math.log(self.rho))
@@ -255,10 +290,7 @@ class ProximateOrder:
         for a < 0 bound the Newton solve's bracket from above.
         """
         _check_sigma(sigma)
-        q_all = np.array(qs, dtype=float, ndmin=1)
-        bad = ~(np.isfinite(q_all) & (q_all >= 0))
-        if bad.any():
-            raise ValueError(f"q must be finite and >= 0, got {q_all[bad][0]}")
+        q_all = _check_qs(qs)
         ln_r, values = np.full_like(q_all, _LN_R_MIN), np.zeros_like(q_all)
         pos = q_all > 0
         q, ln_sigma = q_all[pos], math.log(sigma)

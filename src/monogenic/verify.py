@@ -126,7 +126,7 @@ class VerifyConfig:
         for name in ("n", "q_super", "q_max_vm", "q_max_deriv", "series_degree"):
             value = getattr(self, name)
             _require(is_integer(value) and value >= 1, name, "an integer >= 1", value)
-        _require(is_integer(self.seed), "seed", "an integer", self.seed)
+        _require(is_integer(self.seed) and self.seed >= 0, "seed", "an integer >= 0", self.seed)
         for name in ("sigma", "sigma_prime"):
             value = getattr(self, name)
             _require(is_finite_number(value) and value > 0, name, "a finite number > 0", value)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import monogenic
 import monogenic.growth as growth
-from monogenic._numeric import logsumexp
 from monogenic.errors import InvariantViolationError, UndefinedOrderError
 from monogenic.growth import (
     GrowthReport,
@@ -22,6 +21,7 @@ from monogenic.growth import (
     k_q,
     log_coeff_norms,
     log_kq_upper,
+    logsumexp,
     membership_limsup,
     order_from_coeffs,
     type_from_coeffs,
@@ -30,7 +30,6 @@ from monogenic.growth import (
     weighted_upper_ln,
 )
 from monogenic.multiindex import mi_abs
-from monogenic.sampling import sphere_directions
 from monogenic.series import MonogenicSeries, max_modulus
 from monogenic.clifford import CliffordNumber
 from monogenic.fueter import contraction_operand
@@ -186,6 +185,32 @@ def test_peak_rejects_bad_degrees(q):
         po.ln_weight_peak(q, 1.0)
     with pytest.raises(ValueError, match=r"q must be finite and >= 0, got"):
         po.ln_weight_peaks([2.0, q], 1.0)
+
+
+@pytest.mark.parametrize("q", [-1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("po", [ProximateOrder("constant", 1.0), ProximateOrder("loglog", 1.0, 1.0)])
+def test_gauge_rejects_bad_degrees(po, q):
+    with pytest.raises(ValueError, match=r"q must be finite and >= 0, got"):
+        po.ln_gqs([2.0, q])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ln_t", [1.7e308, 5.4e307, np.finfo(float).max])
+def test_inverse_beyond_the_float_range_is_inf(ln_t):
+    # 0.3 L + 2 ln L stays below 5.4e307 for every float L
+    assert ProximateOrder("loglog", 0.3, 2.0).ln_phis([ln_t]).tolist() == [math.inf]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rho, a", [(0.3, 2.0), (0.3, -2.0), (1.0, 1.0), (2.0, -1.0), (5.0, 3.0)])
+def test_inverse_near_the_top_of_the_float_range(rho, a):
+    """Finite roots of ln t up to the float range solve without a warning;
+    for rho >= 1 every finite ln t has one."""
+    po = ProximateOrder("loglog", rho, a)
+    ln_t = np.array([1e307, 3e307, 4e307, 5e307] + ([1.7e308, np.finfo(float).max] if rho >= 1 else []))
+    ln_r = po.ln_phis(ln_t)
+    assert np.isfinite(ln_r).all()
+    assert po.ln_scale_at_ln_r(ln_r) == pytest.approx(ln_t, rel=1e-15)
 
 
 @pytest.mark.parametrize("po", FAMILIES, ids=lambda p: f"{p.family}-{p.rho}-{p.a}")
@@ -492,14 +517,15 @@ def test_weighted_upper_side_is_a_function_of_the_degree_data(n, degree, seed, e
         (ProximateOrder("constant", 1.0), 3, 4, 8, (5.040424237793012, 6.521998258622862)),
         (ProximateOrder("logshift", 1.5, 0.5), 2, 5, 4, (1.9420341817092406, 2.7989032969586676)),
         (ProximateOrder("logshift", 1.5, 0.5), 3, 4, 8, (2.0998515491666803, 3.563195857066926)),
-        (ProximateOrder("loglog", 0.8, -1.0), 2, 5, 4, (16.998625370276123, 18.932989658728385)),
+        (ProximateOrder("loglog", 0.8, -1.0), 2, 5, 4, (17.019936367775756, 18.93298965872838)),
         (ProximateOrder("loglog", 0.8, -1.0), 3, 4, 8, (14.344534554293658, 15.836347719004754)),
     ],
 )
 def test_sampled_brackets_are_pinned(po, n, degree, seed, bracket):
     """samples > 0 brackets as weighted_norm_ln gave them before its upper
-    side became weighted_upper_ln; the sampled side runs through BLAS, so
-    the pin allows 1e-12 relative."""
+    side became weighted_upper_ln (the lower side of the loglog n=2 case is
+    re-pinned for the Kronecker directions of ``sphere_directions``); the
+    sampled side runs through BLAS, so the pin allows 1e-12 relative."""
     f = random_rational_series(n, degree, seed).to_float()
     assert weighted_norm_ln(f, po, 0.7, samples=16, seed=2) == pytest.approx(bracket, rel=1e-12)
 
@@ -661,20 +687,19 @@ def test_weighted_norm_of_extreme_coefficients(power, exact):
     assert math.isfinite(sampled_lower) and sampled_lower <= sampled_upper == ln_upper
 
 
-def test_sphere_directions_name_the_dimension_limit():
-    assert len(sphere_directions(11, 22)) == 22  # the axis points need no Sobol set
-    with pytest.raises(ValueError, match="10"):
-        sphere_directions(11, 32)
-
-
-NO_SCIPY_SCRIPT = """
+RUNTIME_SCRIPT = """
 import os, sys, tempfile
 import monogenic
 from monogenic import serialize
 from monogenic.cli import main
+from monogenic.growth import ProximateOrder, weighted_norm_ln
+from monogenic.series import max_modulus
 from monogenic.verify import VerifyConfig, random_rational_series, run_all
 
 run_all(VerifyConfig(n=2))
+f = random_rational_series(3, 4, 3).to_float()
+max_modulus(f, 1.0, samples=128)
+weighted_norm_ln(f, ProximateOrder("loglog", 1.0, 1.0), 1.0, samples=8)
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "f.json")
     serialize.write_file(path, serialize.series_to_obj(random_rational_series(2, 4, 3).to_float()))
@@ -682,14 +707,29 @@ with tempfile.TemporaryDirectory() as tmp:
                  "--sigma", "1", "--out", os.path.join(tmp, "r.csv")])
 assert code == 0, code
 print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+print("numpy.random" in sys.modules)
 """
 
 
-def test_runtime_loads_no_scipy():
+@pytest.fixture(scope="module")
+def runtime_output():
+    """The last two lines a fresh interpreter prints after the suite, the
+    sampled sides and CLI ``growth``: the scipy modules it loaded and
+    whether numpy.random is loaded (a subprocess, since pytest plugins may
+    import either)."""
     src = os.path.dirname(os.path.dirname(monogenic.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", RUNTIME_SCRIPT], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-2:]
+
+
+def test_runtime_loads_no_scipy(runtime_output):
+    assert runtime_output[0] == "[]"
+
+
+def test_runtime_loads_no_numpy_random(runtime_output):
+    # numpy.random alone costs about 5.7 MB of resident memory
+    assert runtime_output[1] == "False"

@@ -433,6 +433,7 @@ def test_cli_verify_subset_and_corruption(tmp_path, capsys):
         {"n": "2", "only": ["cauchy-inequality"]},
         {"n": True, "only": ["cauchy-inequality"]},
         {"seed": 1.5},
+        {"seed": -1, "only": ["fueter-monogenicity"]},
         {"sigma": -1, "only": ["derivative-bound"]},
         {"sigma": "1"},
         {"sigma_prime": 1.0},
@@ -481,6 +482,12 @@ def test_cli_verify_bad_config_exits_2(tmp_path, capsys, cfg):
     assert "Traceback" not in err
 
 
+def test_cli_negative_seed_names_the_flag(tmp_path, capsys):
+    assert main(["--seed", "-1", "verify", "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "r.json").exists()
+
 
 _SERIES = {"n": 2, "degree": 2, "mode": "float", "coeffs": [{"m": [1, 0], "value": {"": 1.0}}]}
 _NORMS = {"n": 2, "kind": "log_norms", "entries": [{"m": [1, 0], "ln_norm": 0.0}]}
@@ -527,10 +534,11 @@ def _hom(degree, *indices):
         (_series_with("10"), ["eval", "IN", "--point", "0.1,0.2,0.3"]),
         (_SERIES, ["eval", "IN", "--point", "0,1"]),
         (_SERIES, ["diff", "IN", "--index=-1,1", "--out", "OUT"]),
-        # non-finite scale parameters and a negative sample count
+        # non-finite scale parameters, a negative sample count or seed
         (_NORMS, _growth("loglog:1:nan")),
         (_NORMS, _growth("constant:inf")),
         (_SERIES, ["--samples", "-3"] + _growth()),
+        (_SERIES, ["--seed", "-1"] + _growth()),
         # hom tables: an index above the degree, a negative or a wrong-length
         # index, a negative degree
         (_hom(0, [0, 0], [3, 0]), ["hom2op", "IN", "--out", "OUT"]),
