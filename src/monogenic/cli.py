@@ -11,6 +11,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .clifford import Paravector
 from .errors import DimensionMismatchError, InvariantViolationError, SerializationError
@@ -206,7 +207,9 @@ def cmd_verify(args) -> int:
     return CHECK_FAILURE if failed else 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="monogenic",
         description="Calculus for entire monogenic functions over serialized series files.",
@@ -270,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.seed < 0:
         print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
         return USAGE_ERROR

@@ -17,14 +17,21 @@ import numpy as np
 from .clifford import Paravector
 
 
+def seeded_rng(seed: int) -> random.Random:
+    """``random.Random(seed)`` for a non-negative integer seed.  A negative
+    seed is refused: ``random.Random(-s)`` draws the stream of ``s``."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return random.Random(int(seed))
+
+
 def sphere_directions(dim: int, count: int, seed: int = 0) -> np.ndarray:
     """~count unit vectors in R^dim: all +/- axis points, then the points
     u_k = (shift + k phi^-(1..dim)) mod 1, k = 1, 2, ..., with phi the root
     of x^(dim+1) = x + 1 and the shift ``dim`` draws of ``random.Random(seed)``.
     Each u_k goes through u^0.14 - (1-u)^0.14 (Tukey's lambda approximation
     of the normal quantile) and is normalised."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    rng = seeded_rng(seed)
     axes = np.concatenate([np.eye(dim), -np.eye(dim)])
     extra = max(count - len(axes), 0)
     if extra == 0:
@@ -32,7 +39,6 @@ def sphere_directions(dim: int, count: int, seed: int = 0) -> np.ndarray:
     phi = 2.0
     for _ in range(60):  # a contraction by at most 1/2: 60 steps reach the float root
         phi = (1.0 + phi) ** (1.0 / (dim + 1))
-    rng = random.Random(seed)
     shift = np.array([rng.random() for _ in range(dim)])
     u = (shift + np.arange(1, extra + 1)[:, None] * phi ** -np.arange(1.0, dim + 1)) % 1.0
     g = u**0.14 - (1.0 - u) ** 0.14

@@ -7,14 +7,16 @@ Hom table file: {"n": int, "degree": int, "entries": [{"p": [ints], "b": <series
 Norms file:     {"n": int, "kind": "log_norms", "entries": [{"m": [ints], "ln_norm": num}]}
 Scale spec:     {"family": "constant"|"logshift"|"loglog", "rho": num, "a": num}
 
-Blade keys are digit strings with strictly increasing digits ("" is the
-scalar part), multi-indices are emitted in lexicographic order, blade keys
-sorted, exact rationals as "p/q" strings, floats in Python's shortest
-round-trip repr (``json.dumps``), so every finite float, -0.0 included,
-reads back bit for bit. Emission is deterministic so canonical files are
-diffable byte for byte.
+Blade keys are the ASCII names of the blades, the unit indices in
+increasing order ("" is the scalar part, "13" is e1e3), so n is at most 9.
+Multi-indices are emitted in lexicographic order, blade keys sorted, exact
+rationals as "p" or "p/q" strings in lowest terms with q > 1, floats in
+Python's shortest round-trip repr (``json.dumps``), so every finite float,
+-0.0 included, reads back bit for bit. Emission is deterministic so
+canonical files are diffable byte for byte.
 On input, "n", "degree" and index entries must be JSON integers and numbers
-must be finite JSON numbers; booleans are neither.
+must be finite JSON numbers; booleans are neither. An exact value may be a
+JSON integer or any string ``fractions.Fraction`` accepts.
 """
 
 from __future__ import annotations
@@ -57,35 +59,43 @@ def blade_to_str(mask: int, n: int) -> str:
 @lru_cache(maxsize=None)
 def _blade_names(n: int) -> tuple[str, ...]:
     """The blade string of every mask of dimension n."""
+    blade_to_str(0, n)  # the unit limit, checked before 1 << n is formed
     return tuple(blade_to_str(mask, n) for mask in range(1 << n))
 
 
+@lru_cache(maxsize=None)
+def _blade_masks(n: int) -> dict[str, int]:
+    """The inverse of ``_blade_names``: the mask of every blade string."""
+    return {name: mask for mask, name in enumerate(_blade_names(n))}
+
+
 def str_to_blade(text: str, n: int) -> int:
-    mask = 0
-    prev = 0
-    for ch in text:
-        if not ch.isdigit():
-            raise SerializationError(f"bad blade string {text!r}")
-        digit = int(ch)
-        if digit <= prev or digit > n:
-            raise SerializationError(f"bad blade string {text!r} for dimension {n}")
-        mask |= 1 << (digit - 1)
-        prev = digit
-    return mask
+    try:
+        return _blade_masks(max(n, 0))[text]  # below 1 the constructor names the fault
+    except KeyError:
+        raise SerializationError(f"bad blade string {text!r} for dimension {n}") from None
 
 
-def _encode_value(value, mode: str):
-    if mode == "exact":
-        # str of an int or a Fraction is already its "p/q" form
-        return str(value if isinstance(value, Fraction) or is_integer(value) else Fraction(value))
-    return float(value)
+_EXACT_TYPES = frozenset((Fraction, int))  # str gives "p" or "p/q"; a bool's does not
+
+
+def _rational(text: str) -> Fraction:
+    """Fraction(text), built from ints when text is ASCII -?digits(/digits)?:
+    Fraction's regex costs more than the rest of the decoding."""
+    num, slash, den = text.partition("/")
+    if text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+        try:
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        except (ValueError, ZeroDivisionError):
+            pass  # Fraction(text) raises it again, with its own message
+    return Fraction(text)
 
 
 def _decode_value(value, mode: str):
     if mode == "exact":
         if isinstance(value, str):
             try:
-                return Fraction(value)
+                return _rational(value)
             except (ValueError, ZeroDivisionError) as exc:
                 raise SerializationError(f"bad rational {value!r}: {exc}") from None
         if is_integer(value):
@@ -152,7 +162,10 @@ def _checked(make, *args):
 def clifford_to_obj(c: CliffordNumber, mode: str) -> dict:
     coeffs = c.coeffs
     names = _blade_names(c.dim) if coeffs else ()  # a zero value names no blade, in any dimension
-    return {names[mask]: _encode_value(coeffs[mask], mode) for mask in sorted(coeffs, key=names.__getitem__)}
+    masks = sorted(coeffs, key=names.__getitem__)
+    if mode != "exact":
+        return {names[m]: float(coeffs[m]) for m in masks}
+    return {names[m]: str(v if type(v := coeffs[m]) in _EXACT_TYPES else Fraction(v)) for m in masks}
 
 
 def obj_to_clifford(obj: dict, n: int, mode: str) -> CliffordNumber:

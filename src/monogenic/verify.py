@@ -13,7 +13,6 @@ injected by name so negative controls are reproducible.
 from __future__ import annotations
 
 import math
-import random
 from itertools import product
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -43,7 +42,7 @@ from .multiindex import (
     mi_factorial,
 )
 from .operators import OperatorSymbol, hom_to_op, op_apply, op_to_hom
-from .sampling import ball_points
+from .sampling import ball_points, seeded_rng
 from .serialize import is_finite_number, is_integer, obj_to_scale
 from .series import MonogenicSeries, ck_mul_left, series_derivative
 
@@ -178,7 +177,7 @@ def random_rational_series(
     n: int, degree: int, seed: int, density: float = 0.7
 ) -> MonogenicSeries:
     """Seeded random series with small-denominator rational coefficients."""
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     coeffs = {}
     for m in enumerate_up_to(n, degree):
         if rng.random() > density:
@@ -196,7 +195,7 @@ def random_rational_series(
 
 
 def random_rational_operator(n: int, order: int, degree: int, seed: int) -> OperatorSymbol:
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     entries = {}
     for m in enumerate_up_to(n, order):
         if rng.random() < 0.4:

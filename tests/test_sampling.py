@@ -54,3 +54,7 @@ def test_covering_radius_of_128_directions(dim, k):
     for seed in range(10):
         nearest = (probes @ sphere_directions(dim, 128, seed).T).max(axis=1).min()
         assert math.degrees(math.acos(nearest)) < BOUND[dim], seed
+
+
+def test_sphere_directions_take_a_numpy_integer_seed():
+    assert np.array_equal(sphere_directions(3, 32, np.int64(5)), sphere_directions(3, 32, 5))

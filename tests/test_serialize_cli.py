@@ -581,6 +581,14 @@ def _hom(degree, *indices):
         (_SERIES, ["diff", "IN", "--index", "1,0", "--out", "DIR"]),
         (_SERIES, ["growth", "IN", "--po", "constant:1", "--window", "1:2", "--out", "DIR"]),
         (_SERIES, ["eval", "MISSING", "--point", "0,1,2"]),
+        # blade keys that are not ASCII blade names (an Arabic-Indic one once
+        # named e1 too), and a blade of a dimension above 9
+        ({**_SERIES, "coeffs": [{"m": [1, 0], "value": {"1": 2.0, "١": 3.0}}]}, ["eval", "IN", "--point", "0,1,2"]),
+        ({**_SERIES, "coeffs": [{"m": [1, 0], "value": {"²": 3.0}}]}, ["eval", "IN", "--point", "0,1,2"]),
+        (
+            {"n": 10, "degree": 1, "mode": "exact", "coeffs": [{"m": [1] + [0] * 9, "value": {"1": "1"}}]},
+            ["diff", "IN", "--index", ",".join(["0"] * 10), "--out", "OUT"],
+        ),
     ],
 )
 def test_cli_bad_input_files_exit_2(tmp_path, capsys, obj, argv):
@@ -595,3 +603,41 @@ def test_cli_bad_input_files_exit_2(tmp_path, capsys, obj, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_cli_parser_reuse_leaks_no_state(tmp_path, capsys):
+    """Calls made one after another in one process (so with one parser) give
+    the exit code, the output and the files of the same call made alone."""
+    f, g = tmp_path / "f.json", tmp_path / "g.json"
+    _write_series(f, random_rational_series(2, 3, 1))
+    _write_series(g, random_rational_series(2, 3, 2))
+    op = tmp_path / "op.json"
+    serialize.write_file(str(op), serialize.operator_to_obj(random_rational_operator(2, 2, 1, 3)))
+    calls = [
+        ["--seed", "-1", "verify", "--list"],
+        ["ckprod", str(f), "--degree", "2"],  # argparse usage error
+        ["--mode", "exact", "ckprod", str(f), str(g), "--degree", "5", "--out", "OUT"],
+        ["op2hom", str(op), "--degree", "3", "--out", "OUT"],
+        ["--seed", "5", "--samples", "16", "growth", str(f), "--po", "loglog:1:0.5", "--window", "1:3"]
+        + ["--sigma", "2", "--out", "OUT"],
+        # the flags the calls above set, left to their defaults
+        ["growth", str(f), "--po", "constant:1", "--window", "1:3", "--out", "OUT"],
+        ["ckprod", str(f), str(g), "--degree", "2", "--out", "OUT"],
+        ["--mode", "float", "ckprod", str(f), str(g), "--degree", "2", "--out", "OUT"],
+    ]
+
+    def run(argv, out):
+        try:
+            code = main([str(out) if a == "OUT" else a for a in argv])
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        std = capsys.readouterr()
+        return code, std.out, std.err, out.read_bytes() if out.exists() else None
+
+    together = [run(argv, tmp_path / f"together{i}") for i, argv in enumerate(calls)]
+    alone = []
+    for i, argv in enumerate(calls):
+        cli.build_parser.cache_clear()
+        alone.append(run(argv, tmp_path / f"alone{i}"))
+    assert [r[0] for r in together] == [2, ("SystemExit", 2), 0, 0, 0, 0, 0, 2]
+    assert together == alone

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -258,3 +259,13 @@ def test_config_from_dict_round_trip():
     assert cfg.families[0].rho == 2.0
     reports = run_all(cfg)
     assert [r.name for r in reports] == ["type-formula"]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda seed: random_rational_series(2, 3, seed), lambda seed: verify.random_rational_operator(2, 2, 1, seed)],
+)
+def test_random_rational_generators_reject_a_negative_seed(make):
+    # random.Random(-1) draws the stream of random.Random(1)
+    with pytest.raises(ValueError, match=re.escape("seed must be a non-negative integer, got -1")):
+        make(-1)
