@@ -56,16 +56,18 @@ def _parse_index(text: str) -> tuple[int, ...]:
 
 
 def _load_series(path: str, mode: str | None):
+    """The series in a file and its mode, scanned once."""
     f = serialize.obj_to_series(serialize.read_file(path))
-    if mode is not None and f.mode() != mode and not f.is_zero():
-        raise SerializationError(f"{path}: mode {f.mode()!r} does not match --mode {mode!r}")
-    return f
+    got = f.mode()
+    if mode is not None and got != mode and not f.is_zero():
+        raise SerializationError(f"{path}: mode {got!r} does not match --mode {mode!r}")
+    return f, got
 
 
 def _check_one_mode(*sides) -> None:
-    """Raise unless the nonzero sides, each a collection of series, share one
-    mode (a side is exact when every series in it is)."""
-    modes = {serialize.mode_of(side) for side in sides if not all(u.is_zero() for u in side)}
+    """Raise unless the nonzero sides share one mode; a side is a collection
+    of series and its mode (exact when every series in it is)."""
+    modes = {mode for side, mode in sides if not all(u.is_zero() for u in side)}
     if len(modes) > 1:
         raise SerializationError("mixed exact/float inputs; convert one side first")
 
@@ -89,8 +91,8 @@ def _check_finite(f, what: str) -> None:
 
 
 def cmd_eval(args) -> int:
-    f = _load_series(args.series, args.mode)
-    exact = args.mode == "exact" and f.is_exact()
+    f, mode = _load_series(args.series, args.mode)
+    exact = args.mode == "exact" and mode == "exact"
     point = _parse_point(args.point, exact=exact)
     value = series_eval(f, point, exact=exact)
     mode = "exact" if value.is_exact() else "float"
@@ -101,11 +103,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ckprod(args) -> int:
-    f = _load_series(args.f, args.mode)
-    g = _load_series(args.g, args.mode)
-    _check_one_mode([f], [g])
+    f, mode = _load_series(args.f, args.mode)
+    g, g_mode = _load_series(args.g, args.mode)
+    _check_one_mode(([f], mode), ([g], g_mode))
     out = ck_mul_left(f, g, args.degree)
-    mode = f.mode()
     if mode == "float":
         _check_finite(out, "the CK product")
     serialize.write_file(args.out, serialize.series_to_obj(out, mode=mode))
@@ -113,9 +114,9 @@ def cmd_ckprod(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    f = _load_series(args.series, args.mode)
+    f, mode = _load_series(args.series, args.mode)
     out = series_derivative(f, _parse_index(args.index))
-    serialize.write_file(args.out, serialize.series_to_obj(out, mode=f.mode()))
+    serialize.write_file(args.out, serialize.series_to_obj(out, mode=mode))
     return 0
 
 
@@ -158,12 +159,11 @@ def cmd_growth(args) -> int:
 
 def cmd_apply(args) -> int:
     P = serialize.obj_to_operator(serialize.read_file(args.operator))
-    f = _load_series(args.series, args.mode)
+    f, mode = _load_series(args.series, args.mode)
     if P.n != f.n:
         raise DimensionMismatchError(f"operator dimension {P.n} != series dimension {f.n}")
-    _check_one_mode(P.entries.values(), [f])
+    _check_one_mode((P.entries.values(), serialize.mode_of(P.entries.values())), ([f], mode))
     out = op_apply(P, f, args.degree)
-    mode = f.mode()
     if mode == "float":
         _check_finite(out, "the applied series")
     serialize.write_file(args.out, serialize.series_to_obj(out, mode=mode))
@@ -173,20 +173,27 @@ def cmd_apply(args) -> int:
 def cmd_hom2op(args) -> int:
     table = serialize.obj_to_homtable(serialize.read_file(args.table))
     P = hom_to_op(table)
-    if serialize.mode_of(table.entries.values()) == "float":
+    # every coefficient of a float table's operator is float
+    mode = serialize.mode_of(table.entries.values())
+    if mode == "float":
         for m, u in P.entries.items():
             _check_finite(u, f"the operator coefficient at m={list(m)}")
-    serialize.write_file(args.out, serialize.operator_to_obj(P))
+    serialize.write_file(args.out, serialize.operator_to_obj(P, mode))
     return 0
 
 
 def cmd_op2hom(args) -> int:
     P = serialize.obj_to_operator(serialize.read_file(args.operator))
     table = op_to_hom(P, args.degree)
-    if serialize.mode_of(P.entries.values()) == "float":
+    mode = serialize.mode_of(P.entries.values())
+    if mode == "float":
         for p, b in table.entries.items():
             _check_finite(b, f"the table entry at p={list(p)}")
-    serialize.write_file(args.out, serialize.homtable_to_obj(table))
+    # a float operator's table is float where any entry is nonzero; one
+    # whose entries reach no t gives an all-zero table, which is exact
+    if all(b.is_zero() for b in table.entries.values()):
+        mode = "exact"
+    serialize.write_file(args.out, serialize.homtable_to_obj(table, mode))
     return 0
 
 
@@ -282,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, InvariantViolationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError:  # such as a table of every index of a huge dimension
+        print("error: the input needs more memory than there is", file=sys.stderr)
         return USAGE_ERROR
 
 

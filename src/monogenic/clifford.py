@@ -7,7 +7,7 @@ factor, factors ordered by increasing index).  Coefficients are either exact
 mode).  ``cl_mul`` multiplies two single values in either mode.  Sums of
 products of whole coefficient tables (``series.ck_sums``) work on dense rows
 of 2^n numerators with the sign table ``blade_signs`` instead, and
-``from_numerators`` turns a dense row of values back into a value.
+``from_table`` turns the nonzero blades of such a row back into a value.
 
 Values are immutable after construction and every operation is a pure
 function, so instances may be shared freely between threads.
@@ -80,11 +80,10 @@ class CliffordNumber:
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         self.dim = dim
-        limit = 1 << dim
         table: dict[int, Scalar] = {}
         if coeffs:
             for mask, value in coeffs.items():
-                if not 0 <= mask < limit:
+                if mask < 0 or mask >> dim:
                     raise DimensionMismatchError(
                         f"blade mask {mask:#x} out of range for dimension {dim}"
                     )
@@ -155,8 +154,13 @@ class CliffordNumber:
         return self.dim == other.dim and self._coeffs == other._coeffs
 
     def norm_sq(self) -> Scalar:
-        """Sum of squared blade coefficients; exact in exact mode."""
-        return sum((v * v for v in self._coeffs.values()), 0)
+        """Sum of squared blade coefficients, added one by one in table
+        order (the builtin sum compensates float sums on Python 3.12 and
+        later); exact in exact mode."""
+        total = 0
+        for v in self._coeffs.values():
+            total += v * v
+        return total
 
     def norm(self) -> float:
         """Euclidean norm of the blade coefficients.  Where the sum of squares
@@ -198,13 +202,13 @@ def cl_mul(a: CliffordNumber, b: CliffordNumber) -> CliffordNumber:
     return CliffordNumber(a.dim, out)
 
 
-def from_numerators(dim: int, row: Iterable[Scalar]) -> CliffordNumber:
-    """The value with blade coefficients row[mask], in mask order, keeping
-    only the nonzero blades: the way back from a dense row of 2^dim values.
-    The masks are the row's positions, so none is checked again."""
+def from_table(dim: int, table: dict[int, Scalar]) -> CliffordNumber:
+    """The value with the blade table {mask: value}, taken as it is: the
+    masks must be in range and the values nonzero, and neither is checked
+    again.  The way back from the dense rows of the array kernels."""
     value = CliffordNumber.__new__(CliffordNumber)
     value.dim = dim
-    value._coeffs = {mask: v for mask, v in enumerate(row) if v}
+    value._coeffs = table
     return value
 
 

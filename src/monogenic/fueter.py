@@ -30,6 +30,7 @@ blade arrays.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Collection, Mapping
@@ -299,8 +300,10 @@ def dirac_residuals(
     of K functions; small exactly when a function is monogenic.  ``evaluate``
     maps the offset points x + h e_0, x - h e_0, x + h e_1, ... (an array
     (2(n+1), n+1)) to their values, an array (2(n+1), K, 2^n); e_i acts by a
-    signed blade permutation, and each residual is the ``CliffordNumber.norm``
-    of its row (squares summed in mask order), so a NaN value gives NaN."""
+    signed blade permutation.  Each residual is the ``CliffordNumber.norm``
+    of its row, bit for bit: the squares are summed in mask order for all
+    rows at once, and only a row whose sum underflows to 0 or overflows goes
+    through math.hypot.  A NaN value gives NaN."""
     if not 0 < h < np.inf:
         raise ValueError(f"step h must be positive and finite, got {h}")
     n = x.dim
@@ -312,7 +315,13 @@ def dirac_residuals(
     for axis in range(1, n + 1):
         flip = np.arange(1 << n) ^ (1 << (axis - 1))  # (e_i d)[k] = sign(e_i e_flip) d[flip]
         acc = acc + diff[axis][:, flip] * _blade_signs(n)[1 << (axis - 1), flip]
-    return [CliffordNumber(n, dict(enumerate(row))).norm() for row in acc.tolist()]
+    with np.errstate(over="ignore"):
+        # a sum along the first axis adds the blades one by one, in mask order
+        norms = np.sqrt(np.ascontiguousarray((acc * acc).T).sum(axis=0))
+    out = norms.tolist()
+    for k in np.flatnonzero((norms == 0.0) | (norms == np.inf)).tolist():
+        out[k] = math.hypot(*acc[k].tolist())
+    return out
 
 
 def sampled_sups(

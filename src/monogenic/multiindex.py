@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator
 
 from .errors import DimensionMismatchError
@@ -54,12 +55,11 @@ def mi_leq(p: MultiIndex, m: MultiIndex) -> bool:
 
 
 def iter_degree(n: int, q: int) -> Iterator[MultiIndex]:
-    if n == 1:
-        yield (q,)
-        return
-    for first in range(q + 1):
-        for rest in iter_degree(n - 1, q - first):
-            yield (first, *rest)
+    """The multi-indices of length n with |m| = q in lexicographic order:
+    the gaps between n - 1 bars among q + n - 1 places, the bar positions in
+    lexicographic order (no recursion, so n is not bounded by its depth)."""
+    for bars in combinations(range(q + n - 1), n - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, q + n - 1)))
 
 
 @lru_cache(maxsize=None)

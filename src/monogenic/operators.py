@@ -37,16 +37,8 @@ from .multiindex import (
     ln_c_nm,
     mi_abs,
     mi_factorial,
-    mi_leq,
-    mi_sub,
 )
 from .series import MonogenicSeries, ck_sums, series_derivative
-
-
-def _from_table(n: int, table: dict[MultiIndex, CliffordNumber]) -> MonogenicSeries:
-    support = {m: a for m, a in table.items() if not a.is_zero()}
-    degree = max((mi_abs(m) for m in support), default=0)
-    return MonogenicSeries(n, degree, support)
 
 
 def _check_entries(
@@ -140,7 +132,7 @@ def op_apply(P: OperatorSymbol, f: MonogenicSeries, q_out: int) -> MonogenicSeri
     left = [P.entries[m].coeffs for m in terms]
     right = [series_derivative(f, m).coeffs for m in terms]
     (out,) = ck_sums(f.n, left, right, [[(i, i) for i in range(len(terms))]], q_out)
-    return MonogenicSeries(f.n, q_out, out)
+    return MonogenicSeries.of_sums(f.n, q_out, out)
 
 
 def _basis_transform(
@@ -150,23 +142,37 @@ def _basis_transform(
     |t| <= degree: the forward map with sign +1, its inverse with sign -1.
 
     For each t one ``ck_sums`` group of the pairs (entries[s], sign^|k| / k!
-    V_k) with k = t - s; the factors are Fractions when every entry is exact
-    and floats otherwise.  Nothing is truncated."""
+    V_k) with k = t - s, in entry order; the pairs come from one array
+    comparison of every t with every s.  The factors are Fractions when
+    every entry is exact and floats otherwise.  Nothing is truncated."""
     exact = all(u.is_exact() for u in entries.values())
     indices = enumerate_up_to(n, degree)
-    position = {k: j for j, k in enumerate(indices)}
     factors = []
     for k in indices:
         signed = sign ** mi_abs(k)
         value = Fraction(signed, mi_factorial(k)) if exact else float(signed) / mi_factorial(k)
         factors.append({k: CliffordNumber.scalar(n, value)})
-    groups = [
-        [(i, position[mi_sub(t, s)]) for i, s in enumerate(entries) if mi_leq(s, t)]
-        for t in indices
-    ]
+    # an entry above the degree is below no t; every key in radix degree + 1
+    # is below (degree + 1)^n
+    sources = list(entries)
+    low = [i for i, s in enumerate(sources) if mi_abs(s) <= degree]
+    dtype = np.int64 if (degree + 1) ** n < 2**63 else object
+    ts = np.array(indices, dtype).reshape(-1, n)
+    ss = np.array([sources[i] for i in low], dtype).reshape(-1, n)
+    row_t, row_s = np.nonzero((ss <= ts[:, None]).all(axis=2))
+    # the row of k = t - s among the indices, found by its key
+    powers = np.array([(degree + 1) ** e for e in range(n)], dtype)
+    keys = ts @ powers
+    order = np.argsort(keys, kind="stable")
+    row_k = order[np.searchsorted(keys[order], (ts[row_t] - ss[row_s]) @ powers)]
+    pairs = np.stack([np.array(low, dtype=np.intp)[row_s], row_k], axis=1)
+    groups = np.split(pairs, np.cumsum(np.bincount(row_t, minlength=len(indices)))[:-1])
     q_out = max((u.degree for u in entries.values()), default=0) + degree
     tables = ck_sums(n, [u.coeffs for u in entries.values()], factors, groups, q_out)
-    return {t: _from_table(n, table) for t, table in zip(indices, tables)}
+    return {
+        t: MonogenicSeries.of_sums(n, max(map(mi_abs, table), default=0), table)
+        for t, table in zip(indices, tables)
+    }
 
 
 def op_to_hom(P: OperatorSymbol, q_table: int) -> HomTable:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from typing import Callable, Iterable, Mapping
+from itertools import accumulate, chain, islice
+from operator import attrgetter, mul
+from typing import Callable, Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .clifford import (
     Paravector,
     blade_signs,
     cl_mul,
-    from_numerators,
+    from_table,
 )
 from .errors import DimensionMismatchError
 from .fueter import (
@@ -36,7 +37,6 @@ from .multiindex import (
     MultiIndex,
     check_index,
     mi_abs,
-    mi_add,
     mi_factorial,
 )
 
@@ -65,6 +65,15 @@ class MonogenicSeries:
                     table[m] = a
         self._coeffs = table
         self._operand = None
+
+    @classmethod
+    def of_sums(cls, n: int, degree: int, coeffs: dict[MultiIndex, CliffordNumber]) -> "MonogenicSeries":
+        """The series of a ``ck_sums`` result, taken as it is: its indices
+        have length n and degree at most ``degree`` and its values are
+        nonzero and of dimension n, so only n and degree are checked."""
+        f = cls(n, degree)
+        f._coeffs = coeffs
+        return f
 
     @property
     def coeffs(self) -> dict[MultiIndex, CliffordNumber]:
@@ -173,7 +182,7 @@ def series_eval(f: MonogenicSeries, x: Paravector, exact: bool = False) -> Cliff
         raise DimensionMismatchError(f"point of dimension {x.dim}, series of dimension {f.n}")
     if not exact:
         row = basis_combination(f.operand(), [x.components()])[0].tolist()
-        return from_numerators(f.n, row)
+        return from_table(f.n, {mask: v for mask, v in enumerate(row) if v})
     cache = FueterCache(x)
     acc = CliffordNumber.zero(f.n)
     for m, a in f._coeffs.items():
@@ -208,40 +217,40 @@ def ck_mul_left(f: MonogenicSeries, g: MonogenicSeries, q_out: int) -> Monogenic
     if f.n != g.n:
         raise DimensionMismatchError("CK product of series with different dimension")
     (out,) = ck_sums(f.n, [f._coeffs], [g._coeffs], [[(0, 0)]], q_out)
-    return MonogenicSeries(f.n, q_out, out)
+    return MonogenicSeries.of_sums(f.n, q_out, out)
 
 
 @lru_cache(maxsize=None)
 def _partners(n: int) -> tuple[np.ndarray, np.ndarray]:
     """For each left blade a, the right blades a ^ c that land on each result
     blade c, and the signs in e_a e_(a ^ c) = sign * e_c."""
-    signs = blade_signs(n)
-    size = 1 << n
-    partner = [[a ^ c for c in range(size)] for a in range(size)]
-    sign = [[signs[a][b] for b in row] for a, row in enumerate(partner)]
-    return np.array(partner), np.array(sign)
+    blades = np.arange(1 << n)
+    partner = blades[:, None] ^ blades
+    return partner, np.array(blade_signs(n))[blades[:, None], partner]
 
 
-def _stack(side: list, size: int, exact: bool) -> tuple[int, list[int], list[MultiIndex], list[list]]:
-    """One side's tables as dense rows: (den, the first row of each table and
-    the end, the index m of each row, the rows).  Exact values are written
-    as integer numerators over den, the lcm of their denominators; floats
-    are their own numerators, over 1."""
-    den, scale = 1, None
-    if exact:
-        dens = {v.denominator for t in side for c in t.values() for v in c.coeffs.values()}
-        den = math.lcm(*dens)
-        scale = {d: den // d for d in dens}
-    starts, index, rows = [0], [], []
-    for table in side:
-        for m, c in table.items():
-            row = [0] * size
-            for mask, v in c.coeffs.items():
-                row[mask] = v.numerator * scale[v.denominator] if scale else v
-            index.append(m)
-            rows.append(row)
-        starts.append(len(rows))
-    return den, starts, index, rows
+def _flatten(side: list) -> tuple[list[int], list[MultiIndex], np.ndarray, list[int], list]:
+    """One side's tables as flat lists: (the first row of each table and the
+    end, the index m of each row, and for every stored blade its row, its
+    mask and its value).  A row is one coefficient."""
+    values = [c.coeffs for t in side for c in t.values()]
+    starts = [0, *accumulate(map(len, side))]
+    index = list(chain.from_iterable(side))
+    rows = np.repeat(np.arange(len(values)), list(map(len, values)))
+    masks = list(chain.from_iterable(values))
+    return starts, index, rows, masks, list(chain.from_iterable(map(dict.values, values)))
+
+
+def _numerators(values: list) -> tuple[int, list[int]]:
+    """Exact values as integer numerators over den, the lcm of their
+    denominators: (den, numerators)."""
+    dens = list(map(attrgetter("denominator"), values))
+    den = math.lcm(*set(dens))
+    nums = map(attrgetter("numerator"), values)
+    if den == 1:
+        return 1, list(nums)
+    scale = {d: den // d for d in set(dens)}
+    return den, list(map(mul, nums, map(scale.__getitem__, dens)))
 
 
 def _slots(
@@ -256,113 +265,141 @@ def _slots(
     """Every (pair, a-row, b-row) triple of every group with |m| + |k| <=
     q_out, pair by pair with a-rows before b-rows: the a-row, b-row and
     result slot of each triple, and the (group, p) of each slot.  Slots are
-    numbered in order of first appearance."""
-    # every entry of p = m + k is below the radix, so key(p) = key(m) + key(k)
-    radix = max(map(max, a_index), default=0) + max(map(max, b_index), default=0) + 1
-    a_deg, b_deg = ([sum(m) for m in index] for index in (a_index, b_index))
-    a_key, b_key = (
-        [sum(e * radix**i for i, e in enumerate(reversed(m))) for m in index] for index in (a_index, b_index)
-    )
+    numbered in order of first appearance.
+
+    The triples are one ragged expansion of the pairs.  Each result is one
+    integer key, the group times radix^n plus key(p) in the radix of the
+    largest index entries, so key(m + k) = key(m) + key(k); the keys are
+    int64 while radix^n #groups fits, and Python ints otherwise."""
+    gid = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+    pairs = np.concatenate([np.reshape(group, (-1, 2)) for group in groups] or [np.empty((0, 2))])
+    pi, pj = pairs.astype(np.intp).T
+    a_start, b_start = np.asarray(a_start, np.intp), np.asarray(b_start, np.intp)
+    width = np.diff(b_start)[pj]
+    count = np.diff(a_start)[pi] * width
+    pair = np.repeat(np.arange(len(count)), count)
+    if not len(pair):
+        empty = np.empty(0, np.intp)
+        return empty, empty, empty, []
+    local = np.arange(len(pair)) - (np.cumsum(count) - count)[pair]
+    ia = a_start[pi][pair] + local // width[pair]
+    ib = b_start[pj][pair] + local % width[pair]
+
+    radix = max(map(max, a_index)) + max(map(max, b_index)) + 1
     shift = radix**n
-    number: dict[int, int] = {}
-    heads, ia, ib, slot = [], [], [], []
-    for g, group in enumerate(groups):
-        base = g * shift
-        for i, j in group:
-            b_rows = range(b_start[j], b_start[j + 1])
-            for a in range(a_start[i], a_start[i + 1]):
-                qa, ka = a_deg[a], base + a_key[a]
-                for b in b_rows:
-                    if qa + b_deg[b] <= q_out:
-                        key = ka + b_key[b]
-                        s = number.get(key)
-                        if s is None:
-                            s = number[key] = len(heads)
-                            heads.append((g, mi_add(a_index[a], b_index[b])))
-                        ia.append(a)
-                        ib.append(b)
-                        slot.append(s)
-    return np.array(ia, dtype=np.intp), np.array(ib, dtype=np.intp), np.array(slot, dtype=np.intp), heads
+    dtype = np.int64 if len(groups) * shift < 2**63 else object
+    a_mi, b_mi = (np.array(index, dtype).reshape(-1, n) for index in (a_index, b_index))
+    # below n (radix - 1) every |p| fits the keys' type, and none is above it
+    cut = max(-1, min(q_out, n * (radix - 1)))
+    keep = a_mi.sum(axis=1)[ia] + b_mi.sum(axis=1)[ib] <= cut
+    ia, ib, pair = ia[keep], ib[keep], pair[keep]
+    powers = np.array([radix**e for e in range(n - 1, -1, -1)], dtype)
+    keys = gid[pair].astype(dtype) * shift + (a_mi @ powers)[ia] + (b_mi @ powers)[ib]
+
+    # number the distinct keys in order of their first triple, with stable
+    # sorts: np.unique pages in 0.5 MB more on its first call in a process
+    order = np.argsort(keys, kind="stable")
+    new = np.ones(len(order), bool)
+    new[1:] = keys[order[1:]] != keys[order[:-1]]
+    first = order[new]
+    seen = np.argsort(first, kind="stable")
+    number = np.empty(len(first), np.intp)
+    number[seen] = np.arange(len(first))
+    slot = np.empty(len(order), np.intp)
+    slot[order] = number[np.cumsum(new) - 1]
+    head = first[seen]
+    p = (a_mi[ia[head]] + b_mi[ib[head]]).tolist()
+    return ia, ib, slot, list(zip(gid[pair[head]].tolist(), map(tuple, p)))
 
 
-#: numerators in one block of triple products
-_BLOCK = 1 << 13
+#: numerators in one block of blade products
+_BLOCK = 1 << 15
 
 
 def ck_sums(
     n: int,
     left: list[Mapping[MultiIndex, CliffordNumber]],
     right: list[Mapping[MultiIndex, CliffordNumber]],
-    groups: Iterable[Iterable[tuple[int, int]]],
+    groups: Iterable[Collection[tuple[int, int]]],
     q_out: int,
 ) -> list[dict[MultiIndex, CliffordNumber]]:
     """Per group of pairs (i, j), the sum of the CK products left[i] (ck)
     right[j] truncated at |p| <= q_out: the one convolution of both modes.
+    A group is a list of pairs or a (k, 2) array of them.
 
-    Each side is one dense array of numerator rows (``_stack``).  Every
-    (pair, m, k) triple of every group with |m| + |k| <= q_out is listed at
-    once by ``_slots``, pair by pair with m before k; the products run over
-    the left blades on blocks of triples, each step gathering the signed
-    partner blades, and are scatter-added into one result row per (group,
-    p).  The bookkeeping stays in Python: every numpy function a run has
-    not used yet adds resident memory on its first call.
+    The bookkeeping is on arrays, with no Python step per triple.  Each
+    side is one dense array of numerators, 2^n blades by coefficients.
+    Every (pair, m, k) triple of every group with |m| + |k| <= q_out is
+    listed at once by ``_slots``, pair by pair with m before k.  Each block
+    of triples is one product of the left values with the left-multiplication
+    matrices of the right ones, L[a, c] = sign[a, a ^ c] b[a ^ c], over the
+    left blades a that some value has, summed over a in mask order; the
+    products are scatter-added into one result row per (group, p), and each
+    result is built from its nonzero blades.
     Exact values multiply in int64 when max|a| max|b| 2^n #triples < 2^63
     proves that no sum overflows, and in Python ints (object arrays)
     otherwise; each distinct result numerator becomes one Fraction.
     Int-only input gives ints; a float anywhere makes the call float64.
-    Every result keeps only its nonzero blades, in mask order; a group's
-    indices come in the order of their first pair."""
-    kinds = {type(v) for t in (*left, *right) for c in t.values() for v in c.coeffs.values()}
-    exact = kinds <= {int, Fraction}
-    size = 1 << n
-    (den_a, a_start, a_index, a_rows), (den_b, b_start, b_index, b_rows) = (
-        _stack(side, size, exact) for side in (left, right)
+    Every result keeps only its nonzero blades, in mask order, and one with
+    none is left out; a group's indices come in the order of their first
+    pair."""
+    (a_start, a_index, a_row, a_mask, a_vals), (b_start, b_index, b_row, b_mask, b_vals) = (
+        _flatten(side) for side in (left, right)
     )
     groups = list(groups)
     ia, ib, slot, heads = _slots(n, a_start, a_index, b_start, b_index, groups, q_out)
+    out: list[dict[MultiIndex, CliffordNumber]] = [{} for _ in groups]
+    if not heads:
+        return out
+    kinds = set(map(type, chain(a_vals, b_vals)))
+    exact = kinds <= {int, Fraction}
+    size = 1 << n
     if exact:
-        top_a, top_b = (max(map(abs, chain.from_iterable(rows)), default=0) for rows in (a_rows, b_rows))
+        (den_a, a_vals), (den_b, b_vals) = _numerators(a_vals), _numerators(b_vals)
+        den = den_a * den_b
+        top_a, top_b = (max(map(abs, vals), default=0) for vals in (a_vals, b_vals))
         # each side must also fit on its own, for when the other is empty
         fits = max(top_a, top_b) < 2**63 and top_a * top_b * size * len(slot) < 2**63
         dtype = np.int64 if fits else object
     else:
         dtype = np.float64
-    # the left side blade-major, so that one blade of a block is one gather
-    A = np.array(a_rows, dtype=dtype).reshape(-1, size).T.copy()
-    B = np.array(b_rows, dtype=dtype).reshape(-1, size)
+    # both sides blade-major, so that the triples of a block are the last
+    # axis of every array in the products and each multiply runs along them
+    A, B = np.zeros((size, len(a_index)), dtype), np.zeros((size, len(b_index)), dtype)
+    A[a_mask, a_row] = np.array(a_vals, dtype)
+    B[b_mask, b_row] = np.array(b_vals, dtype)
     partner, sign = _partners(n)
+    live = sorted(set(a_mask))
     # the signs in the data's type: a mixed-type multiply is one more numpy
-    # loop to page in, about 0.1 MB of resident memory on its first use
-    sign = sign.astype(dtype)
-    live = sorted({mask for t in left for c in t.values() for mask in c.coeffs})
+    # loop to page in
+    A, partner, sign = A[live], partner[live], sign[live, :, None].astype(dtype)
     # a blade that a value does not have adds nothing, even against inf or NaN
-    unfinite = not exact and not all(
-        math.isfinite(v) for t in (*left, *right) for c in t.values() for v in c.coeffs.values()
-    )
+    unfinite = not exact and not (np.isfinite(A).all() and np.isfinite(B).all())
     sums = np.zeros((len(heads), size), dtype)
-    step = max(1, _BLOCK // size)
+    step = max(1, _BLOCK // (len(live) * size))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(slot), step):
-            at, b = ia[lo : lo + step], B[ib[lo : lo + step]]
-            prod = np.zeros_like(b)
-            for blade in live:
-                term = b[:, partner[blade]]
-                term *= sign[blade]
-                term *= A[blade, at, None]
-                if unfinite:
-                    term[(b[:, partner[blade]] == 0) | (A[blade, at, None] == 0)] = 0
-                prod += term
-            np.add.at(sums, slot[lo : lo + step], prod)
+            # terms[a, c, t] = sign[a, a ^ c] B[a ^ c, t] A[a, t]: the part of
+            # e_c in e_a times the right value, for each triple t
+            at, terms = A.take(ia[lo : lo + step], axis=1)[:, None], B.take(ib[lo : lo + step], axis=1)[partner]
+            zero = (terms == 0) | (at == 0) if unfinite else None
+            terms *= sign
+            terms *= at
+            if unfinite:
+                terms[zero] = 0
+            # the sum over a, one reduction along the first axis, adds in
+            # mask order
+            np.add.at(sums, slot[lo : lo + step], terms.sum(axis=0).T)
 
-    rows = sums.tolist()
+    row, mask = np.nonzero(sums)
+    values = sums[row, mask].tolist()
     if exact and Fraction in kinds:
-        den = den_a * den_b
-        # zero stays the int 0, which from_numerators drops at no cost
-        table = {v: Fraction(v, den) if v else 0 for v in set(chain.from_iterable(rows))}
-        rows = [map(table.__getitem__, row) for row in rows]
-    out: list[dict[MultiIndex, CliffordNumber]] = [{} for _ in groups]
-    for (g, p), row in zip(heads, rows):
-        out[g][p] = from_numerators(n, row)
+        table = {v: Fraction(v, den) for v in set(values)}
+        values = list(map(table.__getitem__, values))
+    blades = zip(mask.tolist(), values)
+    for (g, p), count in zip(heads, np.count_nonzero(sums, axis=1).tolist()):
+        if count:
+            out[g][p] = from_table(n, dict(islice(blades, count)))
     return out
 
 
@@ -390,6 +427,8 @@ def max_modulus(
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     upper = f.coeff_upper_bound(r)
+    if f.is_zero():  # no point is built, in any dimension
+        return 0.0, upper
     if r == 0:
         exact = f.coeff((0,) * f.n).norm()
         return exact, max(upper, exact)

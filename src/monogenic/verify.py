@@ -125,6 +125,8 @@ class VerifyConfig:
         for name in ("n", "q_super", "q_max_vm", "q_max_deriv", "series_degree"):
             value = getattr(self, name)
             _require(is_integer(value) and value >= 1, name, "an integer >= 1", value)
+        # the largest dimension whose blades the file formats can name
+        _require(self.n <= 9, "n", "at most 9", self.n)
         _require(is_integer(self.seed) and self.seed >= 0, "seed", "an integer >= 0", self.seed)
         for name in ("sigma", "sigma_prime"):
             value = getattr(self, name)

@@ -199,6 +199,33 @@ def test_ordered_words_are_not_monogenic(rng):
         assert dirac_residuals(lambda pts: ordered_words(pts, 2), points[0])[row] <= 1e-6
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dirac_residuals_are_the_clifford_norm_of_each_row(n):
+    """Each residual equals ``CliffordNumber.norm`` of its row bit for bit:
+    rows of wide magnitudes (the order of the sum shows in its last bit),
+    rows whose squares underflow or overflow (the hypot path), rows with a
+    NaN or an inf, and a zero row.  Only the value at x + h e_0 is nonzero
+    and h = 1/2, so each residual row is that value's row exactly."""
+    r = np.random.default_rng(n)
+    size = 1 << n
+    rows = [
+        np.zeros(size),
+        r.standard_normal(size) * 10.0 ** r.uniform(-8, 8, size),
+        r.standard_normal(size) * 10.0 ** r.uniform(-8, 8, size),
+        np.full(size, 3e-170),
+        np.full(size, -2e160),
+        np.where(np.arange(size) == size - 1, np.nan, 1.5),
+        np.where(np.arange(size) == 0, np.inf, 1e-300),
+        np.where(np.arange(size) == 0, -np.inf, np.nan),
+    ]
+    values = np.zeros((2 * n + 2, len(rows), size))
+    values[0] = rows
+    got = dirac_residuals(lambda pts: values, Paravector(0.25, [0.5] * n), h=0.5)
+    want = [CliffordNumber(n, dict(enumerate(row))).norm() for row in np.array(rows).tolist()]
+    assert [float(v).hex() for v in got] == [v.hex() for v in want]
+    assert all(type(v) is float for v in got)
+
+
 def test_cache_shares_subterms():
     x = Paravector(0.1, [0.2, 0.3])
     cache = FueterCache(x)

@@ -46,6 +46,15 @@ def test_enumerate_degree_cardinality(n):
         assert all(mi_abs(m) == q and len(m) == n for m in got)
 
 
+def test_enumerate_degree_has_no_depth_limit():
+    """The listing is not recursive: a dimension far above the recursion
+    limit lists its indices like any other."""
+    n = 5000
+    got = enumerate_degree(n, 1)
+    assert len(got) == n and got == tuple(sorted(got))
+    assert got[0] == (0,) * (n - 1) + (1,) and got[-1] == (1,) + (0,) * (n - 1)
+
+
 def test_enumerate_up_to():
     idx = enumerate_up_to(2, 3)
     assert len(idx) == sum(stars_and_bars(2, q) for q in range(4))

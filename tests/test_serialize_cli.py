@@ -11,8 +11,8 @@ import monogenic
 from monogenic.clifford import CliffordNumber
 from monogenic.errors import SerializationError
 from monogenic.growth import ProximateOrder
-from monogenic.operators import HomTable, OperatorSymbol, op_to_hom
-from monogenic.series import MonogenicSeries
+from monogenic.operators import HomTable, OperatorSymbol, hom_to_op, op_to_hom
+from monogenic.series import MonogenicSeries, ck_mul_left
 from monogenic import cli, serialize
 from monogenic.cli import main
 from monogenic.verify import random_rational_operator, random_rational_series
@@ -471,6 +471,9 @@ def test_cli_verify_subset_and_corruption(tmp_path, capsys):
         {"families": [{"family": "constant", "rho": 1, "b": 3}], "only": ["scaling-bound"]},
         # a corruption that cannot break its check in this dimension
         {"n": 1, "corruption": "ordered-words"},
+        # a dimension whose blades no file can name, up to one no table fits
+        {"n": 10, "only": ["cauchy-inequality"]},
+        {"n": 10**18, "only": ["cauchy-inequality"]},
     ],
 )
 def test_cli_verify_bad_config_exits_2(tmp_path, capsys, cfg):
@@ -503,6 +506,15 @@ def _norms_with(entry):
 
 def _growth(po="constant:1"):
     return ["growth", "IN", "--po", po, "--window", "1:2", "--out", "OUT"]
+
+
+#: a dimension far beyond memory: no table of 2^n blades, and no index of
+#: length n, can be formed
+_HUGE = 10**18
+
+
+def _huge(coeffs, **extra):
+    return {"n": _HUGE, "degree": 2, "mode": "exact", "coeffs": coeffs, **extra}
 
 
 def _hom(degree, *indices):
@@ -589,6 +601,23 @@ def _hom(degree, *indices):
             {"n": 10, "degree": 1, "mode": "exact", "coeffs": [{"m": [1] + [0] * 9, "value": {"1": "1"}}]},
             ["diff", "IN", "--index", ",".join(["0"] * 10), "--out", "OUT"],
         ),
+        # an astronomically large dimension, through every command: a zero
+        # value's index of the wrong length, a point or derivative index that
+        # cannot fit, a growth window with no data, tables of every index
+        (_huge([{"m": [1], "value": {}}]), ["ckprod", "IN", "IN", "--degree", "2", "--out", "OUT"]),
+        (_huge([{"m": [1], "value": {}}]), ["eval", "IN", "--point", "0,1"]),
+        (_huge([{"m": [1], "value": {}}]), ["diff", "IN", "--index", "1", "--out", "OUT"]),
+        (_huge([{"m": [1], "value": {}}]), _growth()),
+        (_huge([{"m": [1], "value": {}}], entries=[]), ["apply", "IN", "IN", "--degree", "2", "--out", "OUT"]),
+        (_huge([]), ["eval", "IN", "--point", "0,1"]),
+        (_huge([]), ["diff", "IN", "--index", "1", "--out", "OUT"]),
+        (_huge([]), _growth()),
+        (_huge([]), ["--samples", "8"] + _growth()),
+        (_huge([]), ["--samples", "0"] + _growth() + ["--sigma", "1"]),
+        ({"n": _HUGE, "entries": []}, ["op2hom", "IN", "--degree", "1", "--out", "OUT"]),
+        ({"n": _HUGE, "entries": []}, ["op2hom", "IN", "--degree", "0", "--out", "OUT"]),
+        ({"n": _HUGE, "degree": 0, "entries": []}, ["hom2op", "IN", "--out", "OUT"]),
+        ({"n": _HUGE, "only": ["cauchy-inequality"]}, ["verify", "--config", "IN"]),
     ],
 )
 def test_cli_bad_input_files_exit_2(tmp_path, capsys, obj, argv):
@@ -603,6 +632,71 @@ def test_cli_bad_input_files_exit_2(tmp_path, capsys, obj, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("command", ["ckprod", "apply"])
+def test_cli_zero_inputs_of_a_huge_dimension_give_the_zero_file(tmp_path, mode, command):
+    """A product or application of zero inputs is the zero series, in any
+    dimension: exit 0 and the file of the library's (exact) zero result."""
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(json.dumps({**_huge([], mode=mode), "entries": []}))
+    argv = [command, str(path), str(path), "--degree", "2", "--out", str(out)]
+    assert main(argv) == 0
+    want = serialize.canonical_dumps(serialize.series_to_obj(MonogenicSeries(_HUGE, 2)))
+    assert out.read_text() == want
+
+
+def test_cli_writes_each_mode_as_the_scanning_writers_do(tmp_path):
+    """Every command scans its inputs' modes once and passes them on; its
+    files equal those of the writers that scan the results themselves,
+    including a float operator whose entries reach no table entry: its
+    table is all zero, and written in exact mode."""
+    far = {(3, 0): MonogenicSeries(2, 0, {(0, 0): CliffordNumber(2, {0: 1.5})})}
+    near = random_rational_operator(2, 2, 1, 3)
+    cases = [("far", OperatorSymbol(2, far)), ("exact", near)]
+    cases.append(("float", OperatorSymbol(2, {m: u.to_float() for m, u in near.entries.items()})))
+    for name, P in cases:
+        op, table, back = (tmp_path / f"{name}_{k}.json" for k in ("op", "table", "back"))
+        serialize.write_file(str(op), serialize.operator_to_obj(P))
+        assert main(["op2hom", str(op), "--degree", "2", "--out", str(table)]) == 0
+        H = op_to_hom(P, 2)
+        assert table.read_text() == serialize.canonical_dumps(serialize.homtable_to_obj(H))
+        assert main(["hom2op", str(table), "--out", str(back)]) == 0
+        want = serialize.operator_to_obj(hom_to_op(serialize.obj_to_homtable(serialize.read_file(str(table)))))
+        assert back.read_text() == serialize.canonical_dumps(want)
+        if name == "far":
+            assert {b["mode"] for b in (e["b"] for e in json.loads(table.read_text())["entries"])} == {"exact"}
+    f, g = random_rational_series(2, 3, 1), random_rational_series(2, 3, 2)
+    for series in ((f, g), (f.to_float(), g.to_float()), (MonogenicSeries(2, 3), g.to_float())):
+        paths = [tmp_path / "f.json", tmp_path / "g.json", tmp_path / "fg.json"]
+        for path, h in zip(paths, series):
+            _write_series(path, h)
+        assert main(["ckprod", str(paths[0]), str(paths[1]), "--degree", "4", "--out", str(paths[2])]) == 0
+        want = serialize.series_to_obj(ck_mul_left(*series, 4), mode=series[0].mode())
+        assert paths[2].read_text() == serialize.canonical_dumps(want)
+
+
+def test_cli_scans_each_input_mode_once(tmp_path, monkeypatch):
+    """``ckprod`` asks each coefficient of each exact input for its mode
+    once, and ``op2hom`` each coefficient of the operator once."""
+    f, g = random_rational_series(2, 3, 1), random_rational_series(2, 3, 2)
+    paths = [tmp_path / "f.json", tmp_path / "g.json"]
+    for path, h in zip(paths, (f, g)):
+        _write_series(path, h)
+    op = tmp_path / "op.json"
+    P = random_rational_operator(2, 2, 1, 3)
+    serialize.write_file(str(op), serialize.operator_to_obj(P))
+    calls = []
+    is_exact = CliffordNumber.is_exact
+    monkeypatch.setattr(CliffordNumber, "is_exact", lambda a: calls.append(a) or is_exact(a))
+    argv = ["--mode", "exact", "ckprod", str(paths[0]), str(paths[1]), "--degree", "4", "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    assert len(calls) == len(f.coeffs) + len(g.coeffs)
+    calls.clear()
+    assert main(["op2hom", str(op), "--degree", "2", "--out", str(tmp_path / "t")]) == 0
+    # one scan of the operator, and one more of each entry to pick the factors' type
+    assert len(calls) == 2 * sum(len(u.coeffs) for u in P.entries.values())
 
 
 def test_cli_parser_reuse_leaks_no_state(tmp_path, capsys):

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monogenic import fueter
-from monogenic.clifford import CliffordNumber, Paravector, cl_mul
+from monogenic import series as series_module
+from monogenic.clifford import CliffordNumber, Paravector, blade_signs, cl_mul
 from monogenic.errors import DimensionMismatchError
 from monogenic.multiindex import enumerate_up_to, mi_add, mi_abs
 from monogenic.growth import ProximateOrder, weighted_norm_ln
@@ -543,3 +544,133 @@ def test_kernel_blocks_agree_with_exact_mode():
     for x, row in zip(points, rows.tolist()):
         value = CliffordNumber(n, dict(enumerate(row)))
         assert _float_error_within(value, series_eval(f, x, exact=True), f, x)
+
+
+# ---------------------------------------------------------------------------
+# The kernel's bookkeeping against plain-loop references
+# ---------------------------------------------------------------------------
+
+
+def reference_slots(n, a_start, a_index, b_start, b_index, groups, q_out):
+    """The triple listing of ``series._slots`` as a loop over every (group,
+    pair, a-row, b-row): the reference for its array form.  Each result p =
+    m + k is numbered when it first appears."""
+    number, heads, ia, ib, slot = {}, [], [], [], []
+    for g, group in enumerate(groups):
+        for i, j in group:
+            for a in range(a_start[i], a_start[i + 1]):
+                for b in range(b_start[j], b_start[j + 1]):
+                    if mi_abs(a_index[a]) + mi_abs(b_index[b]) <= q_out:
+                        p = mi_add(a_index[a], b_index[b])
+                        if (g, p) not in number:
+                            number[g, p] = len(heads)
+                            heads.append((g, p))
+                        ia.append(a)
+                        ib.append(b)
+                        slot.append(number[g, p])
+    return ia, ib, slot, heads
+
+
+@st.composite
+def slots_case(draw):
+    """Inputs of ``_slots``: index tables per side (some empty), groups of
+    pairs (repeats allowed, up to 40 groups), index entries small or beyond
+    2^63, and a truncation below, inside or far above the degrees."""
+    n = draw(st.integers(1, 3))
+    entry = st.one_of(st.integers(0, 3), st.integers(2**62, 2**64))
+    index = st.tuples(*[entry] * n)
+    sides = []
+    for _ in range(2):
+        tables = draw(st.lists(st.lists(index, max_size=4, unique=True), min_size=1, max_size=3))
+        starts = [0]
+        for table in tables:
+            starts.append(starts[-1] + len(table))
+        sides.append((starts, [m for table in tables for m in table]))
+    pair = st.tuples(st.integers(0, len(sides[0][0]) - 2), st.integers(0, len(sides[1][0]) - 2))
+    groups = draw(st.lists(st.lists(pair, max_size=4), max_size=draw(st.sampled_from([3, 40]))))
+    q_out = draw(st.one_of(st.integers(-1, 8), st.integers(2**62, 2**66), st.just(10**30)))
+    return n, sides[0][0], sides[0][1], sides[1][0], sides[1][1], groups, q_out
+
+
+@settings(max_examples=300, deadline=None)
+@given(slots_case())
+@example((1, [0, 0], [], [0, 1], [(2,)], [[(0, 0)]], 5))  # an empty side
+@example((2, [0, 2], [(0, 1), (1, 0)], [0, 1], [(1, 1)], [[(0, 0), (0, 0)]], 1))  # below every pair
+@example((2, [0, 2], [(0, 1), (1, 0)], [0, 2], [(1, 1), (0, 2)], [[(0, 0), (0, 0)], [(0, 0)]], 4))
+@example((3, [0, 1], [(2**20, 0, 5)], [0, 1], [(3, 2**20, 1)], [[(0, 0)]] * 40, 2**22))  # keys near 2^63
+def test_slots_match_the_loop_listing(case):
+    """``_slots`` gives the reference's a-rows, b-rows, slots and heads
+    exactly, in the same order, whether its keys are int64 or Python ints."""
+    ia, ib, slot, heads = series_module._slots(*case)
+    want = reference_slots(*case)
+    assert (ia.tolist(), ib.tolist(), slot.tolist(), heads) == want
+    assert all(type(e) is int for _, p in heads for e in p)
+
+
+def reference_float_sums(n, left, right, groups, q_out):
+    """The float kernel as the per-blade loop that the array contraction
+    replaced: each triple's product summed over the live left blades in mask
+    order onto +0.0, then added to its result in triple order; a blade that
+    a value does not have adds nothing, even against inf or NaN."""
+    starts, index, rows = [], [], []
+    for side in (left, right):
+        bounds = [0]
+        for table in side:
+            index.extend(table)
+            rows.extend(table.values())
+            bounds.append(bounds[-1] + len(table))
+        starts.append(bounds)
+    a_index, b_index = index[: starts[0][-1]], index[starts[0][-1] :]
+    a_rows, b_rows = rows[: starts[0][-1]], rows[starts[0][-1] :]
+    ia, ib, slot, heads = reference_slots(n, starts[0], a_index, starts[1], b_index, groups, q_out)
+    signs = blade_signs(n)
+    live = sorted({mask for table in left for c in table.values() for mask in c.coeffs})
+    sums = [[0.0] * (1 << n) for _ in heads]
+    for a_row, b_row, s in zip(ia, ib, slot):
+        av, bv = a_rows[a_row].coeffs, b_rows[b_row].coeffs
+        prod = [0.0] * (1 << n)
+        for a in live:
+            for c in range(1 << n):
+                x, y = bv.get(a ^ c, 0.0), av.get(a, 0.0)
+                prod[c] += 0.0 if x == 0 or y == 0 else x * signs[a][a ^ c] * y
+        sums[s] = [u + v for u, v in zip(sums[s], prod)]
+    out = [{} for _ in groups]
+    for (g, p), row in zip(heads, sums):
+        if any(row):
+            out[g][p] = {mask: v for mask, v in enumerate(row) if v}
+    return out
+
+
+def _float_tables(r, n, count, bad):
+    """``count`` tables of random float values from 1e-8 to 1e8 (so that the
+    order of a sum shows in its bits), a few of them inf or NaN."""
+    tables = []
+    for _ in range(count):
+        table = {}
+        for m in enumerate_up_to(n, 2):
+            if r.random() < 0.6:
+                blades = r.sample(range(1 << n), r.randint(1, 1 << n))
+                value = {k: r.choice([-1, 1]) * 10 ** r.uniform(-8, 8) for k in blades}
+                if r.random() < bad:
+                    value[blades[0]] = r.choice([math.inf, -math.inf, math.nan])
+                table[m] = CliffordNumber(n, value)
+        tables.append(table)
+    return tables
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_float_sums_keep_the_per_blade_bits(seed):
+    """Float ``ck_sums`` equals the per-blade loop bit for bit at n = 1..4
+    (up to 16 live blades, past the 8 where numpy's pairwise summation
+    would start), with and without non-finite values."""
+    r = random.Random(seed)
+    n = 1 + seed % 4
+    left, right = _float_tables(r, n, 3, seed % 3 == 0 and 0.2), _float_tables(r, n, 2, 0.0)
+    groups = [[(r.randrange(3), r.randrange(2)) for _ in range(r.randint(0, 3))] for _ in range(4)]
+    q_out = r.randint(0, 4)
+    got = series_module.ck_sums(n, left, right, groups, q_out)
+    want = reference_float_sums(n, left, right, groups, q_out)
+    assert [list(t) for t in got] == [list(t) for t in want]
+    for g_table, w_table in zip(got, want):
+        for p, value in g_table.items():
+            assert {k: v.hex() for k, v in value.coeffs.items()} == {k: v.hex() for k, v in w_table[p].items()}
