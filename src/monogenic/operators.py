@@ -40,6 +40,9 @@ from .multiindex import (
 )
 from .series import MonogenicSeries, ck_sums, series_derivative
 
+#: index entries in one block of the comparison of every t with every s
+_BLOCK = 1 << 16
+
 
 def _check_entries(
     n: int, entries: Mapping[MultiIndex, MonogenicSeries], degree: int | None = None
@@ -132,7 +135,7 @@ def op_apply(P: OperatorSymbol, f: MonogenicSeries, q_out: int) -> MonogenicSeri
     left = [P.entries[m].coeffs for m in terms]
     right = [series_derivative(f, m).coeffs for m in terms]
     (out,) = ck_sums(f.n, left, right, [[(i, i) for i in range(len(terms))]], q_out)
-    return MonogenicSeries.of_sums(f.n, q_out, out)
+    return MonogenicSeries(f.n, q_out, out)
 
 
 def _basis_transform(
@@ -142,9 +145,10 @@ def _basis_transform(
     |t| <= degree: the forward map with sign +1, its inverse with sign -1.
 
     For each t one ``ck_sums`` group of the pairs (entries[s], sign^|k| / k!
-    V_k) with k = t - s, in entry order; the pairs come from one array
-    comparison of every t with every s.  The factors are Fractions when
-    every entry is exact and floats otherwise.  Nothing is truncated."""
+    V_k) with k = t - s, in entry order; the pairs come from an array
+    comparison of every t with every s, a block of t at a time.  The factors
+    are Fractions when every entry is exact and floats otherwise.  Nothing
+    is truncated."""
     exact = all(u.is_exact() for u in entries.values())
     indices = enumerate_up_to(n, degree)
     factors = []
@@ -159,7 +163,13 @@ def _basis_transform(
     dtype = np.int64 if (degree + 1) ** n < 2**63 else object
     ts = np.array(indices, dtype).reshape(-1, n)
     ss = np.array([sources[i] for i in low], dtype).reshape(-1, n)
-    row_t, row_s = np.nonzero((ss <= ts[:, None]).all(axis=2))
+    # t by t in blocks, so that one comparison holds at most _BLOCK entries
+    step = max(1, _BLOCK // max(1, ss.size))
+    hits = []
+    for lo in range(0, len(ts), step):
+        t, s = np.nonzero((ss <= ts[lo : lo + step, None]).all(axis=2))
+        hits.append((t + lo, s))
+    row_t, row_s = (np.concatenate(part) for part in zip(*hits))
     # the row of k = t - s among the indices, found by its key
     powers = np.array([(degree + 1) ** e for e in range(n)], dtype)
     keys = ts @ powers
@@ -170,7 +180,7 @@ def _basis_transform(
     q_out = max((u.degree for u in entries.values()), default=0) + degree
     tables = ck_sums(n, [u.coeffs for u in entries.values()], factors, groups, q_out)
     return {
-        t: MonogenicSeries.of_sums(n, max(map(mi_abs, table), default=0), table)
+        t: MonogenicSeries(n, max(map(mi_abs, table), default=0), table)
         for t, table in zip(indices, tables)
     }
 

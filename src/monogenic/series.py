@@ -66,15 +66,6 @@ class MonogenicSeries:
         self._coeffs = table
         self._operand = None
 
-    @classmethod
-    def of_sums(cls, n: int, degree: int, coeffs: dict[MultiIndex, CliffordNumber]) -> "MonogenicSeries":
-        """The series of a ``ck_sums`` result, taken as it is: its indices
-        have length n and degree at most ``degree`` and its values are
-        nonzero and of dimension n, so only n and degree are checked."""
-        f = cls(n, degree)
-        f._coeffs = coeffs
-        return f
-
     @property
     def coeffs(self) -> dict[MultiIndex, CliffordNumber]:
         """Coefficient table (treat as read-only)."""
@@ -217,7 +208,7 @@ def ck_mul_left(f: MonogenicSeries, g: MonogenicSeries, q_out: int) -> Monogenic
     if f.n != g.n:
         raise DimensionMismatchError("CK product of series with different dimension")
     (out,) = ck_sums(f.n, [f._coeffs], [g._coeffs], [[(0, 0)]], q_out)
-    return MonogenicSeries.of_sums(f.n, q_out, out)
+    return MonogenicSeries(f.n, q_out, out)
 
 
 @lru_cache(maxsize=None)
@@ -253,6 +244,25 @@ def _numerators(values: list) -> tuple[int, list[int]]:
     return den, list(map(mul, nums, map(scale.__getitem__, dens)))
 
 
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For item counts c_0, c_1, ...: the owner of each of the sum(c) items,
+    owner by owner, and the item's place among its owner's."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in increasing order, as the position of the first
+    item with each, and the number of each item's key among them.  Stable
+    sorts: np.unique pages in 0.5 MB more on its first call in a process."""
+    order = np.argsort(keys, kind="stable")
+    new = np.ones(len(order), bool)
+    new[1:] = keys[order[1:]] != keys[order[:-1]]
+    number = np.empty(len(order), np.intp)
+    number[order] = np.cumsum(new) - 1
+    return order[new], number
+
+
 def _slots(
     n: int,
     a_start: list[int],
@@ -267,23 +277,24 @@ def _slots(
     result slot of each triple, and the (group, p) of each slot.  Slots are
     numbered in order of first appearance.
 
-    The triples are one ragged expansion of the pairs.  Each result is one
-    integer key, the group times radix^n plus key(p) in the radix of the
-    largest index entries, so key(m + k) = key(m) + key(k); the keys are
-    int64 while radix^n #groups fits, and Python ints otherwise."""
+    The triples are a ragged expansion of the (pair, a-row) segments, and
+    only the kept ones are ever listed, so the memory follows them and the
+    segments, not the |a| |b| pairs of rows.  The b-rows a segment keeps
+    depend only on its b-table and on how many distinct b-degrees fit
+    beside |m|; each such (table, rank) takes its kept rows once, in table
+    order.  Each result is one integer key, the group times radix^n plus
+    key(p) in the radix of the largest index entries, so key(m + k) =
+    key(m) + key(k); the keys are int64 while radix^n #groups fits, and
+    Python ints otherwise."""
     gid = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
     pairs = np.concatenate([np.reshape(group, (-1, 2)) for group in groups] or [np.empty((0, 2))])
     pi, pj = pairs.astype(np.intp).T
     a_start, b_start = np.asarray(a_start, np.intp), np.asarray(b_start, np.intp)
-    width = np.diff(b_start)[pj]
-    count = np.diff(a_start)[pi] * width
-    pair = np.repeat(np.arange(len(count)), count)
-    if not len(pair):
+    seg_pair, local = _ragged(np.diff(a_start)[pi])
+    if not len(seg_pair) or not b_index:
         empty = np.empty(0, np.intp)
         return empty, empty, empty, []
-    local = np.arange(len(pair)) - (np.cumsum(count) - count)[pair]
-    ia = a_start[pi][pair] + local // width[pair]
-    ib = b_start[pj][pair] + local % width[pair]
+    seg_a = a_start[pi][seg_pair] + local
 
     radix = max(map(max, a_index)) + max(map(max, b_index)) + 1
     shift = radix**n
@@ -291,22 +302,31 @@ def _slots(
     a_mi, b_mi = (np.array(index, dtype).reshape(-1, n) for index in (a_index, b_index))
     # below n (radix - 1) every |p| fits the keys' type, and none is above it
     cut = max(-1, min(q_out, n * (radix - 1)))
-    keep = a_mi.sum(axis=1)[ia] + b_mi.sum(axis=1)[ib] <= cut
-    ia, ib, pair = ia[keep], ib[keep], pair[keep]
+    # a b-row is kept beside an a-row when its rank among the distinct
+    # b-degrees is below the number of them that fit beside |m|
+    a_deg, b_deg = a_mi.sum(axis=1), b_mi.sum(axis=1)
+    first, b_rank = _distinct(b_deg)
+    levels = b_deg[first]
+    span = len(levels) + 1
+    seg_key = pj[seg_pair] * span + np.searchsorted(levels, cut - a_deg[seg_a], side="right")
+    # the (table, rank) keys in use, each expanded once over its table
+    combo, seg_combo = _distinct(seg_key)
+    table, rank = seg_key[combo] // span, seg_key[combo] % span
+    owner, local = _ragged(np.diff(b_start)[table])
+    rows = b_start[table][owner] + local
+    keep = b_rank[rows] < rank[owner]
+    rows, width = rows[keep], np.bincount(owner[keep], minlength=len(combo))
+    seg, local = _ragged(width[seg_combo])
+    ia, ib, pair = seg_a[seg], rows[(np.cumsum(width) - width)[seg_combo][seg] + local], seg_pair[seg]
     powers = np.array([radix**e for e in range(n - 1, -1, -1)], dtype)
     keys = gid[pair].astype(dtype) * shift + (a_mi @ powers)[ia] + (b_mi @ powers)[ib]
 
-    # number the distinct keys in order of their first triple, with stable
-    # sorts: np.unique pages in 0.5 MB more on its first call in a process
-    order = np.argsort(keys, kind="stable")
-    new = np.ones(len(order), bool)
-    new[1:] = keys[order[1:]] != keys[order[:-1]]
-    first = order[new]
+    # number the distinct keys in order of their first triple
+    first, key_id = _distinct(keys)
     seen = np.argsort(first, kind="stable")
     number = np.empty(len(first), np.intp)
     number[seen] = np.arange(len(first))
-    slot = np.empty(len(order), np.intp)
-    slot[order] = number[np.cumsum(new) - 1]
+    slot = number[key_id]
     head = first[seen]
     p = (a_mi[ia[head]] + b_mi[ib[head]]).tolist()
     return ia, ib, slot, list(zip(gid[pair[head]].tolist(), map(tuple, p)))

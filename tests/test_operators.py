@@ -10,6 +10,7 @@ from monogenic.clifford import CliffordNumber, cl_mul
 from monogenic.errors import DimensionMismatchError
 from monogenic.growth import ProximateOrder
 from monogenic.multiindex import enumerate_up_to, mi_abs, mi_add, mi_factorial, mi_leq, mi_sub
+from monogenic import operators as operators_module
 from monogenic.operators import (
     HomTable,
     OperatorSymbol,
@@ -118,6 +119,20 @@ def test_hom_round_trip_exact():
             entries[p] = random_rational_series(2, 2, 31 * seed + i, density=0.5)
         H = HomTable(n=2, degree=4, entries=entries)
         assert op_to_hom(hom_to_op(H), 4) == H
+
+
+@pytest.mark.parametrize("block", [1, 300])
+def test_transform_in_blocks_of_t_matches_one_block(monkeypatch, block):
+    """op_to_hom and hom_to_op give the same tables, in the same order,
+    whether the comparison of every t with every s takes all t at once or
+    a few at a time."""
+    layout = lambda entries: [(t, list(u.coeffs), u) for t, u in entries.items()]
+    P = random_rational_operator(3, 4, 2, 5)
+    H = op_to_hom(P, 4)
+    back = hom_to_op(H)
+    monkeypatch.setattr(operators_module, "_BLOCK", block)
+    assert layout(op_to_hom(P, 4).entries) == layout(H.entries)
+    assert layout(hom_to_op(H).entries) == layout(back.entries)
 
 
 def fraction_basis_transform(n, degree, entries, sign):

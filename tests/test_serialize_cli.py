@@ -471,9 +471,9 @@ def test_cli_verify_subset_and_corruption(tmp_path, capsys):
         {"families": [{"family": "constant", "rho": 1, "b": 3}], "only": ["scaling-bound"]},
         # a corruption that cannot break its check in this dimension
         {"n": 1, "corruption": "ordered-words"},
-        # a dimension whose blades no file can name, up to one no table fits
-        {"n": 10, "only": ["cauchy-inequality"]},
+        # a dimension that no table fits, for one check and for all
         {"n": 10**18, "only": ["cauchy-inequality"]},
+        {"n": 10**18},
     ],
 )
 def test_cli_verify_bad_config_exits_2(tmp_path, capsys, cfg):

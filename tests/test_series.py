@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -605,6 +606,36 @@ def test_slots_match_the_loop_listing(case):
     want = reference_slots(*case)
     assert (ia.tolist(), ib.tolist(), slot.tolist(), heads) == want
     assert all(type(e) is int for _, p in heads for e in p)
+
+
+def test_truncated_slots_list_only_the_kept_triples():
+    """A product truncated far below its inputs lists only the triples it
+    keeps: two shuffled degree-20 tables at n = 3 are 1,771 x 1,771 pairs of
+    rows, 3.1M triples before the cap, a few hundred after it.  The listing
+    is the loop listing of the rows of degree <= q_out, mapped back to their
+    places, and the traced memory stays far below that of the 3.1M triples
+    (25 MB per int64 array)."""
+    n, q_out = 3, 4
+    rng = random.Random(11)
+    a_index, b_index = enumerate_up_to(n, 20), enumerate_up_to(n, 20)
+    rng.shuffle(a_index)
+    rng.shuffle(b_index)
+    tracemalloc.start()
+    try:
+        got = series_module._slots(n, [0, len(a_index)], a_index, [0, len(b_index)], b_index, [[(0, 0)]], q_out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    low_a, low_b = ([i for i, m in enumerate(index) if mi_abs(m) <= q_out] for index in (a_index, b_index))
+    ia, ib, slot, heads = reference_slots(
+        n, [0, len(low_a)], [a_index[i] for i in low_a], [0, len(low_b)], [b_index[i] for i in low_b],
+        [[(0, 0)]], q_out,
+    )
+    assert got[0].tolist() == [low_a[i] for i in ia]
+    assert got[1].tolist() == [low_b[i] for i in ib]
+    assert (got[2].tolist(), got[3]) == (slot, heads)
+    assert 0 < len(ia) < 1000
+    assert peak < 4 << 20
 
 
 def reference_float_sums(n, left, right, groups, q_out):
