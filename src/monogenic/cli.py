@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .clifford import Paravector
-from .errors import DimensionMismatchError, InvariantViolationError, SerializationError
+from .errors import InvariantViolationError, SerializationError
 from .growth import ProximateOrder, growth_report, k_q, log_coeff_norms
 from .operators import hom_to_op, op_apply, op_to_hom
 from .series import ck_mul_left, series_derivative, series_eval
@@ -82,10 +82,10 @@ def _check_out(path: str | None) -> None:
         raise SerializationError(f"--out {path!r}: no such directory")
 
 
-def _check_finite(f, what: str) -> None:
-    """Raise unless every coefficient of the float series f is finite, naming
-    f and the index of the first that is not: JSON holds finite numbers only."""
-    for m, a in f.coeffs.items():
+def _check_finite(f, what: str, mode: str) -> None:
+    """In float mode, raise unless every coefficient of f is finite, naming f
+    and the index of the first that is not: JSON holds finite numbers only."""
+    for m, a in f.coeffs.items() if mode == "float" else ():
         if not all(map(math.isfinite, a.coeffs.values())):
             raise SerializationError(f"{what} is not finite in floats at index {list(m)}")
 
@@ -107,8 +107,7 @@ def cmd_ckprod(args) -> int:
     g, g_mode = _load_series(args.g, args.mode)
     _check_one_mode(([f], mode), ([g], g_mode))
     out = ck_mul_left(f, g, args.degree)
-    if mode == "float":
-        _check_finite(out, "the CK product")
+    _check_finite(out, "the CK product", mode)
     serialize.write_file(args.out, serialize.series_to_obj(out, mode=mode))
     return 0
 
@@ -116,6 +115,7 @@ def cmd_ckprod(args) -> int:
 def cmd_diff(args) -> int:
     f, mode = _load_series(args.series, args.mode)
     out = series_derivative(f, _parse_index(args.index))
+    _check_finite(out, "the derivative", mode)
     serialize.write_file(args.out, serialize.series_to_obj(out, mode=mode))
     return 0
 
@@ -160,12 +160,9 @@ def cmd_growth(args) -> int:
 def cmd_apply(args) -> int:
     P = serialize.obj_to_operator(serialize.read_file(args.operator))
     f, mode = _load_series(args.series, args.mode)
-    if P.n != f.n:
-        raise DimensionMismatchError(f"operator dimension {P.n} != series dimension {f.n}")
     _check_one_mode((P.entries.values(), serialize.mode_of(P.entries.values())), ([f], mode))
     out = op_apply(P, f, args.degree)
-    if mode == "float":
-        _check_finite(out, "the applied series")
+    _check_finite(out, "the applied series", mode)
     serialize.write_file(args.out, serialize.series_to_obj(out, mode=mode))
     return 0
 
@@ -175,9 +172,8 @@ def cmd_hom2op(args) -> int:
     P = hom_to_op(table)
     # every coefficient of a float table's operator is float
     mode = serialize.mode_of(table.entries.values())
-    if mode == "float":
-        for m, u in P.entries.items():
-            _check_finite(u, f"the operator coefficient at m={list(m)}")
+    for m, u in P.entries.items():
+        _check_finite(u, f"the operator coefficient at m={list(m)}", mode)
     serialize.write_file(args.out, serialize.operator_to_obj(P, mode))
     return 0
 
@@ -186,9 +182,8 @@ def cmd_op2hom(args) -> int:
     P = serialize.obj_to_operator(serialize.read_file(args.operator))
     table = op_to_hom(P, args.degree)
     mode = serialize.mode_of(P.entries.values())
-    if mode == "float":
-        for p, b in table.entries.items():
-            _check_finite(b, f"the table entry at p={list(p)}")
+    for p, b in table.entries.items():
+        _check_finite(b, f"the table entry at p={list(p)}", mode)
     # a float operator's table is float where any entry is nonzero; one
     # whose entries reach no t gives an all-zero table, which is exact
     if all(b.is_zero() for b in table.entries.values()):

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Iterable, Mapping, Union
 
 from .errors import DimensionMismatchError
@@ -244,7 +245,7 @@ class Paravector:
         return CliffordNumber(len(self.xv), table)
 
     def norm_sq(self) -> Scalar:
-        return self.x0 * self.x0 + sum((v * v for v in self.xv), 0)
+        return self.x0 * self.x0 + reduce(add, (v * v for v in self.xv), 0)
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())

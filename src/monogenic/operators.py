@@ -10,7 +10,9 @@ b_p = P(V_p)/p!, determines the operator and vice versa:
 
 and the two maps invert each other exactly (the inner multi-binomial sums
 telescope to (1-1)^{m-p}).  V_k(-x) is realised coefficient-side as the sign
-(-1)^|k|, never by point negation.
+(-1)^|k|, never by point negation.  The application and both maps are each
+one call of the CK kernel ``series.ck_sums``: it takes each d^m f on its
+own rows, and its own listing gives the pairs (m, p - m).
 
 Class membership in the decay-certified operator families is decided on
 finite grids: for each (rate, weight) pair the smallest admissible constant
@@ -38,10 +40,7 @@ from .multiindex import (
     mi_abs,
     mi_factorial,
 )
-from .series import MonogenicSeries, ck_sums, series_derivative
-
-#: index entries in one block of the comparison of every t with every s
-_BLOCK = 1 << 16
+from .series import MonogenicSeries, _slots, ck_sums
 
 
 def _check_entries(
@@ -125,17 +124,20 @@ class HomTable:
 
 
 def op_apply(P: OperatorSymbol, f: MonogenicSeries, q_out: int) -> MonogenicSeries:
-    """Apply the operator: sum_m u_m (ck) d^m f, truncated at q_out.
+    """Apply the operator: sum_m u_m (ck) d^m f, truncated at q_out; exact in exact mode."""
+    return apply_each(P, [f], q_out)[0]
 
-    For truncated input the sum over m is finite: one ``ck_sums`` group of
-    the pairs (u_m, d^m f); exact in exact mode."""
-    if P.n != f.n:
-        raise DimensionMismatchError("operator and series dimensions differ")
-    terms = [m for m in P.entries if mi_abs(m) <= f.degree]
-    left = [P.entries[m].coeffs for m in terms]
-    right = [series_derivative(f, m).coeffs for m in terms]
-    (out,) = ck_sums(f.n, left, right, [[(i, i) for i in range(len(terms))]], q_out)
-    return MonogenicSeries(f.n, q_out, out)
+
+def apply_each(P: OperatorSymbol, fs: list[MonogenicSeries], q_out: int) -> list[MonogenicSeries]:
+    """``op_apply`` of P to each series f in one ``ck_sums`` call: a group of
+    the pairs (u_m, f) per f, under the orders m, so the kernel takes d^m f."""
+    for f in fs:
+        if f.n != P.n:
+            raise DimensionMismatchError(f"operator dimension {P.n} != series dimension {f.n}")
+    groups = [[(i, j) for i in range(len(P.entries))] for j in range(len(fs))]
+    left, right = [u.coeffs for u in P.entries.values()], [f.coeffs for f in fs]
+    tables = ck_sums(P.n, left, right, groups, q_out, orders=list(P.entries))
+    return [MonogenicSeries(P.n, q_out, table) for table in tables]
 
 
 def _basis_transform(
@@ -145,40 +147,18 @@ def _basis_transform(
     |t| <= degree: the forward map with sign +1, its inverse with sign -1.
 
     For each t one ``ck_sums`` group of the pairs (entries[s], sign^|k| / k!
-    V_k) with k = t - s, in entry order; the pairs come from an array
-    comparison of every t with every s, a block of t at a time.  The factors
-    are Fractions when every entry is exact and floats otherwise.  Nothing
-    is truncated."""
-    exact = all(u.is_exact() for u in entries.values())
+    V_k), k = t - s, in entry order, from the kernel's listing (``_slots``)
+    of every |s + k| <= degree with an empty entry at the zero index first,
+    so that the t come in the order of the indices.  The kernel rounds the
+    Fraction factors to floats beside a float entry.  Nothing is truncated."""
     indices = enumerate_up_to(n, degree)
-    factors = []
-    for k in indices:
-        signed = sign ** mi_abs(k)
-        value = Fraction(signed, mi_factorial(k)) if exact else float(signed) / mi_factorial(k)
-        factors.append({k: CliffordNumber.scalar(n, value)})
-    # an entry above the degree is below no t; every key in radix degree + 1
-    # is below (degree + 1)^n
-    sources = list(entries)
-    low = [i for i, s in enumerate(sources) if mi_abs(s) <= degree]
-    dtype = np.int64 if (degree + 1) ** n < 2**63 else object
-    ts = np.array(indices, dtype).reshape(-1, n)
-    ss = np.array([sources[i] for i in low], dtype).reshape(-1, n)
-    # t by t in blocks, so that one comparison holds at most _BLOCK entries
-    step = max(1, _BLOCK // max(1, ss.size))
-    hits = []
-    for lo in range(0, len(ts), step):
-        t, s = np.nonzero((ss <= ts[lo : lo + step, None]).all(axis=2))
-        hits.append((t + lo, s))
-    row_t, row_s = (np.concatenate(part) for part in zip(*hits))
-    # the row of k = t - s among the indices, found by its key
-    powers = np.array([(degree + 1) ** e for e in range(n)], dtype)
-    keys = ts @ powers
-    order = np.argsort(keys, kind="stable")
-    row_k = order[np.searchsorted(keys[order], (ts[row_t] - ss[row_s]) @ powers)]
-    pairs = np.stack([np.array(low, dtype=np.intp)[row_s], row_k], axis=1)
-    groups = np.split(pairs, np.cumsum(np.bincount(row_t, minlength=len(indices)))[:-1])
+    factors = [{k: CliffordNumber.scalar(n, Fraction(sign ** mi_abs(k), mi_factorial(k)))} for k in indices]
+    sources = [(0,) * n, *entries]
+    s, k, t, _ = _slots(n, [0, len(sources)], sources, [0, len(indices)], indices, [[(0, 0)]], degree)
+    pairs = np.stack([s, k], axis=1)[np.argsort(t, kind="stable")]
+    groups = np.split(pairs, np.cumsum(np.bincount(t))[:-1])
     q_out = max((u.degree for u in entries.values()), default=0) + degree
-    tables = ck_sums(n, [u.coeffs for u in entries.values()], factors, groups, q_out)
+    tables = ck_sums(n, [{}, *(u.coeffs for u in entries.values())], factors, groups, q_out)
     return {
         t: MonogenicSeries(n, max(map(mi_abs, table), default=0), table)
         for t, table in zip(indices, tables)
@@ -196,8 +176,7 @@ def op_to_hom(P: OperatorSymbol, q_table: int) -> HomTable:
 
 def hom_to_op(H: HomTable) -> OperatorSymbol:
     """Invert a complete basis-value table into the operator coefficients."""
-    gaps = H.missing()
-    if gaps:
+    if gaps := H.missing():
         raise ValueError(f"hom table incomplete: no entries for {gaps[:4]}{'...' if len(gaps) > 4 else ''}")
     return OperatorSymbol(H.n, _basis_transform(H.n, H.degree, H.entries, -1))
 

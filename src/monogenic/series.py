@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, islice
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul
 from typing import Callable, Collection, Iterable, Mapping
 
 import numpy as np
@@ -151,14 +151,11 @@ class MonogenicSeries:
         return out
 
     def coeff_upper_bound(self, r: float) -> float:
-        """sum_m norm(a_m) r^|m|: an upper bound for the max modulus at radius r."""
-        return sum((norm * r**q for q, norm in self.degree_norms().items()), 0.0)
+        """sum_m norm(a_m) r^|m|, added in order: an upper bound for the max modulus at radius r."""
+        return reduce(add, (norm * r**q for q, norm in self.degree_norms().items()), 0.0)
 
     def __repr__(self) -> str:
-        return (
-            f"MonogenicSeries(n={self.n}, degree={self.degree}, "
-            f"{len(self._coeffs)} coefficients)"
-        )
+        return f"MonogenicSeries(n={self.n}, degree={self.degree}, {len(self._coeffs)} coefficients)"
 
 
 def series_eval(f: MonogenicSeries, x: Paravector, exact: bool = False) -> CliffordNumber:
@@ -195,7 +192,8 @@ def series_derivative(f: MonogenicSeries, p: MultiIndex) -> MonogenicSeries:
         if not all(mi >= pi for mi, pi in zip(m, p)):
             continue
         target = tuple(mi - pi for mi, pi in zip(m, p))
-        out[target] = a.scale(mi_factorial(m) // mi_factorial(target))
+        weight = mi_factorial(m) // mi_factorial(target)  # inf beyond the float range
+        out[target] = a.scale(weight if weight < _INF_FLOOR or a.is_exact() else math.inf)
     return MonogenicSeries(f.n, new_degree, out)
 
 
@@ -278,22 +276,19 @@ def _slots(
     numbered in order of first appearance.
 
     The triples are a ragged expansion of the (pair, a-row) segments, and
-    only the kept ones are ever listed, so the memory follows them and the
-    segments, not the |a| |b| pairs of rows.  The b-rows a segment keeps
-    depend only on its b-table and on how many distinct b-degrees fit
-    beside |m|; each such (table, rank) takes its kept rows once, in table
-    order.  Each result is one integer key, the group times radix^n plus
-    key(p) in the radix of the largest index entries, so key(m + k) =
-    key(m) + key(k); the keys are int64 while radix^n #groups fits, and
-    Python ints otherwise."""
+    only the kept ones are listed: the b-rows a segment keeps depend only on
+    its b-table and on how many distinct b-degrees fit beside |m|, and each
+    such (table, rank) takes its kept rows once, in table order.  A result
+    is one key, the group times radix^n plus key(p) in the radix of the
+    largest index entries, so key(m + k) = key(m) + key(k); int64 while
+    radix^n #groups fits, and Python ints otherwise."""
     gid = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
     pairs = np.concatenate([np.reshape(group, (-1, 2)) for group in groups] or [np.empty((0, 2))])
     pi, pj = pairs.astype(np.intp).T
     a_start, b_start = np.asarray(a_start, np.intp), np.asarray(b_start, np.intp)
     seg_pair, local = _ragged(np.diff(a_start)[pi])
     if not len(seg_pair) or not b_index:
-        empty = np.empty(0, np.intp)
-        return empty, empty, empty, []
+        return (np.empty(0, np.intp),) * 3 + ([],)
     seg_a = a_start[pi][seg_pair] + local
 
     radix = max(map(max, a_index)) + max(map(max, b_index)) + 1
@@ -324,13 +319,36 @@ def _slots(
     # number the distinct keys in order of their first triple
     first, key_id = _distinct(keys)
     seen = np.argsort(first, kind="stable")
-    number = np.empty(len(first), np.intp)
-    number[seen] = np.arange(len(first))
-    slot = number[key_id]
-    head = first[seen]
+    slot, head = np.argsort(seen, kind="stable")[key_id], first[seen]
     p = (a_mi[ia[head]] + b_mi[ib[head]]).tolist()
     return ia, ib, slot, list(zip(gid[pair[head]].tolist(), map(tuple, p)))
 
+
+def _shifted(n: int, b_start: list, b_index: list, b_row: np.ndarray, orders: list) -> tuple:
+    """d^s of each right table by each s of orders: table j * len(orders) + i
+    is the rows l >= s = orders[i] of table j, in order, moved to l - s.
+    Returns the starts, the indices, each blade's row and source blade, and
+    each row's weight prod_a l_a! / (l_a - s_a)!, int64 while top(l)^|s| fits."""
+    dtype = np.int64 if max(map(max, chain(b_index, orders)), default=0) < 2**63 else object
+    table, local = _ragged(np.repeat(np.diff(b_start), len(orders)))
+    src = np.asarray(b_start, np.intp)[table // len(orders)] + local
+    l = np.array(b_index, dtype).reshape(-1, n)[src]
+    s = np.array(orders, dtype).reshape(-1, n)[table % len(orders)]
+    keep = (l >= s).all(axis=1)
+    l, s, src, table = l[keep], s[keep], src[keep], table[keep]
+    if int(l.max(initial=0)).bit_length() * int(s.sum(axis=1).max(initial=0)) >= 63:
+        l, s = l.astype(object), s.astype(object)
+    weight = np.ones(len(l), l.dtype)
+    for t in range(int(s.max(initial=0))):  # the factors l_a - t with t < s_a
+        weight *= np.where(s > t, l - t, 1).prod(axis=1)
+    counts = np.bincount(b_row, minlength=len(b_index))
+    row, local = _ragged(counts[src])
+    blade = (np.cumsum(counts) - counts)[src][row] + local
+    starts = [0, *np.cumsum(np.bincount(table, minlength=(len(b_start) - 1) * len(orders))).tolist()]
+    return starts, list(map(tuple, (l - s).tolist())), row, blade, weight
+
+
+_INF_FLOOR = 2**1024 - 2**970  # the least integer that a float conversion rounds to inf
 
 #: numerators in one block of blade products
 _BLOCK = 1 << 15
@@ -342,20 +360,19 @@ def ck_sums(
     right: list[Mapping[MultiIndex, CliffordNumber]],
     groups: Iterable[Collection[tuple[int, int]]],
     q_out: int,
+    orders: list[MultiIndex] | None = None,
 ) -> list[dict[MultiIndex, CliffordNumber]]:
     """Per group of pairs (i, j), the sum of the CK products left[i] (ck)
     right[j] truncated at |p| <= q_out: the one convolution of both modes.
-    A group is a list of pairs or a (k, 2) array of them.
+    A group is a list of pairs or a (k, 2) array of them.  With ``orders``,
+    the pair takes d^s right[j] with s = orders[i] (``_shifted``), weighted
+    before any product as ``series_derivative`` does, to the same bits.
 
     The bookkeeping is on arrays, with no Python step per triple.  Each
     side is one dense array of numerators, 2^n blades by coefficients.
-    Every (pair, m, k) triple of every group with |m| + |k| <= q_out is
-    listed at once by ``_slots``, pair by pair with m before k.  Each block
-    of triples is one product of the left values with the left-multiplication
-    matrices of the right ones, L[a, c] = sign[a, a ^ c] b[a ^ c], over the
-    left blades a that some value has, summed over a in mask order; the
-    products are scatter-added into one result row per (group, p), and each
-    result is built from its nonzero blades.
+    Every (pair, m, k) triple with |m| + |k| <= q_out is listed at once by
+    ``_slots``, pair by pair with m before k, and the products of a block of
+    triples are scatter-added into one row per (group, p).
     Exact values multiply in int64 when max|a| max|b| 2^n #triples < 2^63
     proves that no sum overflows, and in Python ints (object arrays)
     otherwise; each distinct result numerator becomes one Fraction.
@@ -367,6 +384,10 @@ def ck_sums(
         _flatten(side) for side in (left, right)
     )
     groups = list(groups)
+    if orders is not None:  # the pair (i, j) meets table j * len(orders) + i
+        b_start, b_index, b_row, blade, weight = _shifted(n, b_start, b_index, b_row, orders)
+        b_mask = np.array(b_mask, np.intp)[blade]
+        groups = [np.reshape(group, (-1, 2)) @ [[1, 1], [0, len(orders)]] for group in groups]
     ia, ib, slot, heads = _slots(n, a_start, a_index, b_start, b_index, groups, q_out)
     out: list[dict[MultiIndex, CliffordNumber]] = [{} for _ in groups]
     if not heads:
@@ -378,16 +399,21 @@ def ck_sums(
         (den_a, a_vals), (den_b, b_vals) = _numerators(a_vals), _numerators(b_vals)
         den = den_a * den_b
         top_a, top_b = (max(map(abs, vals), default=0) for vals in (a_vals, b_vals))
+        if orders is not None:  # the weights scale the right numerators
+            top_b *= int(weight.max(initial=1))
         # each side must also fit on its own, for when the other is empty
         fits = max(top_a, top_b) < 2**63 and top_a * top_b * size * len(slot) < 2**63
         dtype = np.int64 if fits else object
     else:
         dtype = np.float64
+        if orders is not None and weight.dtype == object:  # rounded as IEEE does
+            weight = np.where(weight < _INF_FLOOR, weight, np.inf)
     # both sides blade-major, so that the triples of a block are the last
     # axis of every array in the products and each multiply runs along them
     A, B = np.zeros((size, len(a_index)), dtype), np.zeros((size, len(b_index)), dtype)
     A[a_mask, a_row] = np.array(a_vals, dtype)
-    B[b_mask, b_row] = np.array(b_vals, dtype)
+    b_vals = np.array(b_vals, dtype)  # a weight multiplies stored blades only
+    B[b_mask, b_row] = b_vals if orders is None else b_vals[blade] * weight.astype(dtype)[b_row]
     partner, sign = _partners(n)
     live = sorted(set(a_mask))
     # the signs in the data's type: a mixed-type multiply is one more numpy
@@ -458,7 +484,6 @@ def max_modulus(
 
 def taylor_coefficient(f: MonogenicSeries, m: MultiIndex) -> CliffordNumber:
     """Recover a_m as (d^m f)(0) / m!; exact round trip in exact mode."""
-    shifted = series_derivative(f, m)
-    value = shifted.coeff((0,) * f.n)
+    value = series_derivative(f, m).coeff((0,) * f.n)
     fact = mi_factorial(m)
     return value.scale(Fraction(1, fact) if value.is_exact() else 1.0 / fact)

@@ -129,6 +129,14 @@ def test_norm_of_coefficients_whose_squares_leave_the_float_range(scale):
     assert CliffordNumber(2, {0b00: math.inf, 0b01: scale}).norm() == math.inf
 
 
+def test_norm_sq_adds_in_order():
+    """Squares are added in order, one by one: 1e16 + 1 + 1 rounds to 1e16
+    twice, where a compensated sum (the builtin sum() from Python 3.12 on)
+    gives 1e16 + 2."""
+    assert Paravector(0.0, [1e8, 1.0, 1.0]).norm_sq() == 1e16
+    assert CliffordNumber(2, {0b00: 1e8, 0b01: 1.0, 0b10: 1.0}).norm_sq() == 1e16
+
+
 def test_paravector_embedding_grades():
     x = Paravector(2.0, [1.0, 0.0, -1.0])
     c = x.to_clifford()

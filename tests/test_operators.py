@@ -10,10 +10,10 @@ from monogenic.clifford import CliffordNumber, cl_mul
 from monogenic.errors import DimensionMismatchError
 from monogenic.growth import ProximateOrder
 from monogenic.multiindex import enumerate_up_to, mi_abs, mi_add, mi_factorial, mi_leq, mi_sub
-from monogenic import operators as operators_module
 from monogenic.operators import (
     HomTable,
     OperatorSymbol,
+    apply_each,
     compare_scales,
     convergence_threshold,
     gauge_coefficient_operator,
@@ -24,7 +24,7 @@ from monogenic.operators import (
     reconstruct_from_blackbox,
     tail_bound_profile,
 )
-from monogenic.series import MonogenicSeries, ck_mul_left, series_derivative, series_eval
+from monogenic.series import MonogenicSeries, ck_mul_left, ck_sums, series_derivative, series_eval
 from monogenic.verify import brute_force_ck, random_rational_operator, random_rational_series
 
 from conftest import DYADIC_VALUE, exact_series, scale_right
@@ -119,20 +119,6 @@ def test_hom_round_trip_exact():
             entries[p] = random_rational_series(2, 2, 31 * seed + i, density=0.5)
         H = HomTable(n=2, degree=4, entries=entries)
         assert op_to_hom(hom_to_op(H), 4) == H
-
-
-@pytest.mark.parametrize("block", [1, 300])
-def test_transform_in_blocks_of_t_matches_one_block(monkeypatch, block):
-    """op_to_hom and hom_to_op give the same tables, in the same order,
-    whether the comparison of every t with every s takes all t at once or
-    a few at a time."""
-    layout = lambda entries: [(t, list(u.coeffs), u) for t, u in entries.items()]
-    P = random_rational_operator(3, 4, 2, 5)
-    H = op_to_hom(P, 4)
-    back = hom_to_op(H)
-    monkeypatch.setattr(operators_module, "_BLOCK", block)
-    assert layout(op_to_hom(P, 4).entries) == layout(H.entries)
-    assert layout(hom_to_op(H).entries) == layout(back.entries)
 
 
 def fraction_basis_transform(n, degree, entries, sign):
@@ -278,6 +264,61 @@ def test_exact_kernel_matches_oracles_in_every_regime(case):
     _assert_same_tables(hom_to_op(H).entries, {s: u for s, u in want.items() if not u.is_zero()})
     if all(type(v) is int for v in _values({0: f, 1: g}, P.entries)):
         assert all(type(v) is int for v in _values({0: product, 1: applied}))
+
+
+def derivative_apply(P, f, q_out):
+    """op_apply as the kernel over ``series_derivative`` tables: one group of
+    the pairs (u_m, d^m f), every m of the operator."""
+    left = [u.coeffs for u in P.entries.values()]
+    right = [series_derivative(f, m).coeffs for m in P.entries]
+    (out,) = ck_sums(P.n, left, right, [[(i, i) for i in range(len(left))]], q_out)
+    return out
+
+
+def _layout(table):
+    """Indices, blades and value reprs in order: equal layouts are equal
+    values of the same type, in the same order, bit for bit in floats."""
+    return [(p, [(mask, repr(v)) for mask, v in a.coeffs.items()]) for p, a in table.items()]
+
+
+@st.composite
+def apply_case(draw):
+    """An operator, a few series and a degree of one dimension n <= 4 and one
+    value regime; orders reach above the series' degrees, and the operator
+    and any series may be empty."""
+    n = draw(st.integers(1, 4))
+    value = draw(st.sampled_from([BIG_VALUE, INT_VALUE, DYADIC_VALUE]))
+    series = lambda degree: exact_series(n, degree, max_terms=4, value=value)
+    fs = draw(st.lists(st.integers(0, 3).flatmap(series), min_size=1, max_size=3))
+    index = st.sampled_from(enumerate_up_to(n, draw(st.integers(0, 4))))
+    P = OperatorSymbol(n, draw(st.dictionaries(index, series(draw(st.integers(0, 2))), max_size=4)))
+    return P, fs, draw(st.integers(0, 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(apply_case())
+@example((OperatorSymbol(3), [random_rational_series(3, 3, 4)], 4))
+@example((random_rational_operator(2, 4, 2, 8), [MonogenicSeries(2, 3), random_rational_series(2, 2, 9)], 5))
+@example((  # weights 40!/10! and 200!/30! in Python ints; the second is inf in floats
+    OperatorSymbol(1, {(30,): MonogenicSeries.unit(1), (170,): MonogenicSeries(1, 1, {(1,): CliffordNumber(1, {1: 3})})}),
+    [MonogenicSeries(1, 200, {(40,): CliffordNumber(1, {0: Fraction(1, 3), 1: 2}), (200,): CliffordNumber(1, {0: 5})})],
+    40,
+))
+def test_apply_takes_derivatives_on_the_kernel_rows(case):
+    """op_apply, which takes d^m f inside ``ck_sums``, against the kernel over
+    ``series_derivative`` tables: equal values in the same index order in
+    exact mode, the same bits in float mode; and ``apply_each`` equals
+    op_apply series by series in both modes."""
+    P, fs, q = case
+    Pf = OperatorSymbol(P.n, {m: u.to_float() for m, u in P.entries.items()})
+    for f in fs:
+        got, want = op_apply(P, f, q).coeffs, derivative_apply(P, f, q)
+        assert list(got) == list(want) and got == want
+        ff = f.to_float()
+        assert _layout(op_apply(Pf, ff, q).coeffs) == _layout(derivative_apply(Pf, ff, q))
+    for op, series in ((P, fs), (Pf, [f.to_float() for f in fs])):
+        batched = apply_each(op, series, q)
+        assert [_layout(g.coeffs) for g in batched] == [_layout(op_apply(op, f, q).coeffs) for f in series]
 
 
 def _l1(series) -> Fraction:

@@ -336,6 +336,30 @@ def test_cli_float_overflow_names_the_result(tmp_path, capsys, command, message)
     assert not os.path.exists(paths["out"])
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("apply", "the applied series is not finite in floats at index [30]"),
+        ("diff", "the derivative is not finite in floats at index [30]"),
+    ],
+)
+def test_cli_float_derivative_weight_overflow_exits_2(tmp_path, capsys, command, message):
+    """A derivative weight 200!/30! beyond the float range rounds to inf, so
+    ``apply`` and ``diff`` on a float series exit 2 with one line, not with
+    a traceback."""
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("f", "P", "out")}
+    _write_series(paths["f"], _float_series(1, 200, {(200,): {0: 1.0}}))
+    P = OperatorSymbol(1, {(170,): MonogenicSeries.unit(1, exact=False)})
+    serialize.write_file(paths["P"], serialize.operator_to_obj(P))
+    argv = {
+        "apply": ["apply", paths["P"], paths["f"], "--degree", "30"],
+        "diff": ["diff", paths["f"], "--index", "170"],
+    }[command]
+    assert main(argv + ["--out", paths["out"]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(paths["out"])
+
+
 def test_cli_ckprod_huge_degree_keeps_every_term(tmp_path):
     """A truncation degree far above |f| + |g| drops nothing and changes nothing."""
     f, g = random_rational_series(3, 3, 21), random_rational_series(3, 2, 22)
@@ -679,7 +703,8 @@ def test_cli_writes_each_mode_as_the_scanning_writers_do(tmp_path):
 
 def test_cli_scans_each_input_mode_once(tmp_path, monkeypatch):
     """``ckprod`` asks each coefficient of each exact input for its mode
-    once, and ``op2hom`` each coefficient of the operator once."""
+    once, ``op2hom`` each coefficient of the operator once and ``hom2op``
+    each coefficient of the table once."""
     f, g = random_rational_series(2, 3, 1), random_rational_series(2, 3, 2)
     paths = [tmp_path / "f.json", tmp_path / "g.json"]
     for path, h in zip(paths, (f, g)):
@@ -695,8 +720,10 @@ def test_cli_scans_each_input_mode_once(tmp_path, monkeypatch):
     assert len(calls) == len(f.coeffs) + len(g.coeffs)
     calls.clear()
     assert main(["op2hom", str(op), "--degree", "2", "--out", str(tmp_path / "t")]) == 0
-    # one scan of the operator, and one more of each entry to pick the factors' type
-    assert len(calls) == 2 * sum(len(u.coeffs) for u in P.entries.values())
+    assert len(calls) == sum(len(u.coeffs) for u in P.entries.values())
+    calls.clear()
+    assert main(["hom2op", str(tmp_path / "t"), "--out", str(tmp_path / "back")]) == 0
+    assert len(calls) == sum(len(b.coeffs) for b in op_to_hom(P, 2).entries.values())
 
 
 def test_cli_parser_reuse_leaks_no_state(tmp_path, capsys):

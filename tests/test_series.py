@@ -285,6 +285,14 @@ def test_cauchy_inequality_upper_bound_form():
                 assert a.norm() <= bound * (1 + 1e-12)
 
 
+def test_coeff_upper_bound_adds_in_order():
+    """The degree sums are added in order, one by one: 1e16 + 1 + 1 rounds
+    to 1e16 twice, where a compensated sum (the builtin sum() from Python
+    3.12 on) gives 1e16 + 2."""
+    f = MonogenicSeries(1, 2, {(q,): CliffordNumber.scalar(1, v) for q, v in enumerate([1e16, 1.0, 1.0])})
+    assert f.coeff_upper_bound(1.0) == 1e16
+
+
 def test_homogeneous_part():
     f = random_rational_series(2, 5, 3)
     p2 = f.homogeneous_part(2)

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from monogenic import series, verify
+from monogenic import operators, series, verify
 from monogenic.growth import ProximateOrder
 from monogenic.multiindex import enumerate_up_to
 from monogenic.series import MonogenicSeries, series_derivative
@@ -60,6 +60,41 @@ def test_negative_controls(corruption):
         for r in reports:
             assert type(r.margin) is float, r
             assert all(type(v) is float for v in r.constants.values()), r
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_control_fails_its_target_over_a_seed_sweep(n):
+    """Each negative control fails the check it targets at every seed of a
+    sweep, not only at the default seed."""
+    missed = [
+        (corruption, seed)
+        for corruption, target in sorted(CORRUPTION_TARGETS.items())
+        for seed in range(20)
+        if all(r.passed for r in run_all(VerifyConfig(n=n, seed=seed, corruption=corruption, only=(target,))))
+    ]
+    assert not missed
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_shrunk_modulus_fails_by_ln_2_or_more(n):
+    """The corrupted Cauchy bound is half the least own term of the series,
+    so the check fails by at least ln 2 at every seed, including those (68,
+    216, 231, 248 at n=3) where a bound shrunk by a fixed factor passed."""
+    for seed in range(300):
+        (rep,) = run_all(VerifyConfig(n=n, seed=seed, corruption="shrunk-modulus", only=("cauchy-inequality",)))
+        assert rep.margin <= -math.log(2.0) + 1e-12, (seed, rep)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_operator_roundtrip_applies_in_one_kernel_call(monkeypatch, n):
+    """The round-trip check applies the operator to all its basis elements
+    in one ``ck_sums`` call, beside the one of op_to_hom and of hom_to_op."""
+    calls = []
+    kernel = operators.ck_sums
+    monkeypatch.setattr(operators, "ck_sums", lambda *args, **kw: calls.append(args) or kernel(*args, **kw))
+    (rep,) = run_all(VerifyConfig(n=n, only=("operator-roundtrip",)))
+    assert rep.passed, rep
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize(
