@@ -4,9 +4,10 @@ Elements are stored as sparse blade tables: a blade is a subset of the unit
 indices {1..n}, encoded as an n-bit mask (bit i-1 set means unit i is a
 factor, factors ordered by increasing index).  Coefficients are either exact
 ``fractions.Fraction``/``int`` values (exact mode) or binary64 floats (float
-mode).  ``cl_mul`` multiplies two single values in either mode.  Sums of
-products of whole coefficient tables (``series.ck_sums``) work on dense rows
-of 2^n numerators with the sign table ``blade_signs`` instead, and
+mode).  ``cl_mul`` multiplies two single values in either mode.  The array
+kernels (``series.ck_sums`` and the float kernels of ``fueter``) work on
+dense rows of 2^n values instead, with the blade sign table that ``fueter``
+owns (``fueter.blade_partners``, built from ``blade_product``), and
 ``from_table`` turns the nonzero blades of such a row back into a value.
 
 Values are immutable after construction and every operation is a pure
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import add
 from typing import Iterable, Mapping, Union
 
@@ -59,13 +60,6 @@ def blade_product(a: int, b: int, dim: int) -> tuple[int, int]:
     flips = swaps + (a & b).bit_count()
     sign = -1 if flips & 1 else 1
     return sign, a ^ b
-
-
-@lru_cache(maxsize=None)
-def blade_signs(dim: int) -> tuple[tuple[int, ...], ...]:
-    """The 2^dim x 2^dim blade sign table: e_a e_b = signs[a][b] * e_(a XOR b)."""
-    size = 1 << dim
-    return tuple(tuple(blade_product(a, b, dim)[0] for b in range(size)) for a in range(size))
 
 
 class CliffordNumber:

@@ -26,6 +26,10 @@ builds once and keeps; it works in blocks of points sized by its largest
 array, the products (``_BLOCK_FLOATS``).  Float series evaluation, the
 sampled sup norms and the Dirac residuals (``dirac_residuals``) use these
 blade arrays.
+
+This module owns the Clifford array layer: ``blade_partners`` is the one
+sign table that every array kernel reads (``series.ck_sums`` too), and
+``row_norms`` is the one modulus of a blade row.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import Callable, Collection, Mapping
 
 import numpy as np
 
-from .clifford import CliffordNumber, Paravector, blade_signs, cl_mul
+from .clifford import CliffordNumber, Paravector, blade_product, cl_mul
 from .errors import DimensionMismatchError
 from .multiindex import MultiIndex, enumerate_degree, enumerate_up_to, mi_abs
 from .sampling import sphere_directions
@@ -125,19 +129,25 @@ _BLOCK_FLOATS = 1 << 16
 
 
 @lru_cache(maxsize=None)
-def _blade_signs(n: int) -> np.ndarray:
-    """``clifford.blade_signs(n)`` as a read-only float array:
-    e_a e_b = signs[a, b] * e_(a XOR b)."""
-    table = np.array(blade_signs(n), dtype=float)
-    table.flags.writeable = False
-    return table
+def blade_partners(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one blade sign table, read-only: for each left blade a and result
+    blade c, the partner a ^ c and the sign in e_a e_(a ^ c) = sign * e_c,
+    both (2^n, 2^n) int arrays.  A kernel casts the signs to its data's type
+    where it multiplies: a mixed-type multiply is one more numpy loop to
+    page in."""
+    blades = np.arange(1 << n)
+    partner = blades[:, None] ^ blades
+    sign = np.array([[blade_product(a, b, n)[0] for b in row] for a, row in enumerate(partner.tolist())])
+    partner.flags.writeable = sign.flags.writeable = False
+    return partner, sign
 
 
 @lru_cache(maxsize=None)
 def _layout(n: int, degree: int) -> tuple[dict[MultiIndex, int], np.ndarray, np.ndarray, tuple]:
     """Row of every index |m| <= degree (the order of ``enumerate_up_to``),
     right multiplication by each e_i as a blade permutation k -> k XOR e_i
-    (``flips``) with the sign of e_(k XOR e_i) e_i (``signs``), and per
+    (``flips``) with the sign of e_(k XOR e_i) e_i (``signs``, float), both
+    read from ``blade_partners``, and per
     degree q >= 1 a step (lo, hi, plo, gather, mult, last) from the rows
     plo:lo of degree q - 1 to the rows lo:hi of degree q.  Its tables index
     the products of ``_z_products``: ``gather[i, k]`` is V_(m - e_(i+1))
@@ -145,9 +155,9 @@ def _layout(n: int, degree: int) -> tuple[dict[MultiIndex, int], np.ndarray, np.
     ``mult[i, k]`` is m_(i+1), and ``last[k]`` the product of the last axis
     with m_j > 0."""
     position = {m: row for row, m in enumerate(enumerate_up_to(n, degree))}
-    units = [1 << i for i in range(n)]
-    flips = np.array([np.arange(1 << n) ^ e for e in units])
-    signs = np.array([_blade_signs(n)[flip, e, None] for flip, e in zip(flips, units)])
+    partner, sign = blade_partners(n)
+    flips = partner[[1 << i for i in range(n)]]
+    signs = sign[flips, np.arange(1 << n)][..., None].astype(float)
     steps = []
     plo, lo = 0, 1
     for q in range(1, degree + 1):
@@ -257,10 +267,9 @@ def contraction_operand(
     position = _layout(n, degree)[0]
     rows = np.array([position[m] for m in coeffs], dtype=np.intp)
     dense = blade_rows(n, coeffs.values())
-    # right multiplication by a: (v a)[k] = sum_b v[b] signs[b, b^k] a[b^k]
-    blades = np.arange(1 << n)[:, None]
-    xor = blades ^ blades.T
-    right = (_blade_signs(n)[blades, xor] * dense[:, xor]).reshape(len(rows) << n, 1 << n)
+    # right multiplication by a: (v a)[k] = sum_b v[b] sign[b, k] a[b ^ k]
+    partner, sign = blade_partners(n)
+    right = (sign.astype(float) * dense[:, partner]).reshape(len(rows) << n, 1 << n)
     right.flags.writeable = False
     return degree, rows, right
 
@@ -293,17 +302,28 @@ def basis_combination(operand: tuple[int, np.ndarray, np.ndarray], points) -> np
     return out
 
 
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """The ``CliffordNumber.norm`` of each blade row of an array (K, 2^n),
+    bit for bit: the squares are summed in mask order for all rows at once,
+    and only a row whose sum underflows to 0 or overflows goes through
+    math.hypot.  A NaN value gives NaN."""
+    with np.errstate(over="ignore"):
+        # a sum along the first axis adds the blades one by one, in mask order
+        norms = np.sqrt(np.ascontiguousarray((rows * rows).T).sum(axis=0))
+    for k in np.flatnonzero((norms == 0.0) | (norms == np.inf)).tolist():
+        norms[k] = math.hypot(*rows[k].tolist())
+    return norms
+
+
 def dirac_residuals(
     evaluate: Callable[[np.ndarray], np.ndarray], x: Paravector, h: float = 1e-5
 ) -> list[float]:
     """Central-difference Dirac residual norm(d/dx0 f + sum_i e_i d/dx_i f) at x
     of K functions; small exactly when a function is monogenic.  ``evaluate``
     maps the offset points x + h e_0, x - h e_0, x + h e_1, ... (an array
-    (2(n+1), n+1)) to their values, an array (2(n+1), K, 2^n); e_i acts by a
-    signed blade permutation.  Each residual is the ``CliffordNumber.norm``
-    of its row, bit for bit: the squares are summed in mask order for all
-    rows at once, and only a row whose sum underflows to 0 or overflows goes
-    through math.hypot.  A NaN value gives NaN."""
+    (2(n+1), n+1)) to their values, an array (2(n+1), K, 2^n); e_i acts by
+    the signed blade permutation of ``blade_partners``.  Each residual is
+    the ``row_norms`` of its row."""
     if not 0 < h < np.inf:
         raise ValueError(f"step h must be positive and finite, got {h}")
     n = x.dim
@@ -311,24 +331,20 @@ def dirac_residuals(
     points[range(2 * n + 2), np.arange(2 * n + 2) // 2] += [h, -h] * (n + 1)
     values = evaluate(points)
     diff = (values[0::2] - values[1::2]) * (1.0 / (2.0 * h))
+    partner, sign = blade_partners(n)
     acc = diff[0]
     for axis in range(1, n + 1):
-        flip = np.arange(1 << n) ^ (1 << (axis - 1))  # (e_i d)[k] = sign(e_i e_flip) d[flip]
-        acc = acc + diff[axis][:, flip] * _blade_signs(n)[1 << (axis - 1), flip]
-    with np.errstate(over="ignore"):
-        # a sum along the first axis adds the blades one by one, in mask order
-        norms = np.sqrt(np.ascontiguousarray((acc * acc).T).sum(axis=0))
-    out = norms.tolist()
-    for k in np.flatnonzero((norms == 0.0) | (norms == np.inf)).tolist():
-        out[k] = math.hypot(*acc[k].tolist())
-    return out
+        e = 1 << (axis - 1)  # (e_i d)[k] = sign(e_i e_(e_i ^ k)) d[e_i ^ k]
+        acc = acc + diff[axis][:, partner[e]] * sign[e].astype(float)
+    return row_norms(acc).tolist()
 
 
 def sampled_sups(
     n: int, operand: tuple[int, np.ndarray, np.ndarray], radii, samples: int, seed: int = 0
 ) -> list[float]:
     """Sampled max of norm(sum_m V_m(x) a_m) on the sphere of each radius,
-    for the table whose ``contraction_operand`` is given.
+    for the table whose ``contraction_operand`` is given: the largest
+    ``row_norms`` of the values at the radius.
 
     One set of about ``samples`` directions (``sphere_directions``, axis points
     included) is scaled to every radius, and all points go through one
@@ -339,10 +355,5 @@ def sampled_sups(
         return [0.0] * len(radii)
     dirs = sphere_directions(n + 1, samples, seed=seed)
     points = np.concatenate([r * dirs for r in radii])
-    values = basis_combination(operand, points)
-    with np.errstate(over="ignore"):
-        moduli = np.linalg.norm(values, axis=1)
-    # where the sum of squares underflows to 0 or overflows, hypot scales
-    redo = ((moduli == 0.0) | (moduli == np.inf)) & np.isfinite(values).all(axis=1)
-    moduli[redo] = np.hypot.reduce(values[redo], axis=1)
+    moduli = row_norms(basis_combination(operand, points))
     return moduli.reshape(len(radii), -1).max(axis=1).tolist()

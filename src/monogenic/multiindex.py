@@ -44,16 +44,6 @@ def mi_add(m: MultiIndex, p: MultiIndex) -> MultiIndex:
     return tuple(a + b for a, b in zip(m, p))
 
 
-def mi_sub(m: MultiIndex, p: MultiIndex) -> MultiIndex:
-    """Componentwise difference m - p; caller guarantees p <= m."""
-    return tuple(a - b for a, b in zip(m, p))
-
-
-def mi_leq(p: MultiIndex, m: MultiIndex) -> bool:
-    """Componentwise partial order p <= m."""
-    return all(a <= b for a, b in zip(p, m))
-
-
 def iter_degree(n: int, q: int) -> Iterator[MultiIndex]:
     """The multi-indices of length n with |m| = q in lexicographic order:
     the gaps between n - 1 bars among q + n - 1 places, the bar positions in

@@ -10,24 +10,19 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate, chain, islice
 from operator import add, attrgetter, mul
 from typing import Callable, Collection, Iterable, Mapping
 
 import numpy as np
 
-from .clifford import (
-    CliffordNumber,
-    Paravector,
-    blade_signs,
-    cl_mul,
-    from_table,
-)
+from .clifford import CliffordNumber, Paravector, cl_mul, from_table
 from .errors import DimensionMismatchError
 from .fueter import (
     FueterCache,
     basis_combination,
+    blade_partners,
     blade_rows,
     contraction_operand,
     dirac_residuals,
@@ -207,15 +202,6 @@ def ck_mul_left(f: MonogenicSeries, g: MonogenicSeries, q_out: int) -> Monogenic
         raise DimensionMismatchError("CK product of series with different dimension")
     (out,) = ck_sums(f.n, [f._coeffs], [g._coeffs], [[(0, 0)]], q_out)
     return MonogenicSeries(f.n, q_out, out)
-
-
-@lru_cache(maxsize=None)
-def _partners(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each left blade a, the right blades a ^ c that land on each result
-    blade c, and the signs in e_a e_(a ^ c) = sign * e_c."""
-    blades = np.arange(1 << n)
-    partner = blades[:, None] ^ blades
-    return partner, np.array(blade_signs(n))[blades[:, None], partner]
 
 
 def _flatten(side: list) -> tuple[list[int], list[MultiIndex], np.ndarray, list[int], list]:
@@ -414,10 +400,8 @@ def ck_sums(
     A[a_mask, a_row] = np.array(a_vals, dtype)
     b_vals = np.array(b_vals, dtype)  # a weight multiplies stored blades only
     B[b_mask, b_row] = b_vals if orders is None else b_vals[blade] * weight.astype(dtype)[b_row]
-    partner, sign = _partners(n)
+    partner, sign = blade_partners(n)
     live = sorted(set(a_mask))
-    # the signs in the data's type: a mixed-type multiply is one more numpy
-    # loop to page in
     A, partner, sign = A[live], partner[live], sign[live, :, None].astype(dtype)
     # a blade that a value does not have adds nothing, even against inf or NaN
     unfinite = not exact and not (np.isfinite(A).all() and np.isfinite(B).all())
@@ -454,11 +438,15 @@ def dirac_residual(
     points: list[Paravector],
     h: float = 1e-5,
 ) -> float:
-    """Max over points (NaN if any is NaN) of the Dirac residual of a series or point function."""
-    func = (lambda x: series_eval(f, x)) if isinstance(f, MonogenicSeries) else f
-    evaluate = lambda pts: blade_rows(
-        pts.shape[1] - 1, [func(Paravector.from_components(p)) for p in pts.tolist()]
-    )[:, None]
+    """Max over points (NaN if any is NaN) of the Dirac residual of a series
+    or point function.  A series is evaluated one point per kernel call, the
+    bits of float ``series_eval``."""
+    if isinstance(f, MonogenicSeries):
+        evaluate = lambda pts: np.stack([basis_combination(f.operand(), [p]) for p in pts])
+    else:
+        evaluate = lambda pts: blade_rows(
+            pts.shape[1] - 1, [f(Paravector.from_components(p)) for p in pts.tolist()]
+        )[:, None]
     return float(np.max([dirac_residuals(evaluate, x, h)[0] for x in points], initial=0.0))
 
 

@@ -44,7 +44,7 @@ from .multiindex import (
 from .operators import OperatorSymbol, apply_each, hom_to_op, op_to_hom
 from .sampling import ball_points, seeded_rng
 from .serialize import is_finite_number, is_integer, obj_to_scale
-from .series import MonogenicSeries, ck_mul_left, series_derivative
+from .series import _INF_FLOOR, MonogenicSeries, ck_mul_left, series_derivative
 
 LOG_TOL = 1e-9
 
@@ -592,6 +592,7 @@ def _derivative_norms(f: MonogenicSeries, q_max: int) -> dict[MultiIndex, dict[i
                 continue
             table = out.setdefault(m, {})
             shift = fact // mi_factorial(tuple(e - d for e, d in zip(k, m)))
+            shift = shift if shift < _INF_FLOOR else math.inf  # as series_derivative rounds
             table[q_k - q] = table.get(q_k - q, 0.0) + norm * shift
     return out
 

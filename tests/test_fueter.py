@@ -17,7 +17,7 @@ from monogenic.fueter import (
     ordered_words,
 )
 from monogenic.multiindex import enumerate_up_to, mi_abs
-from monogenic.series import MonogenicSeries, dirac_residual
+from monogenic.series import MonogenicSeries, dirac_residual, max_modulus
 
 from conftest import random_point
 
@@ -224,6 +224,39 @@ def test_dirac_residuals_are_the_clifford_norm_of_each_row(n):
     want = [CliffordNumber(n, dict(enumerate(row))).norm() for row in np.array(rows).tolist()]
     assert [float(v).hex() for v in got] == [v.hex() for v in want]
     assert all(type(v) is float for v in got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sampled_moduli_are_the_clifford_norm_of_each_row(monkeypatch, n):
+    """Every sampled sup is the largest ``CliffordNumber.norm`` of the rows
+    evaluated at its radius, bit for bit.  Each row is checked alone by
+    filling the rows of one radius with it: the values of a series whose
+    coefficients span 16 decades (the order of a sum shows in its last
+    bit), such rows scaled until every square underflows or overflows (the
+    hypot path), rows with a NaN or an inf, and a zero row.  At n=1 the
+    pairwise and the ordered sums of two squares agree."""
+    r = np.random.default_rng(n)
+    size = 1 << n
+    wide = lambda: r.standard_normal(size) * 10.0 ** r.uniform(-8, 8, size)
+    f = MonogenicSeries(n, 3, {m: CliffordNumber(n, dict(enumerate(wide().tolist()))) for m in enumerate_up_to(n, 3)})
+    rows = np.concatenate([
+        fueter.basis_combination(f.operand(), r.standard_normal((48, n + 1)) * 2.0),
+        [wide() * 1e-180 for _ in range(8)] + [wide() * 1e170 for _ in range(8)],
+        [np.zeros(size), np.full(size, 3e-170), np.full(size, -2e160)],
+        [np.where(np.arange(size) == size - 1, np.nan, 1.5)],
+        [np.where(np.arange(size) == 0, np.inf, 1e-300)],
+        [np.where(np.arange(size) == 0, -np.inf, np.nan)],
+    ])
+    norm = lambda row: CliffordNumber(n, dict(enumerate(row))).norm()
+    kernel = fueter.basis_combination
+    monkeypatch.setattr(fueter, "basis_combination", lambda _, pts: np.repeat(rows, len(pts) // len(rows), 0))
+    got = fueter.sampled_sups(n, f.operand(), [1.0] * len(rows), 8)
+    assert [v.hex() for v in got] == [norm(row).hex() for row in rows.tolist()]
+    # a sampled lower side is the largest of those norms over its own rows
+    seen = []
+    monkeypatch.setattr(fueter, "basis_combination", lambda *args: seen.append(kernel(*args)) or seen[-1])
+    lower, _ = max_modulus(f, 1.5, samples=64)
+    assert lower == max(map(norm, seen[0].tolist()))
 
 
 def test_cache_shares_subterms():

@@ -10,8 +10,12 @@ from monogenic.multiindex import (
     ln_c_nm,
     mi_abs,
     mi_factorial,
-    mi_leq,
 )
+
+
+def mi_leq(p: MultiIndex, m: MultiIndex) -> bool:
+    """Componentwise partial order p <= m."""
+    return all(a <= b for a, b in zip(p, m))
 
 
 def rising_factorial(base: int, count: int) -> int:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from monogenic.clifford import CliffordNumber, cl_mul
 from monogenic.errors import DimensionMismatchError
 from monogenic.growth import ProximateOrder
-from monogenic.multiindex import enumerate_up_to, mi_abs, mi_add, mi_factorial, mi_leq, mi_sub
+from monogenic.multiindex import enumerate_up_to, mi_abs, mi_add, mi_factorial
 from monogenic.operators import (
     HomTable,
     OperatorSymbol,
@@ -130,9 +130,9 @@ def fraction_basis_transform(n, degree, entries, sign):
     for t in enumerate_up_to(n, degree):
         acc = {}
         for s, u in entries.items():
-            if not mi_leq(s, t):
+            if not all(a <= b for a, b in zip(s, t)):
                 continue
-            k = mi_sub(t, s)
+            k = tuple(b - a for a, b in zip(s, t))
             factor = Fraction(sign ** mi_abs(k), mi_factorial(k))
             for m, a in u.coeffs.items():
                 p = mi_add(m, k)

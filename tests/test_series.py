@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from monogenic import fueter
 from monogenic import series as series_module
-from monogenic.clifford import CliffordNumber, Paravector, blade_signs, cl_mul
+from monogenic.clifford import CliffordNumber, Paravector, blade_product, cl_mul
 from monogenic.errors import DimensionMismatchError
 from monogenic.multiindex import enumerate_up_to, mi_add, mi_abs
 from monogenic.growth import ProximateOrder, weighted_norm_ln
@@ -206,6 +206,18 @@ def test_dirac_residual_detects_corruption(rng):
     assert residuals[0] < 1e-6 < residuals[1]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dirac_residual_of_a_series_has_the_bits_of_series_eval(rng, n):
+    """A series goes through the kernel one point per call: the residual of
+    the point function ``series_eval`` bit for bit, also at points with zero
+    coordinates, where the rows differ in the sign of zeros only."""
+    f = random_rational_series(n, 4, 50 + n).to_float()
+    points = [random_point(n, rng, radius=1.2) for _ in range(4)]
+    points += [Paravector(0.0, [0.0] * n), Paravector(0.0, [0.0] * (n - 1) + [0.75])]
+    for x in points:
+        assert dirac_residual(f, [x]).hex() == dirac_residual(lambda p: series_eval(f, p), [x]).hex()
+
+
 def test_dirac_residual_rejects_value_of_another_dimension():
     x = Paravector(0.1, [0.2, 0.3])
     for dim in (1, 3):
@@ -269,7 +281,7 @@ def test_max_modulus_of_empty_series_builds_no_sign_table(monkeypatch):
     def refuse(n):
         raise AssertionError(f"blade sign table built for n={n}")
 
-    monkeypatch.setattr(fueter, "_blade_signs", refuse)
+    monkeypatch.setattr(fueter, "blade_partners", refuse)
     assert max_modulus(MonogenicSeries(10, 1), 1.0, samples=8) == (0.0, 0.0)
 
 
@@ -662,7 +674,7 @@ def reference_float_sums(n, left, right, groups, q_out):
     a_index, b_index = index[: starts[0][-1]], index[starts[0][-1] :]
     a_rows, b_rows = rows[: starts[0][-1]], rows[starts[0][-1] :]
     ia, ib, slot, heads = reference_slots(n, starts[0], a_index, starts[1], b_index, groups, q_out)
-    signs = blade_signs(n)
+    signs = [[blade_product(a, b, n)[0] for b in range(1 << n)] for a in range(1 << n)]
     live = sorted({mask for table in left for c in table.values() for mask in c.coeffs})
     sums = [[0.0] * (1 << n) for _ in heads]
     for a_row, b_row, s in zip(ia, ib, slot):

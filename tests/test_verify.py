@@ -4,6 +4,7 @@ import re
 import pytest
 
 from monogenic import operators, series, verify
+from monogenic.clifford import CliffordNumber
 from monogenic.growth import ProximateOrder
 from monogenic.multiindex import enumerate_up_to
 from monogenic.series import MonogenicSeries, series_derivative
@@ -217,6 +218,19 @@ def test_one_pass_derivative_norms_within_four_ulps_on_multi_blade_series(n, exa
             assert list(got[m]) == list(table)
             for q, value in table.items():
                 assert abs(got[m][q] - value) <= 4 * eps * value
+
+
+def test_derivative_weights_beyond_the_float_range_round_to_inf():
+    """A weight k!/(k-m)! past the float range is inf in the one-pass
+    tables, as ``series_derivative`` rounds it, and the check reports a
+    failed bound instead of raising OverflowError."""
+    f = MonogenicSeries(1, 200, {(200,): CliffordNumber.scalar(1, 1.0)})
+    got, want = verify._derivative_norms(f, 180), derivative_tables(f, 180)
+    assert list(got) == list(want) and got[(180,)] == {20: math.inf}
+    for m, table in want.items():
+        assert list(got[m].items()) == list(table.items())
+    rep = check_derivative_bound(f, PO1, 1.0, 180)
+    assert rep.margin == -math.inf and not rep.passed
 
 
 @pytest.mark.parametrize("corruption", [None, "inflated-derivatives"])
