@@ -7,8 +7,9 @@ factor, factors ordered by increasing index).  Coefficients are either exact
 mode).  ``cl_mul`` multiplies two single values in either mode.  The array
 kernels (``series.ck_sums`` and the float kernels of ``fueter``) work on
 dense rows of 2^n values instead, with the blade sign table that ``fueter``
-owns (``fueter.blade_partners``, built from ``blade_product``), and
-``from_table`` turns the nonzero blades of such a row back into a value.
+owns (``fueter.blade_partners``, the signs of ``blade_product`` computed with
+array bit operations), and ``from_table`` turns the nonzero blades of such a
+row back into a value.
 
 Values are immutable after construction and every operation is a pure
 function, so instances may be shared freely between threads.
@@ -160,13 +161,17 @@ class CliffordNumber:
     def norm(self) -> float:
         """Euclidean norm of the blade coefficients.  Where the sum of squares
         underflows to 0 or overflows for nonzero coefficients, math.hypot
-        scales them instead."""
+        scales them instead; an exact coefficient beyond the float range
+        gives inf."""
         try:
             value = math.sqrt(self.norm_sq())
         except OverflowError:  # an exact sum of squares beyond the float range
             value = math.inf
         if (value == 0.0 or value == math.inf) and self._coeffs:
-            return math.hypot(*map(float, self._coeffs.values()))
+            try:
+                return math.hypot(*map(float, self._coeffs.values()))
+            except OverflowError:  # an exact coefficient beyond the float range
+                return math.inf
         return value
 
     def to_float(self) -> "CliffordNumber":

@@ -41,7 +41,7 @@ from typing import Callable, Collection, Mapping
 
 import numpy as np
 
-from .clifford import CliffordNumber, Paravector, blade_product, cl_mul
+from .clifford import CliffordNumber, Paravector, cl_mul
 from .errors import DimensionMismatchError
 from .multiindex import MultiIndex, enumerate_degree, enumerate_up_to, mi_abs
 from .sampling import sphere_directions
@@ -137,7 +137,14 @@ def blade_partners(n: int) -> tuple[np.ndarray, np.ndarray]:
     page in."""
     blades = np.arange(1 << n)
     partner = blades[:, None] ^ blades
-    sign = np.array([[blade_product(a, b, n)[0] for b in row] for a, row in enumerate(partner.tolist())])
+    # as in blade_product, e_a e_b = (-1)^f e_(a ^ b), where each unit i of
+    # b counts the units of a at i and above (a swap past each higher unit,
+    # a square for the unit i itself): f is odd when b has an odd number of
+    # units among the i where a has an odd number at i and above (odd_above)
+    counts = [x.bit_count() for x in range(1 << n)]
+    parity_sign = np.array([1 - 2 * (c & 1) for c in counts])
+    odd_above = np.array([sum(1 << i for i in range(n) if counts[a >> i] & 1) for a in range(1 << n)])
+    sign = parity_sign[partner & odd_above[:, None]]
     partner.flags.writeable = sign.flags.writeable = False
     return partner, sign
 

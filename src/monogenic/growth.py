@@ -41,9 +41,10 @@ _FLOAT_MAX = np.finfo(float).max
 #: cells of the log-radius grid on which weighted_norm_ln certifies its
 #: upper envelope
 _ENVELOPE_CELLS = 20000
-#: cells per block of that grid in the first, coarse pass; divides
-#: _ENVELOPE_CELLS
-_ENVELOPE_BLOCK = 100
+#: cells per block of that grid at each level of its refinement, coarse to
+#: fine: the first divides _ENVELOPE_CELLS, each divides the one before it,
+#: and the last is a single cell
+_ENVELOPE_LEVELS = (250, 10, 1)
 #: values (grid points times degrees) per logsumexp call of the envelope:
 #: bounds its temporary arrays, and with them the peak resident memory, when
 #: many grid points or degrees are evaluated at once
@@ -75,8 +76,11 @@ def logsumexp(a, axis: int = -1):
     tied = a == a_max
     m = tied.sum(axis=axis, keepdims=True, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # every tied maximum is taken out of the sum and counted in m
-        s = np.exp(np.where(tied, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
+        # every tied maximum is taken out of the sum and counted in m; the
+        # terms are worked in place, one temporary the size of a
+        terms = np.where(tied, -np.inf, a)
+        np.subtract(terms, a_max, out=terms)
+        s = np.exp(terms, out=terms).sum(axis=axis, keepdims=True)
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + a_max
         bad = ~np.isfinite(out)
@@ -349,6 +353,13 @@ def _degree_log_norms(norms: Mapping[int, float]) -> tuple[np.ndarray, np.ndarra
     return qs, lnA
 
 
+def _envelope_grid(lo: float, hi: float, idx):
+    """The points at the indices idx of the envelope's grid: np.linspace(lo,
+    hi, _ENVELOPE_CELLS + 1)[idx], bit for bit, by linspace's own formula
+    i * ((hi - lo) / _ENVELOPE_CELLS) + lo with its last point hi."""
+    return np.where(idx == _ENVELOPE_CELLS, hi, idx * ((hi - lo) / _ENVELOPE_CELLS) + lo)
+
+
 def weighted_upper_ln(
     norms: Mapping[int, float], po: ProximateOrder, sigma: float
 ) -> tuple[float, list[float]]:
@@ -366,11 +377,15 @@ def weighted_upper_ln(
     peak -- on each cell the envelope multiplies the increasing factor at
     the right edge by the decreasing weight at the left edge, so the bound
     is rigorous for the coefficient-envelope functional.  The envelope is
-    certified in two passes: the coefficient envelope ln U is evaluated at
-    every ``_ENVELOPE_BLOCK``-th grid point first, which bounds every cell
-    of the block between two such points (ln U and t both increase), and
-    then only on the blocks whose bound can reach the best value already
-    found.  The result is the maximum over the whole grid, bit for bit.
+    certified by refinement over ``_ENVELOPE_LEVELS``: the coefficient
+    envelope ln U and the weight are evaluated at the edges of the coarsest
+    blocks first; a block's values are bounded by ln U at its right edge
+    minus the weight at its left edge (ln U and t both increase), and only
+    the blocks whose bound can reach the best value already found are cut
+    into the blocks of the next level, down to single cells.  Grid points,
+    weights and ln U are computed at the evaluated edges alone, a group of
+    kept blocks at a time.  The result is the maximum over the whole grid,
+    bit for bit, and so is the grid argmax.
     """
     _check_sigma(sigma)
     qs, lnA = _degree_log_norms(norms)
@@ -383,50 +398,91 @@ def weighted_upper_ln(
 
     lo = min(peaks.min() - 1.0, _LN_R_MIN)
     hi = peaks.max() + 1.0
-    grid = np.linspace(lo, hi, _ENVELOPE_CELLS + 1)
-    ln_t = po.ln_scale_at_ln_r(grid)
-    weight = sigma * np.exp(ln_t)
-    # ln U, the logsumexp over degrees of lnA + q*ln r, at the grid points
-    # evaluated so far and -inf elsewhere.  Each row is computed on its own,
-    # so a value does not depend on which other rows are evaluated with it.
-    ln_u = np.full(len(grid), -math.inf)
     # rows per logsumexp call, so that each of its temporary arrays holds
     # about _ENVELOPE_CHUNK values whatever the number of rows
     step = max(1, _ENVELOPE_CHUNK // len(qs))
 
     def evaluate(idx):
-        """Fill ln U at the grid points idx; return the cell envelope and the
-        grid values over every point evaluated so far."""
+        """ln U, the logsumexp over degrees of lnA + q*ln r, at the grid
+        points idx, the weight there and the weight one point left of each
+        (for the cell that ends there).  Each ln U row is computed on its
+        own, so a value does not depend on which other rows are evaluated
+        with it."""
+        points = _envelope_grid(lo, hi, np.concatenate([idx, idx - 1]))
+        weights = sigma * np.exp(po.ln_scale_at_ln_r(points))
+        points, ln_u = points[: len(idx)], np.empty(len(idx))
         for start in range(0, len(idx), step):
-            rows = idx[start : start + step]
-            ln_u[rows] = logsumexp(lnA[None, :] + qs[None, :] * grid[rows, None], axis=1)
-        # every per-degree term rises toward its peak and falls past it, so
-        # left of the window everything is below U at the left edge (weight
-        # <= 1) and right of it everything is below the last edge value
-        right_edge = float(ln_u[-1] - sigma * math.exp(ln_t[-1]))
-        cells = max(float((ln_u[1:] - weight[:-1]).max()), right_edge, float(ln_u[0]))
-        return cells, ln_u - weight
+            rows = qs * points[start : start + step, None]
+            rows += lnA
+            ln_u[start : start + step] = logsumexp(rows, axis=1)
+        return ln_u, weights[: len(idx)], weights[len(idx) :]
 
-    edges = np.arange(0, len(grid), _ENVELOPE_BLOCK)
-    upper_env, grid_vals = evaluate(edges)
     # Every cell and grid point of the block between edges e and e' has a
     # value of at most ln U(e') minus the block's least weight, since ln U
-    # increases with r -- up to rounding.  A computed ln U row is lnA + q*ln r
-    # (a few ulps of M = max|lnA| + q_max*max|ln r|; the terms can cancel, so
-    # |ln U| does not bound the error) followed by logsumexp (a few ulps of
-    # M plus ln of the degree count).  Two rows are thus off their exact,
-    # increasing values by under 16*eps*(M + 1) together, and the slack is
-    # four times that.  The weight enters at its computed minimum and needs
-    # no slack.  A block whose bound is below a value already found holds
-    # neither the envelope maximum nor the grid argmax and is skipped.
-    magnitude = np.abs(lnA).max() + qs.max() * max(abs(lo), abs(hi))
-    slack = 64.0 * np.finfo(float).eps * (magnitude + 1.0)
-    least_weight = weight[:-1].reshape(-1, _ENVELOPE_BLOCK).min(axis=1)
-    bounds = ln_u[edges[1:]] - least_weight + slack
-    starts = edges[:-1][bounds >= min(upper_env, float(grid_vals.max()))]
-    upper_env, grid_vals = evaluate((starts[:, None] + np.arange(1, _ENVELOPE_BLOCK)).ravel())
-    best = int(np.argmax(grid_vals))
-    return min(upper_sum_form, upper_env), list({grid[best], *peaks.tolist()})
+    # and the weight increase with r -- up to rounding.  A computed ln U row
+    # is lnA + q*ln r (a few ulps of M = max|lnA| + q_max*max|ln r|; the
+    # terms can cancel, so |ln U| does not bound the error) followed by
+    # logsumexp (a few ulps of M plus ln of the degree count).  Two rows are
+    # thus off their exact, increasing values by under 16*eps*(M + 1)
+    # together, and ``slack`` is four times that.  A computed ln t is a sum
+    # of terms (a, rho ln r, a ln ln r, or the loglog cap's ln t1 +
+    # s (ln r - L1)), each at most T = |a| + (rho + |a|)(max|ln r| + L1) in
+    # size (L1 = 0 without a cap), so it is off an increasing function (the
+    # exact one, but for a step of a few ulps of T where the cap joins) by
+    # under 8*eps*(T + 1); exp and the product with sigma add a few ulps of
+    # the weight.  Two weights are thus off by a factor of at most
+    # 1 + 32*eps*(T + 1), and every weight of a block is at least the left
+    # edge's times ``shrink``, twice that below 1.  A block whose bound is
+    # below a value already found holds neither the envelope maximum nor the
+    # grid argmax and is not refined.
+    eps = np.finfo(float).eps
+    span = max(abs(lo), abs(hi))
+    slack = 64.0 * eps * (np.abs(lnA).max() + qs.max() * span + 1.0)
+    terms = abs(po.a) + (po.rho + abs(po.a)) * (span + max(po.ln_cutover, 0.0))
+    shrink = 1.0 - 64.0 * eps * (terms + 1.0)
+
+    idx = np.arange(0, _ENVELOPE_CELLS + 1, _ENVELOPE_LEVELS[0])
+    u, w, w_left = evaluate(idx)
+    # every per-degree term rises toward its peak and falls past it, so
+    # left of the window everything is below U at the left edge (weight
+    # <= 1) and right of it everything is below the last edge value
+    right_edge = float(u[-1] - sigma * math.exp(po.ln_scale_at_ln_r(np.array([hi]))[0]))
+    upper_env = max(float((u - w_left)[1:].max()), right_edge, float(u[0]))
+    # the grid argmax so far (np.argmax's first maximum: a tie keeps the
+    # lower index) and its value, ln U minus the weight
+    i = int(np.argmax(u - w))
+    best, best_value = int(idx[i]), float(u[i] - w[i])
+    # the blocks of a level: their left edges, ln U at their right edges
+    # and the weights at their left edges
+    starts, right_u, left_w = idx[:-1], u[1:], w[:-1]
+    for size, finer in zip(_ENVELOPE_LEVELS, _ENVELOPE_LEVELS[1:]):
+        keep = right_u - left_w * shrink + slack >= min(upper_env, best_value)
+        starts, right_u, left_w = starts[keep], right_u[keep], left_w[keep]
+        offsets = np.arange(finer, size, finer)
+        # the kept blocks are refined a group at a time, about `step` new
+        # edges per group, so no array grows with the number of kept blocks
+        # but the next level's, which has _ENVELOPE_CELLS / finer entries at
+        # most (none after the last level)
+        per = max(1, step // len(offsets))
+        blocks = []
+        for g in range(0, len(starts), per):
+            new = starts[g : g + per, None] + offsets
+            u, w, w_left = evaluate(new.ravel())
+            upper_env = max(upper_env, float((u - w_left).max()))
+            values = u - w
+            i = int(np.argmax(values))
+            if values[i] > best_value or (values[i] == best_value and new.flat[i] < best):
+                best, best_value = int(new.flat[i]), float(values[i])
+            if finer > 1:
+                u, w = u.reshape(new.shape), w.reshape(new.shape)
+                blocks.append((
+                    np.concatenate([starts[g : g + per, None], new], axis=1).ravel(),
+                    np.concatenate([u, right_u[g : g + per, None]], axis=1).ravel(),
+                    np.concatenate([left_w[g : g + per, None], w], axis=1).ravel(),
+                ))
+        if blocks:
+            starts, right_u, left_w = (np.concatenate(part) for part in zip(*blocks))
+    return min(upper_sum_form, upper_env), list({float(_envelope_grid(lo, hi, best)), *peaks.tolist()})
 
 
 def weighted_norm_ln(

@@ -146,8 +146,12 @@ class MonogenicSeries:
         return out
 
     def coeff_upper_bound(self, r: float) -> float:
-        """sum_m norm(a_m) r^|m|, added in order: an upper bound for the max modulus at radius r."""
-        return reduce(add, (norm * r**q for q, norm in self.degree_norms().items()), 0.0)
+        """sum_m norm(a_m) r^|m|, added in order: an upper bound for the max
+        modulus at radius r.  A term whose power r^|m| is 0 is left out, so
+        the infinite norm of an exact coefficient beyond the float range
+        gives inf only where its term counts (never nan)."""
+        terms = ((norm, r**q) for q, norm in self.degree_norms().items())
+        return reduce(add, (norm * power for norm, power in terms if power), 0.0)
 
     def __repr__(self) -> str:
         return f"MonogenicSeries(n={self.n}, degree={self.degree}, {len(self._coeffs)} coefficients)"

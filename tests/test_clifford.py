@@ -129,6 +129,13 @@ def test_norm_of_coefficients_whose_squares_leave_the_float_range(scale):
     assert CliffordNumber(2, {0b00: math.inf, 0b01: scale}).norm() == math.inf
 
 
+@pytest.mark.parametrize("big", [10**400, -(10**400), Fraction(10**401, 3)])
+def test_norm_of_an_exact_value_beyond_the_float_range_is_inf(big):
+    # the hypot fallback cannot convert such a coefficient to a float
+    assert CliffordNumber(1, {0: big}).norm() == math.inf
+    assert CliffordNumber(2, {0b00: big, 0b11: Fraction(1, 3)}).norm() == math.inf
+
+
 def test_norm_sq_adds_in_order():
     """Squares are added in order, one by one: 1e16 + 1 + 1 rounds to 1e16
     twice, where a compensated sum (the builtin sum() from Python 3.12 on)

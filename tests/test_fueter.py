@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from monogenic import fueter
-from monogenic.clifford import CliffordNumber, Paravector, cl_mul
+from monogenic.clifford import CliffordNumber, Paravector, blade_product, cl_mul
 from monogenic.fueter import (
     FueterCache,
     basis_values,
@@ -43,6 +43,18 @@ def test_low_degree_closed_forms():
     # the mixed element at the time axis vanishes: (e1 e2 + e2 e1)/2 = 0
     e0 = Paravector(Fraction(1), [Fraction(0), Fraction(0)])
     assert fueter_eval((1, 1), e0).is_zero()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_blade_partners_is_the_table_of_blade_product(n):
+    """The array-built sign table equals blade_product entry for entry."""
+    partner, sign = fueter.blade_partners(n)
+    assert partner.shape == sign.shape == (1 << n, 1 << n)
+    assert not (partner.flags.writeable or sign.flags.writeable)
+    want = [[blade_product(a, a ^ c, n) for c in range(1 << n)] for a in range(1 << n)]
+    assert sign.tolist() == [[s for s, _ in row] for row in want]
+    assert [[c for _, c in row] for row in want] == [list(range(1 << n))] * (1 << n)
+    assert partner.tolist() == [[a ^ c for c in range(1 << n)] for a in range(1 << n)]
 
 
 def test_cache_arithmetic_follows_the_point():

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -33,7 +34,7 @@ from monogenic.multiindex import mi_abs
 from monogenic.series import MonogenicSeries, max_modulus
 from monogenic.clifford import CliffordNumber
 from monogenic.fueter import contraction_operand
-from monogenic.verify import axis_series, random_rational_series
+from monogenic.verify import VerifyConfig, _derivative_norms, axis_series, random_rational_series
 
 FAMILIES = (
     ProximateOrder("constant", 1.0),
@@ -559,12 +560,66 @@ LN_NORMS = st.one_of(st.sampled_from([-700.0, 700.0]), st.floats(-700.0, 700.0))
 @example({0: 700.0, 30: -700.0}, ProximateOrder("loglog", 0.5, -1.5), 1e-6)
 @example({1: 700.0, 40: -700.0}, ProximateOrder("logshift", 2.0, 1.0), 1e6)
 @example({0: 0.0, 1: 0.0}, ProximateOrder("constant", 1.0), 1.0)
+@example({0: 5.0, 5: 0.0}, ProximateOrder("constant", 2.0), 1.0)
 def test_pruned_envelope_matches_full_grid_on_extreme_norms(ln_norms, po, sigma):
     # single degrees, a constant plus one degree, and coefficient logs of
-    # +-700 that cancel against q*ln r near the peaks of small or large sigma
+    # +-700 that cancel against q*ln r near the peaks of small or large sigma;
+    # the last example has its maximum on a run of tied grid values from the
+    # left end (the weight is below half an ulp of ln U there), where the
+    # argmax is the first of them
     assume(any(q > 0 for q in ln_norms))  # else no grid: a constant series
     f = norm_table({q: math.exp(v) for q, v in ln_norms.items()})
     assert pruned_envelope(f, po, sigma) == full_grid_envelope(f, po, sigma)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(-19.420680743952367, 3.4361164856185686), (-27.24, -25.24), (0.3, 7.9), (-1e6, 2.5e5), (1e15, 3e15)],
+)
+def test_envelope_grid_is_linspace(lo, hi):
+    """The envelope computes its grid points one index at a time; they are
+    np.linspace's, bit for bit, at every index and in any batch."""
+    cells = growth._ENVELOPE_CELLS
+    want = np.linspace(lo, hi, cells + 1)
+    got = growth._envelope_grid(lo, hi, np.arange(cells + 1))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for i in (0, 1, 7, cells // 2, cells - 1, cells):
+        assert float(growth._envelope_grid(lo, hi, i)) == want[i]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("po", VerifyConfig().families)
+def test_envelope_matches_full_grid_on_the_derivative_bound_tables(n, po):
+    """The traffic the suite serves: check_derivative_bound takes the upper
+    side of every d^m f of its axis series at the weight k*sigma.  These
+    tables (up to 25 degrees) have a flat maximum, where the most blocks
+    are refined."""
+    cfg = VerifyConfig(n=n)
+    sigma = 1.05 * 2.0**po.rho * cfg.sigma
+    tables = _derivative_norms(axis_series(n, 1.0, cfg.sigma, 24), cfg.q_max_deriv)
+    assert max(len(t) for t in tables.values()) == 25
+    for table in tables.values():
+        ln_up, radii = weighted_upper_ln(table, po, sigma)
+        assert (ln_up, [math.exp(L) for L in radii]) == full_grid_envelope(norm_table(table), po, sigma)
+
+
+@pytest.mark.parametrize(
+    "po, full_grid_kib", [(ProximateOrder("constant", 1.0), 955), (ProximateOrder("loglog", 1.0, 1.0), 1272)]
+)
+def test_envelope_allocates_no_grid_sized_arrays(po, full_grid_kib):
+    """One call on a 25-degree table peaks under tracemalloc at most a
+    quarter of what the envelope took when it built its grid arrays in full
+    (full_grid_kib, numpy 2.4): no array of _ENVELOPE_CELLS + 1 points is
+    built."""
+    table = {q: 1.0 / math.factorial(q) for q in range(25)}
+    weighted_upper_ln(table, po, 2.0)  # first-call caches are not counted
+    tracemalloc.start()
+    try:
+        weighted_upper_ln(table, po, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= full_grid_kib * 1024 / 4
 
 
 def bisect_root(func, lo=-8.0, hi=8.0):

@@ -305,6 +305,22 @@ def test_coeff_upper_bound_adds_in_order():
     assert f.coeff_upper_bound(1.0) == 1e16
 
 
+def test_norms_of_an_exact_coefficient_beyond_the_float_range_are_inf():
+    big = CliffordNumber.scalar(2, 10**400)
+    f = MonogenicSeries(2, 1, {(1, 0): big, (0, 0): CliffordNumber.scalar(2, 3)})
+    assert f.degree_norms() == {1: math.inf, 0: 3.0}
+    assert f.coeff_upper_bound(2.0) == math.inf
+    # at r = 0 only the constant's term counts: no inf * 0 = nan
+    assert f.coeff_upper_bound(0.0) == 3.0
+    assert max_modulus(f, 0.0) == (3.0, 3.0)
+    assert max_modulus(MonogenicSeries(2, 0, {(0, 0): big}), 0.0) == (math.inf, math.inf)
+    # the sampled side needs the float copy, which does not exist
+    with pytest.raises(ValueError, match="does not fit in a float"):
+        max_modulus(f, 1.0)
+    g = MonogenicSeries(1, 200, {(200,): CliffordNumber.scalar(1, 1)})
+    assert series_derivative(g, (180,)).degree_norms() == {20: math.inf}
+
+
 def test_homogeneous_part():
     f = random_rational_series(2, 5, 3)
     p2 = f.homogeneous_part(2)
