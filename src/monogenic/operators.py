@@ -129,14 +129,15 @@ def op_apply(P: OperatorSymbol, f: MonogenicSeries, q_out: int) -> MonogenicSeri
 
 
 def apply_each(P: OperatorSymbol, fs: list[MonogenicSeries], q_out: int) -> list[MonogenicSeries]:
-    """``op_apply`` of P to each series f in one ``ck_sums`` call: a group of
-    the pairs (u_m, f) per f, under the orders m, so the kernel takes d^m f."""
+    """``op_apply`` of P to each series f in one ``ck_sums`` call: the pair
+    rows (j, i, j) of u_{m_i} and f_j, group j for f_j, under the orders
+    m_i, so the kernel takes d^m f."""
     for f in fs:
         if f.n != P.n:
             raise DimensionMismatchError(f"operator dimension {P.n} != series dimension {f.n}")
-    groups = [[(i, j) for i in range(len(P.entries))] for j in range(len(fs))]
+    j, i = np.indices((len(fs), len(P.entries))).reshape(2, -1)
     left, right = [u.coeffs for u in P.entries.values()], [f.coeffs for f in fs]
-    tables = ck_sums(P.n, left, right, groups, q_out, orders=list(P.entries))
+    tables = ck_sums(P.n, left, right, np.stack([j, i, j], axis=1), len(fs), q_out, orders=list(P.entries))
     return [MonogenicSeries(P.n, q_out, table) for table in tables]
 
 
@@ -147,18 +148,18 @@ def _basis_transform(
     |t| <= degree: the forward map with sign +1, its inverse with sign -1.
 
     For each t one ``ck_sums`` group of the pairs (entries[s], sign^|k| / k!
-    V_k), k = t - s, in entry order, from the kernel's listing (``_slots``)
-    of every |s + k| <= degree with an empty entry at the zero index first,
-    so that the t come in the order of the indices.  The kernel rounds the
+    V_k), k = t - s, in entry order: the kernel's listing (``_slots``) of
+    every |s + k| <= degree, with an empty entry at the zero index first so
+    that the t come in the order of the indices, gives the pair rows
+    (t, s, k) as its slot, a-row and b-row columns.  The kernel rounds the
     Fraction factors to floats beside a float entry.  Nothing is truncated."""
     indices = enumerate_up_to(n, degree)
     factors = [{k: CliffordNumber.scalar(n, Fraction(sign ** mi_abs(k), mi_factorial(k)))} for k in indices]
     sources = [(0,) * n, *entries]
-    s, k, t, _ = _slots(n, [0, len(sources)], sources, [0, len(indices)], indices, [[(0, 0)]], degree)
-    pairs = np.stack([s, k], axis=1)[np.argsort(t, kind="stable")]
-    groups = np.split(pairs, np.cumsum(np.bincount(t))[:-1])
+    s, k, t, _ = _slots(n, [0, len(sources)], sources, [0, len(indices)], indices, [(0, 0, 0)], 1, degree)
     q_out = max((u.degree for u in entries.values()), default=0) + degree
-    tables = ck_sums(n, [{}, *(u.coeffs for u in entries.values())], factors, groups, q_out)
+    left = [{}, *(u.coeffs for u in entries.values())]
+    tables = ck_sums(n, left, factors, np.stack([t, s, k], axis=1), len(indices), q_out)
     return {
         t: MonogenicSeries(n, max(map(mi_abs, table), default=0), table)
         for t, table in zip(indices, tables)

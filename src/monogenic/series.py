@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, islice
 from operator import add, attrgetter, mul
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -178,7 +178,9 @@ def series_eval(f: MonogenicSeries, x: Paravector, exact: bool = False) -> Cliff
 
 
 def series_derivative(f: MonogenicSeries, p: MultiIndex) -> MonogenicSeries:
-    """Mixed partial of order p: coefficient shift (d^p f)_m = ((m+p)!/m!) a_{m+p}."""
+    """Mixed partial of order p, (d^p f)_m = ((m+p)!/m!) a_{m+p}: the unit
+    (ck) d^p f, the kernel's one-order call.  Indices come in f's order,
+    blades in mask order, and zero blades are dropped."""
     check_index(p, f.n)
     drop = mi_abs(p)
     if drop == 0:
@@ -186,13 +188,8 @@ def series_derivative(f: MonogenicSeries, p: MultiIndex) -> MonogenicSeries:
     new_degree = f.degree - drop
     if new_degree < 0:
         return MonogenicSeries(f.n, 0)
-    out: dict[MultiIndex, CliffordNumber] = {}
-    for m, a in f._coeffs.items():
-        if not all(mi >= pi for mi, pi in zip(m, p)):
-            continue
-        target = tuple(mi - pi for mi, pi in zip(m, p))
-        weight = mi_factorial(m) // mi_factorial(target)  # inf beyond the float range
-        out[target] = a.scale(weight if weight < _INF_FLOOR or a.is_exact() else math.inf)
+    unit = {(0,) * f.n: CliffordNumber.scalar(f.n, 1)}
+    (out,) = ck_sums(f.n, [unit], [f._coeffs], [(0, 0, 0)], 1, new_degree, orders=[p])
     return MonogenicSeries(f.n, new_degree, out)
 
 
@@ -200,11 +197,11 @@ def ck_mul_left(f: MonogenicSeries, g: MonogenicSeries, q_out: int) -> Monogenic
     """Cauchy-Kowalewski product: coefficient convolution c_p = sum a_m b_k
     over m + k = p (Clifford product in that order), truncated at |p| <= q_out.
 
-    One pair of ``ck_sums``: the indices p come in the order of their first
-    pair, looping over f and then g."""
+    One pair row of ``ck_sums``: the indices p come in the order of their
+    first pair, looping over f and then g."""
     if f.n != g.n:
         raise DimensionMismatchError("CK product of series with different dimension")
-    (out,) = ck_sums(f.n, [f._coeffs], [g._coeffs], [[(0, 0)]], q_out)
+    (out,) = ck_sums(f.n, [f._coeffs], [g._coeffs], [(0, 0, 0)], 1, q_out)
     return MonogenicSeries(f.n, q_out, out)
 
 
@@ -257,13 +254,14 @@ def _slots(
     a_index: list[MultiIndex],
     b_start: list[int],
     b_index: list[MultiIndex],
-    groups: list,
+    pairs: np.ndarray | list,
+    groups: int,
     q_out: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, MultiIndex]]]:
-    """Every (pair, a-row, b-row) triple of every group with |m| + |k| <=
-    q_out, pair by pair with a-rows before b-rows: the a-row, b-row and
-    result slot of each triple, and the (group, p) of each slot.  Slots are
-    numbered in order of first appearance.
+    """Every (pair, a-row, b-row) triple of the pair rows (group, i, j) with
+    |m| + |k| <= q_out, row by row with a-rows before b-rows: the a-row,
+    b-row and result slot of each triple, and the (group, p) of each slot.
+    Slots are numbered in order of first appearance.
 
     The triples are a ragged expansion of the (pair, a-row) segments, and
     only the kept ones are listed: the b-rows a segment keeps depend only on
@@ -271,10 +269,8 @@ def _slots(
     such (table, rank) takes its kept rows once, in table order.  A result
     is one key, the group times radix^n plus key(p) in the radix of the
     largest index entries, so key(m + k) = key(m) + key(k); int64 while
-    radix^n #groups fits, and Python ints otherwise."""
-    gid = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
-    pairs = np.concatenate([np.reshape(group, (-1, 2)) for group in groups] or [np.empty((0, 2))])
-    pi, pj = pairs.astype(np.intp).T
+    radix^n groups fits, and Python ints otherwise."""
+    gid, pi, pj = np.asarray(pairs, np.intp).reshape(-1, 3).T
     a_start, b_start = np.asarray(a_start, np.intp), np.asarray(b_start, np.intp)
     seg_pair, local = _ragged(np.diff(a_start)[pi])
     if not len(seg_pair) or not b_index:
@@ -283,7 +279,7 @@ def _slots(
 
     radix = max(map(max, a_index)) + max(map(max, b_index)) + 1
     shift = radix**n
-    dtype = np.int64 if len(groups) * shift < 2**63 else object
+    dtype = np.int64 if groups * shift < 2**63 else object
     a_mi, b_mi = (np.array(index, dtype).reshape(-1, n) for index in (a_index, b_index))
     # below n (radix - 1) every |p| fits the keys' type, and none is above it
     cut = max(-1, min(q_out, n * (radix - 1)))
@@ -348,20 +344,22 @@ def ck_sums(
     n: int,
     left: list[Mapping[MultiIndex, CliffordNumber]],
     right: list[Mapping[MultiIndex, CliffordNumber]],
-    groups: Iterable[Collection[tuple[int, int]]],
+    pairs: np.ndarray | list,
+    groups: int,
     q_out: int,
     orders: list[MultiIndex] | None = None,
 ) -> list[dict[MultiIndex, CliffordNumber]]:
-    """Per group of pairs (i, j), the sum of the CK products left[i] (ck)
-    right[j] truncated at |p| <= q_out: the one convolution of both modes.
-    A group is a list of pairs or a (k, 2) array of them.  With ``orders``,
-    the pair takes d^s right[j] with s = orders[i] (``_shifted``), weighted
-    before any product as ``series_derivative`` does, to the same bits.
+    """Per group g < groups, the sum of the CK products left[i] (ck)
+    right[j] over its pair rows (g, i, j), one flat (k, 3) int array,
+    truncated at |p| <= q_out: the one convolution of both modes.  With
+    ``orders``, the pair takes d^s right[j] with s = orders[i]
+    (``_shifted``), weighted before any product; ``series_derivative`` is
+    the call of one order with the unit on the left.
 
-    The bookkeeping is on arrays, with no Python step per triple.  Each
-    side is one dense array of numerators, 2^n blades by coefficients.
+    The bookkeeping is on arrays, with no Python step per group or triple.
+    Each side is one dense array of numerators, 2^n blades by coefficients.
     Every (pair, m, k) triple with |m| + |k| <= q_out is listed at once by
-    ``_slots``, pair by pair with m before k, and the products of a block of
+    ``_slots``, row by row with m before k, and the products of a block of
     triples are scatter-added into one row per (group, p).
     Exact values multiply in int64 when max|a| max|b| 2^n #triples < 2^63
     proves that no sum overflows, and in Python ints (object arrays)
@@ -373,13 +371,13 @@ def ck_sums(
     (a_start, a_index, a_row, a_mask, a_vals), (b_start, b_index, b_row, b_mask, b_vals) = (
         _flatten(side) for side in (left, right)
     )
-    groups = list(groups)
+    pairs = np.asarray(pairs, np.intp).reshape(-1, 3)
     if orders is not None:  # the pair (i, j) meets table j * len(orders) + i
         b_start, b_index, b_row, blade, weight = _shifted(n, b_start, b_index, b_row, orders)
         b_mask = np.array(b_mask, np.intp)[blade]
-        groups = [np.reshape(group, (-1, 2)) @ [[1, 1], [0, len(orders)]] for group in groups]
-    ia, ib, slot, heads = _slots(n, a_start, a_index, b_start, b_index, groups, q_out)
-    out: list[dict[MultiIndex, CliffordNumber]] = [{} for _ in groups]
+        pairs = pairs @ [[1, 0, 0], [0, 1, 1], [0, 0, len(orders)]]
+    ia, ib, slot, heads = _slots(n, a_start, a_index, b_start, b_index, pairs, groups, q_out)
+    out: list[dict[MultiIndex, CliffordNumber]] = [{} for _ in range(groups)]
     if not heads:
         return out
     kinds = set(map(type, chain(a_vals, b_vals)))
@@ -402,16 +400,16 @@ def ck_sums(
     # axis of every array in the products and each multiply runs along them
     A, B = np.zeros((size, len(a_index)), dtype), np.zeros((size, len(b_index)), dtype)
     A[a_mask, a_row] = np.array(a_vals, dtype)
-    b_vals = np.array(b_vals, dtype)  # a weight multiplies stored blades only
-    B[b_mask, b_row] = b_vals if orders is None else b_vals[blade] * weight.astype(dtype)[b_row]
     partner, sign = blade_partners(n)
     live = sorted(set(a_mask))
     A, partner, sign = A[live], partner[live], sign[live, :, None].astype(dtype)
-    # a blade that a value does not have adds nothing, even against inf or NaN
-    unfinite = not exact and not (np.isfinite(A).all() and np.isfinite(B).all())
     sums = np.zeros((len(heads), size), dtype)
     step = max(1, _BLOCK // (len(live) * size))
     with np.errstate(over="ignore", invalid="ignore"):
+        b_vals = np.array(b_vals, dtype)  # a weight multiplies stored blades only
+        B[b_mask, b_row] = b_vals if orders is None else b_vals[blade] * weight.astype(dtype)[b_row]
+        # a blade that a value does not have adds nothing, even against inf or NaN
+        unfinite = not exact and not (np.isfinite(A).all() and np.isfinite(B).all())
         for lo in range(0, len(slot), step):
             # terms[a, c, t] = sign[a, a ^ c] B[a ^ c, t] A[a, t]: the part of
             # e_c in e_a times the right value, for each triple t

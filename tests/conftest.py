@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from monogenic.clifford import CliffordNumber, Paravector, cl_mul
-from monogenic.multiindex import enumerate_up_to
+from monogenic.multiindex import check_index, enumerate_up_to, mi_abs, mi_factorial
 from monogenic.series import MonogenicSeries
 
 
@@ -29,6 +30,34 @@ def random_point(n: int, rng: random.Random, radius: float = 1.0) -> Paravector:
 def scale_right(f: MonogenicSeries, c: CliffordNumber) -> MonogenicSeries:
     """Right module action f*c: every coefficient multiplied by c on the right."""
     return MonogenicSeries(f.n, f.degree, {m: cl_mul(a, c) for m, a in f.coeffs.items()})
+
+
+#: the least integer that a float conversion rounds to inf
+INF_FLOOR = 2**1024 - 2**970
+
+
+def reference_derivative(f: MonogenicSeries, p) -> MonogenicSeries:
+    """d^p f as a loop over f's coefficients, (d^p f)_m = ((m+p)!/m!) a_{m+p},
+    each coefficient scaled by its weight in Python arithmetic: the
+    per-coefficient reference for ``series_derivative``, which takes the
+    shift on the CK kernel's rows.  Beside a float value a weight beyond the
+    float range is inf, as an IEEE conversion rounds it.  Blades stay in
+    input order, stored float zeros included."""
+    check_index(p, f.n)
+    drop = mi_abs(p)
+    if drop == 0:
+        return f
+    new_degree = f.degree - drop
+    if new_degree < 0:
+        return MonogenicSeries(f.n, 0)
+    out = {}
+    for m, a in f.coeffs.items():
+        if not all(mi >= pi for mi, pi in zip(m, p)):
+            continue
+        target = tuple(mi - pi for mi, pi in zip(m, p))
+        weight = mi_factorial(m) // mi_factorial(target)
+        out[target] = a.scale(weight if weight < INF_FLOOR or a.is_exact() else math.inf)
+    return MonogenicSeries(f.n, new_degree, out)
 
 
 #: exact coefficients: ints, and Fractions whose denominators include the

@@ -70,7 +70,7 @@ def test_quick_dump_covers_every_section(quick_dump):
                     "op_class_check ", "tail_bound_profile ", "q,ln_Kq_lower,ln_Kq_upper"):
         assert any(line.startswith(section) for line in lines), section
     exits = [line for line in lines if line.startswith("cli ")]
-    assert len(exits) == 13 and all(line.endswith("exit=0") for line in exits)
+    assert len(exits) == 14 and all(line.endswith("exit=0") for line in exits)
 
 
 def line_excess(got: str, want: str) -> float:

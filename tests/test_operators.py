@@ -27,7 +27,7 @@ from monogenic.operators import (
 from monogenic.series import MonogenicSeries, ck_mul_left, ck_sums, series_derivative, series_eval
 from monogenic.verify import brute_force_ck, random_rational_operator, random_rational_series
 
-from conftest import DYADIC_VALUE, exact_series, scale_right
+from conftest import DYADIC_VALUE, exact_series, reference_derivative, scale_right
 
 PO1 = ProximateOrder("constant", 1.0)
 
@@ -198,7 +198,7 @@ def fraction_apply(P, f, q_out):
         if mi_abs(s) > f.degree:
             continue
         for m, a in u.coeffs.items():
-            for k, b in series_derivative(f, s).coeffs.items():
+            for k, b in reference_derivative(f, s).coeffs.items():
                 p = mi_add(m, k)
                 if mi_abs(p) <= q_out:
                     acc[p] = acc[p] + cl_mul(a, b) if p in acc else cl_mul(a, b)
@@ -267,11 +267,11 @@ def test_exact_kernel_matches_oracles_in_every_regime(case):
 
 
 def derivative_apply(P, f, q_out):
-    """op_apply as the kernel over ``series_derivative`` tables: one group of
-    the pairs (u_m, d^m f), every m of the operator."""
+    """op_apply as the kernel over the per-coefficient derivative tables:
+    one group of the pairs (u_m, d^m f), every m of the operator."""
     left = [u.coeffs for u in P.entries.values()]
-    right = [series_derivative(f, m).coeffs for m in P.entries]
-    (out,) = ck_sums(P.n, left, right, [[(i, i) for i in range(len(left))]], q_out)
+    right = [reference_derivative(f, m).coeffs for m in P.entries]
+    (out,) = ck_sums(P.n, left, right, [(0, i, i) for i in range(len(left))], 1, q_out)
     return out
 
 
@@ -306,9 +306,9 @@ def apply_case(draw):
 ))
 def test_apply_takes_derivatives_on_the_kernel_rows(case):
     """op_apply, which takes d^m f inside ``ck_sums``, against the kernel over
-    ``series_derivative`` tables: equal values in the same index order in
-    exact mode, the same bits in float mode; and ``apply_each`` equals
-    op_apply series by series in both modes."""
+    the per-coefficient derivative tables: equal values in the same index
+    order in exact mode, the same bits in float mode; and ``apply_each``
+    equals op_apply series by series in both modes."""
     P, fs, q = case
     Pf = OperatorSymbol(P.n, {m: u.to_float() for m, u in P.entries.items()})
     for f in fs:
@@ -373,7 +373,7 @@ def test_float_kernel_matches_exact_mode(case):
     ff, Pf = f.to_float(), OperatorSymbol(P.n, {m: u.to_float() for m, u in P.entries.items()})
     got, want = ck_mul_left(ff, g.to_float(), q), ck_mul_left(f, g, q)
     _assert_float_matches_exact({0: got}, {0: want}, _l1([f]) * _l1([g]))
-    derivatives = {m: series_derivative(f, m) for m in P.entries}
+    derivatives = {m: reference_derivative(f, m) for m in P.entries}
     envelope = sum((_l1([u]) * _l1([derivatives[m]]) for m, u in P.entries.items()), Fraction(0))
     _assert_float_matches_exact({0: op_apply(Pf, ff, q)}, {0: op_apply(P, f, q)}, envelope)
     got, want = op_to_hom(Pf, q % 4).entries, op_to_hom(P, q % 4).entries

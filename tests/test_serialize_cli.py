@@ -360,6 +360,32 @@ def test_cli_float_derivative_weight_overflow_exits_2(tmp_path, capsys, command,
     assert not os.path.exists(paths["out"])
 
 
+@pytest.mark.parametrize("command", ["apply", "diff"])
+@pytest.mark.parametrize(
+    "value, index, order",
+    [
+        ({0: 1e300}, 20, 10),  # 1e300 * 20!/10! overflows
+        ({0: 1.0, 1: 0.0}, 200, 170),  # 0.0 * inf, the weight 200!/30! rounded
+    ],
+)
+def test_cli_float_weight_multiply_is_one_line(tmp_path, capsys, command, value, index, order):
+    """A float value times its derivative weight beyond the float range, or
+    0.0 times an inf weight, exits 2 with one stderr line: the multiply runs
+    under the kernel's errstate, so no numpy warning (an error in this
+    suite) leaks out."""
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("f", "P", "out")}
+    _write_series(paths["f"], _float_series(1, index, {(index,): value}))
+    P = OperatorSymbol(1, {(order,): MonogenicSeries.unit(1, exact=False)})
+    serialize.write_file(paths["P"], serialize.operator_to_obj(P))
+    argv, name = {
+        "apply": (["apply", paths["P"], paths["f"], "--degree", str(index - order)], "the applied series"),
+        "diff": (["diff", paths["f"], "--index", str(order)], "the derivative"),
+    }[command]
+    assert main(argv + ["--out", paths["out"]]) == 2
+    assert capsys.readouterr().err == f"error: {name} is not finite in floats at index [{index - order}]\n"
+    assert not os.path.exists(paths["out"])
+
+
 def test_cli_ckprod_huge_degree_keeps_every_term(tmp_path):
     """A truncation degree far above |f| + |g| drops nothing and changes nothing."""
     f, g = random_rational_series(3, 3, 21), random_rational_series(3, 2, 22)

@@ -25,7 +25,16 @@ from monogenic.series import (
 )
 from monogenic.verify import brute_force_ck, random_rational_series
 
-from conftest import DYADIC_VALUE, exact_clifford, exact_series, random_point, scale_right
+from conftest import (
+    DYADIC_VALUE,
+    EXACT_VALUE,
+    INF_FLOOR,
+    exact_clifford,
+    exact_series,
+    random_point,
+    reference_derivative,
+    scale_right,
+)
 
 
 def test_constant_series_everywhere():
@@ -73,6 +82,78 @@ def test_derivative_matches_rule_numerically(rng):
         ).scale(1.0 / (2 * h))
         exact = series_eval(df, x)
         assert (approx - exact).norm() <= 1e-6 * (1.0 + exact.norm())
+
+
+@st.composite
+def derivative_case(draw):
+    """A series of dimension n <= 4, exact (some numerators beyond 2^63) or
+    float (signed zeros, inf and NaN included), with index entries small or
+    near 200, so that weights pass the float range; and an order that is
+    one of its indices or any index, so that some orders empty it."""
+    n = draw(st.integers(1, 4))
+    value = draw(st.sampled_from([st.one_of(EXACT_VALUE, st.integers(2**62, 2**70)), st.floats()]))
+    index = st.tuples(*[st.one_of(st.integers(0, 4), st.integers(150, 200))] * n)
+    blades = st.dictionaries(st.integers(0, (1 << n) - 1), value, max_size=4)
+    coeffs = draw(st.dictionaries(index, blades.map(lambda d: CliffordNumber(n, d)), max_size=5))
+    degree = max(map(sum, coeffs), default=0) + draw(st.integers(0, 2))
+    order = draw(st.one_of(index, st.sampled_from(list(coeffs) or [(0,) * n])))
+    return MonogenicSeries(n, degree, coeffs), order
+
+
+def _blade_key(value):
+    """An exact value as it is (compared with ==); a float as its repr, which
+    tells every two floats apart but NaNs."""
+    return repr(value) if isinstance(value, float) else value
+
+
+@settings(max_examples=200, deadline=None)
+@given(derivative_case())
+@example((MonogenicSeries(1, 200, {(200,): CliffordNumber(1, {0: 1.0, 1: 0.0})}), (170,)))  # 0 * inf
+@example((MonogenicSeries(1, 173, {(173,): CliffordNumber(1, {0: 1.0})}), (164,)))  # 173!/9!, just finite
+@example((MonogenicSeries(1, 200, {(200,): CliffordNumber(1, {1: 3, 0: Fraction(1, 3)})}), (170,)))
+@example((MonogenicSeries(2, 4, {(1, 3): CliffordNumber(2, {0: 1e300})}), (0, 3)))  # overflow to inf
+@example((MonogenicSeries(2, 4, {(1, 3): CliffordNumber(2, {0: 2.0})}), (2, 0)))  # nothing left
+@example((MonogenicSeries(2, 4, {(1, 3): CliffordNumber(2, {0: 2.0})}), (3, 2)))  # beyond the degree
+def test_series_derivative_matches_the_per_coefficient_loop(case):
+    """The kernel's shift against the loop over coefficients at n = 1..4:
+    the same degree and indices in the same order, and each coefficient's
+    nonzero blades in mask order, equal in exact mode and the same bits in
+    float mode.  The zero order returns f itself."""
+    f, p = case
+    got, want = series_derivative(f, p), reference_derivative(f, p)
+    if not any(p):
+        assert got is f is want
+        return
+    assert got.degree == want.degree
+    layout = [(m, [(mask, _blade_key(v)) for mask, v in a.coeffs.items()]) for m, a in got.coeffs.items()]
+    expected = [
+        (m, [(mask, _blade_key(v)) for mask, v in sorted(a.coeffs.items()) if v != 0])
+        for m, a in want.coeffs.items()
+    ]
+    assert layout == [(m, blades) for m, blades in expected if blades]
+
+
+def test_series_derivative_drops_zero_blades_and_sorts_by_mask():
+    """Stored float zeros leave the derivative, as they leave every kernel
+    result, and blades come in mask order; the per-coefficient loop keeps
+    both zeros and the input order."""
+    f = MonogenicSeries(2, 3, {
+        (2, 1): CliffordNumber(2, {3: 1.5, 0: 0.0, 1: -0.0, 2: 2.0}),
+        (1, 0): CliffordNumber(2, {0: 0.0}),
+    })
+    got, want = series_derivative(f, (1, 0)), reference_derivative(f, (1, 0))
+    assert [(m, list(a.coeffs.items())) for m, a in got.coeffs.items()] == [((1, 1), [(2, 4.0), (3, 3.0)])]
+    assert [(m, list(a.coeffs.items())) for m, a in want.coeffs.items()] == [
+        ((1, 1), [(3, 3.0), (0, 0.0), (1, -0.0), (2, 4.0)]),
+        ((0, 0), [(0, 0.0)]),
+    ]
+
+
+def test_inf_floor_is_where_a_float_conversion_overflows():
+    assert series_module._INF_FLOOR == INF_FLOOR
+    assert float(INF_FLOOR - 1) == 2.0**1023 * (2 - 2.0**-52)
+    with pytest.raises(OverflowError):
+        float(INF_FLOOR)
 
 
 def test_taylor_round_trip_exact():
@@ -588,31 +669,32 @@ def test_kernel_blocks_agree_with_exact_mode():
 # ---------------------------------------------------------------------------
 
 
-def reference_slots(n, a_start, a_index, b_start, b_index, groups, q_out):
-    """The triple listing of ``series._slots`` as a loop over every (group,
-    pair, a-row, b-row): the reference for its array form.  Each result p =
-    m + k is numbered when it first appears."""
+def reference_slots(n, a_start, a_index, b_start, b_index, pairs, groups, q_out):
+    """The triple listing of ``series._slots`` as a loop over every pair row
+    (group, i, j), a-row and b-row: the reference for its array form.  Each
+    result (group, p = m + k) is numbered when it first appears."""
     number, heads, ia, ib, slot = {}, [], [], [], []
-    for g, group in enumerate(groups):
-        for i, j in group:
-            for a in range(a_start[i], a_start[i + 1]):
-                for b in range(b_start[j], b_start[j + 1]):
-                    if mi_abs(a_index[a]) + mi_abs(b_index[b]) <= q_out:
-                        p = mi_add(a_index[a], b_index[b])
-                        if (g, p) not in number:
-                            number[g, p] = len(heads)
-                            heads.append((g, p))
-                        ia.append(a)
-                        ib.append(b)
-                        slot.append(number[g, p])
+    for g, i, j in pairs:
+        assert 0 <= g < groups
+        for a in range(a_start[i], a_start[i + 1]):
+            for b in range(b_start[j], b_start[j + 1]):
+                if mi_abs(a_index[a]) + mi_abs(b_index[b]) <= q_out:
+                    p = mi_add(a_index[a], b_index[b])
+                    if (g, p) not in number:
+                        number[g, p] = len(heads)
+                        heads.append((g, p))
+                    ia.append(a)
+                    ib.append(b)
+                    slot.append(number[g, p])
     return ia, ib, slot, heads
 
 
 @st.composite
 def slots_case(draw):
-    """Inputs of ``_slots``: index tables per side (some empty), groups of
-    pairs (repeats allowed, up to 40 groups), index entries small or beyond
-    2^63, and a truncation below, inside or far above the degrees."""
+    """Inputs of ``_slots``: index tables per side (some empty), pair rows
+    of up to 40 groups in any order (repeats allowed), index entries small
+    or beyond 2^63, and a truncation below, inside or far above the
+    degrees."""
     n = draw(st.integers(1, 3))
     entry = st.one_of(st.integers(0, 3), st.integers(2**62, 2**64))
     index = st.tuples(*[entry] * n)
@@ -623,25 +705,30 @@ def slots_case(draw):
         for table in tables:
             starts.append(starts[-1] + len(table))
         sides.append((starts, [m for table in tables for m in table]))
-    pair = st.tuples(st.integers(0, len(sides[0][0]) - 2), st.integers(0, len(sides[1][0]) - 2))
-    groups = draw(st.lists(st.lists(pair, max_size=4), max_size=draw(st.sampled_from([3, 40]))))
+    groups = draw(st.integers(0, draw(st.sampled_from([3, 40]))))
+    row = st.tuples(
+        st.integers(0, groups - 1), st.integers(0, len(sides[0][0]) - 2), st.integers(0, len(sides[1][0]) - 2)
+    )
+    pairs = draw(st.lists(row, max_size=4 * groups)) if groups else []
     q_out = draw(st.one_of(st.integers(-1, 8), st.integers(2**62, 2**66), st.just(10**30)))
-    return n, sides[0][0], sides[0][1], sides[1][0], sides[1][1], groups, q_out
+    return n, sides[0][0], sides[0][1], sides[1][0], sides[1][1], pairs, groups, q_out
 
 
 @settings(max_examples=300, deadline=None)
 @given(slots_case())
-@example((1, [0, 0], [], [0, 1], [(2,)], [[(0, 0)]], 5))  # an empty side
-@example((2, [0, 2], [(0, 1), (1, 0)], [0, 1], [(1, 1)], [[(0, 0), (0, 0)]], 1))  # below every pair
-@example((2, [0, 2], [(0, 1), (1, 0)], [0, 2], [(1, 1), (0, 2)], [[(0, 0), (0, 0)], [(0, 0)]], 4))
-@example((3, [0, 1], [(2**20, 0, 5)], [0, 1], [(3, 2**20, 1)], [[(0, 0)]] * 40, 2**22))  # keys near 2^63
+@example((1, [0, 0], [], [0, 1], [(2,)], [(0, 0, 0)], 1, 5))  # an empty side
+@example((2, [0, 2], [(0, 1), (1, 0)], [0, 1], [(1, 1)], [(0, 0, 0), (0, 0, 0)], 1, 1))  # below every pair
+@example((2, [0, 2], [(0, 1), (1, 0)], [0, 2], [(1, 1), (0, 2)], [(0, 0, 0), (1, 0, 0), (0, 0, 0)], 2, 4))
+@example((3, [0, 1], [(2**20, 0, 5)], [0, 1], [(3, 2**20, 1)], [(g, 0, 0) for g in range(40)], 40, 2**22))  # keys near 2^63
 def test_slots_match_the_loop_listing(case):
     """``_slots`` gives the reference's a-rows, b-rows, slots and heads
-    exactly, in the same order, whether its keys are int64 or Python ints."""
-    ia, ib, slot, heads = series_module._slots(*case)
+    exactly, in the same order, whether its keys are int64 or Python ints;
+    the pair rows come as a list or as one array."""
     want = reference_slots(*case)
-    assert (ia.tolist(), ib.tolist(), slot.tolist(), heads) == want
-    assert all(type(e) is int for _, p in heads for e in p)
+    for pairs in (case[5], np.array(case[5], np.intp).reshape(-1, 3)):
+        ia, ib, slot, heads = series_module._slots(*case[:5], pairs, *case[6:])
+        assert (ia.tolist(), ib.tolist(), slot.tolist(), heads) == want
+        assert all(type(e) is int for _, p in heads for e in p)
 
 
 def test_truncated_slots_list_only_the_kept_triples():
@@ -658,14 +745,14 @@ def test_truncated_slots_list_only_the_kept_triples():
     rng.shuffle(b_index)
     tracemalloc.start()
     try:
-        got = series_module._slots(n, [0, len(a_index)], a_index, [0, len(b_index)], b_index, [[(0, 0)]], q_out)
+        got = series_module._slots(n, [0, len(a_index)], a_index, [0, len(b_index)], b_index, [(0, 0, 0)], 1, q_out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     low_a, low_b = ([i for i, m in enumerate(index) if mi_abs(m) <= q_out] for index in (a_index, b_index))
     ia, ib, slot, heads = reference_slots(
         n, [0, len(low_a)], [a_index[i] for i in low_a], [0, len(low_b)], [b_index[i] for i in low_b],
-        [[(0, 0)]], q_out,
+        [(0, 0, 0)], 1, q_out,
     )
     assert got[0].tolist() == [low_a[i] for i in ia]
     assert got[1].tolist() == [low_b[i] for i in ib]
@@ -674,7 +761,7 @@ def test_truncated_slots_list_only_the_kept_triples():
     assert peak < 4 << 20
 
 
-def reference_float_sums(n, left, right, groups, q_out):
+def reference_float_sums(n, left, right, pairs, groups, q_out):
     """The float kernel as the per-blade loop that the array contraction
     replaced: each triple's product summed over the live left blades in mask
     order onto +0.0, then added to its result in triple order; a blade that
@@ -689,7 +776,7 @@ def reference_float_sums(n, left, right, groups, q_out):
         starts.append(bounds)
     a_index, b_index = index[: starts[0][-1]], index[starts[0][-1] :]
     a_rows, b_rows = rows[: starts[0][-1]], rows[starts[0][-1] :]
-    ia, ib, slot, heads = reference_slots(n, starts[0], a_index, starts[1], b_index, groups, q_out)
+    ia, ib, slot, heads = reference_slots(n, starts[0], a_index, starts[1], b_index, pairs, groups, q_out)
     signs = [[blade_product(a, b, n)[0] for b in range(1 << n)] for a in range(1 << n)]
     live = sorted({mask for table in left for c in table.values() for mask in c.coeffs})
     sums = [[0.0] * (1 << n) for _ in heads]
@@ -701,7 +788,7 @@ def reference_float_sums(n, left, right, groups, q_out):
                 x, y = bv.get(a ^ c, 0.0), av.get(a, 0.0)
                 prod[c] += 0.0 if x == 0 or y == 0 else x * signs[a][a ^ c] * y
         sums[s] = [u + v for u, v in zip(sums[s], prod)]
-    out = [{} for _ in groups]
+    out = [{} for _ in range(groups)]
     for (g, p), row in zip(heads, sums):
         if any(row):
             out[g][p] = {mask: v for mask, v in enumerate(row) if v}
@@ -733,10 +820,10 @@ def test_float_sums_keep_the_per_blade_bits(seed):
     r = random.Random(seed)
     n = 1 + seed % 4
     left, right = _float_tables(r, n, 3, seed % 3 == 0 and 0.2), _float_tables(r, n, 2, 0.0)
-    groups = [[(r.randrange(3), r.randrange(2)) for _ in range(r.randint(0, 3))] for _ in range(4)]
+    pairs = [(r.randrange(4), r.randrange(3), r.randrange(2)) for _ in range(r.randint(0, 12))]
     q_out = r.randint(0, 4)
-    got = series_module.ck_sums(n, left, right, groups, q_out)
-    want = reference_float_sums(n, left, right, groups, q_out)
+    got = series_module.ck_sums(n, left, right, pairs, 4, q_out)
+    want = reference_float_sums(n, left, right, pairs, 4, q_out)
     assert [list(t) for t in got] == [list(t) for t in want]
     for g_table, w_table in zip(got, want):
         for p, value in g_table.items():

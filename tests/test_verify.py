@@ -7,7 +7,7 @@ from monogenic import operators, series, verify
 from monogenic.clifford import CliffordNumber
 from monogenic.growth import ProximateOrder
 from monogenic.multiindex import enumerate_up_to
-from monogenic.series import MonogenicSeries, series_derivative
+from monogenic.series import MonogenicSeries
 from monogenic.verify import (
     CHECK_NAMES,
     CORRUPTION_TARGETS,
@@ -24,6 +24,8 @@ from monogenic.verify import (
     run_all,
     summary_table,
 )
+
+from conftest import reference_derivative
 
 PO1 = ProximateOrder("constant", 1.0)
 
@@ -187,9 +189,9 @@ def test_derivative_bound_zero_order_reduces_to_monotonicity():
 
 
 def derivative_tables(f, q_max):
-    """``degree_norms`` of d^m f, one ``series_derivative`` per index: the
-    reference for the one-pass table of ``check_derivative_bound``."""
-    tables = {m: series_derivative(f, m) for m in enumerate_up_to(f.n, q_max)}
+    """``degree_norms`` of d^m f, one per-coefficient derivative per index:
+    the reference for the one-pass table of ``check_derivative_bound``."""
+    tables = {m: reference_derivative(f, m) for m in enumerate_up_to(f.n, q_max)}
     return {m: d.degree_norms() for m, d in tables.items() if not d.is_zero()}
 
 
@@ -222,7 +224,7 @@ def test_one_pass_derivative_norms_within_four_ulps_on_multi_blade_series(n, exa
 
 def test_derivative_weights_beyond_the_float_range_round_to_inf():
     """A weight k!/(k-m)! past the float range is inf in the one-pass
-    tables, as ``series_derivative`` rounds it, and the check reports a
+    tables, as the derivative rounds it, and the check reports a
     failed bound instead of raising OverflowError."""
     f = MonogenicSeries(1, 200, {(200,): CliffordNumber.scalar(1, 1.0)})
     got, want = verify._derivative_norms(f, 180), derivative_tables(f, 180)
@@ -236,14 +238,16 @@ def test_derivative_weights_beyond_the_float_range_round_to_inf():
 @pytest.mark.parametrize("corruption", [None, "inflated-derivatives"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_derivative_bound_makes_no_series_derivative_call(monkeypatch, n, corruption):
+    """The check reads its derivative norms from one pass over f: it builds
+    no d^m f table, neither by ``series_derivative`` nor by the kernel."""
     calls = []
 
-    def counted(f, p):
-        calls.append(p)
-        return series_derivative(f, p)
+    def counted(name, fn):
+        return lambda *args, **kw: calls.append(name) or fn(*args, **kw)
 
-    monkeypatch.setattr(verify, "series_derivative", counted)
-    monkeypatch.setattr(series, "series_derivative", counted)
+    monkeypatch.setattr(series, "series_derivative", counted("series_derivative", series.series_derivative))
+    monkeypatch.setattr(series, "ck_sums", counted("series.ck_sums", series.ck_sums))
+    monkeypatch.setattr(verify, "ck_sums", counted("verify.ck_sums", verify.ck_sums))
     (rep,) = run_all(VerifyConfig(n=n, corruption=corruption, only=("derivative-bound",)))
     assert rep.passed == (corruption is None)
     assert calls == []
@@ -268,24 +272,8 @@ def test_ck_norm_bound_unit_factor():
     assert rep.passed
     # multiplying by the unit only inflates the weight: constant about 1
     assert rep.constants["ln_C"] <= 1e-6
-
-
-def test_ck_norm_bound_measures_both_weight_exponents():
-    # with two scale orders in play the inflation exponent is ambiguous in
-    # the source statements; both candidates are measured and the larger
-    # exponent (stronger weight) gives the tighter constant
-    rho1, rho2 = 1.0, 2.0
-    po2 = ProximateOrder("constant", rho2)
-    g1 = random_rational_series(2, 4, 12)
-    g2 = random_rational_series(2, 4, 13)
-    fitted = {}
-    for exponent in (rho1, rho2):
-        rep = check_ck_norm_bound(
-            g1, g2, po2, 1.0, 1.0, weight_exponent=exponent
-        )
-        assert rep.passed
-        fitted[exponent] = rep.constants["ln_C"]
-    assert fitted[rho2] <= fitted[rho1] + 1e-9
+    # the weight's exponent is the scale's order
+    assert rep.details["weight_exponent"] == PO1.rho
 
 
 def test_coeff_bound_axis_instance():

@@ -180,6 +180,7 @@ def cli_outputs(quick):
             ["growth", path("ff.json"), "--po", "constant:1", "--window", "1:4", "--out", out],
             ["growth", path("ff.json"), "--po", "loglog:1:1", "--window", "2:4", "--sigma", "2",
              "--out", out],
+            ["diff", path("ff.json"), "--index", "1,2", "--out", out],
         ]
         if not quick:
             commands.append(["verify", "--config", path("cfg.json"), "--out", out])
