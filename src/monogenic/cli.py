@@ -33,7 +33,8 @@ def _parse_point(text: str, exact: bool = False) -> Paravector:
             comps = [float(v) for v in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise SerializationError(f"bad point {text!r}: expected comma-separated reals")
-    if not all(map(math.isfinite, comps)):
+    # an exact component is finite, and float() of it may overflow
+    if not exact and not all(map(math.isfinite, comps)):
         raise SerializationError(f"bad point {text!r}: every component must be finite")
     if len(comps) < 2:
         raise SerializationError("a point needs at least x0 and x1")

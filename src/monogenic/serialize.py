@@ -15,7 +15,12 @@ Python's shortest round-trip repr (``json.dumps``), so every finite float,
 canonical files are diffable byte for byte.
 On input, "n", "degree" and index entries must be JSON integers and numbers
 must be finite JSON numbers; booleans are neither. An exact value may be a
-JSON integer or any string ``fractions.Fraction`` accepts.
+JSON integer or any string ``fractions.Fraction`` accepts. An index appears
+at most once in a list; a repeated one is refused, naming the list's kind.
+Reading a document decodes each distinct exact string once: one table of
+decoded strings is shared by every value of the document, nested series
+included, and is dropped when the top-level ``obj_to_*`` call returns, so
+no decoded value outlives the read.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any
 
-from .clifford import CliffordNumber
+from .clifford import CliffordNumber, from_table
 from .errors import SerializationError
 from .multiindex import MultiIndex, check_index, mi_abs
 from .operators import HomTable, OperatorSymbol
@@ -104,11 +109,12 @@ def _decode_value(value, mode: str):
     raise SerializationError(f"float mode requires finite numbers, got {value!r}")
 
 
-def _entries(raw, index_key: str, value_key: str, what: str) -> list[tuple[MultiIndex, Any]]:
-    """(multi-index, value) pairs of a list of {index_key: [ints], value_key: ...}."""
+def _entries(raw, index_key: str, value_key: str, what: str) -> dict[MultiIndex, Any]:
+    """{multi-index: value} of a list of {index_key: [ints], value_key: ...};
+    an index may appear once."""
     if not isinstance(raw, list):
         raise SerializationError(f"{what} entries must be a list")
-    out = []
+    out = {}
     for item in raw:
         try:
             index, value = item[index_key], item[value_key]
@@ -118,7 +124,9 @@ def _entries(raw, index_key: str, value_key: str, what: str) -> list[tuple[Multi
             raise SerializationError(f"{what} entry must be an object, got {item!r}") from None
         if not isinstance(index, list) or not all(map(is_integer, index)):
             raise SerializationError(f"{what} index must be a list of integers, got {index!r}")
-        out.append((tuple(index), value))
+        if (m := tuple(index)) in out:
+            raise SerializationError(f"{what} index {index} is repeated")
+        out[m] = value
     return out
 
 
@@ -166,10 +174,27 @@ def clifford_to_obj(c: CliffordNumber, mode: str) -> dict:
     return {names[m]: str(v if type(v := coeffs[m]) in _EXACT_TYPES else Fraction(v)) for m in masks}
 
 
-def obj_to_clifford(obj: dict, n: int, mode: str) -> CliffordNumber:
+def obj_to_clifford(obj: dict, n: int, mode: str, values: dict | None = None) -> CliffordNumber:
+    """The value of a blade map.  ``values`` maps the exact strings of the
+    document read so far to their decoded values; without it the table
+    lives for this one value."""
     if not isinstance(obj, dict):
         raise SerializationError(f"expected a blade map, got {type(obj).__name__}")
-    return CliffordNumber(n, {str_to_blade(k, n): _decode_value(v, mode) for k, v in obj.items()})
+    exact, values = mode == "exact", {} if values is None else values
+    masks = _blade_masks(max(n, 0)) if obj else {}  # a zero value names no blade
+    table = {}
+    for key, text in obj.items():
+        if (mask := masks.get(key)) is None:
+            mask = str_to_blade(key, n)  # which names the bad key
+        if exact and type(text) is str:  # keyed on strings only: 1 and True hash equal
+            if (value := values.get(text)) is None:
+                value = values[text] = _decode_value(text, mode)
+        else:
+            value = _decode_value(text, mode)
+        if value or not exact:  # exact zeros are dropped, float ones kept
+            table[mask] = value
+    # from_table checks nothing again; below dimension 1 the constructor names the fault
+    return (from_table if n >= 1 else CliffordNumber)(n, table)
 
 
 def series_to_obj(f: MonogenicSeries, mode: str | None = None) -> dict:
@@ -180,13 +205,16 @@ def series_to_obj(f: MonogenicSeries, mode: str | None = None) -> dict:
     return {"n": f.n, "degree": f.degree, "mode": mode, "coeffs": coeffs}
 
 
-def obj_to_series(obj: dict) -> MonogenicSeries:
+def obj_to_series(obj: dict, values: dict | None = None) -> MonogenicSeries:
+    """The series of a document, or of a series inside one, which passes
+    its table of decoded exact strings as ``values``."""
     n, degree, mode, raw = _header(obj, "series", "n", "degree", "mode", "coeffs")
     if mode not in ("exact", "float"):
         raise SerializationError(f"unknown mode {mode!r}")
+    values = {} if values is None else values
     coeffs = {
-        m: obj_to_clifford(value, n, mode)
-        for m, value in _entries(raw, "m", "value", "coefficient")
+        m: obj_to_clifford(value, n, mode, values)
+        for m, value in _entries(raw, "m", "value", "coefficient").items()
     }
     return _checked(MonogenicSeries, n, degree, coeffs)
 
@@ -199,7 +227,8 @@ def operator_to_obj(P: OperatorSymbol, mode: str | None = None) -> dict:
 
 def obj_to_operator(obj: dict) -> OperatorSymbol:
     n, raw = _header(obj, "operator", "n", "entries")
-    entries = {m: obj_to_series(u) for m, u in _entries(raw, "m", "u", "operator")}
+    values = {}  # one table for the document
+    entries = {m: obj_to_series(u, values) for m, u in _entries(raw, "m", "u", "operator").items()}
     return _checked(OperatorSymbol, n, entries)
 
 
@@ -211,7 +240,8 @@ def homtable_to_obj(H: HomTable, mode: str | None = None) -> dict:
 
 def obj_to_homtable(obj: dict) -> HomTable:
     n, degree, raw = _header(obj, "hom table", "n", "degree", "entries")
-    entries = {p: obj_to_series(b) for p, b in _entries(raw, "p", "b", "hom table")}
+    values = {}  # one table for the document
+    entries = {p: obj_to_series(b, values) for p, b in _entries(raw, "p", "b", "hom table").items()}
     return _checked(HomTable, n, degree, entries)
 
 
@@ -225,7 +255,7 @@ def obj_to_log_norms(obj: dict) -> tuple[int, dict[MultiIndex, float]]:
     if n < 1:
         raise SerializationError(f"dimension must be >= 1, got {n}")
     out = {}
-    for m, value in _entries(raw, "m", "ln_norm", "norms"):
+    for m, value in _entries(raw, "m", "ln_norm", "norms").items():
         _checked(check_index, m, n)
         if not is_finite_number(value):
             raise SerializationError(f"ln_norm at {list(m)} must be a finite number, got {value!r}")

@@ -1,12 +1,13 @@
 """Property test of the CLI contract on mutated input documents.
 
 Each example takes a valid document of one kind, makes one mutation at one
-place in its JSON tree (drops a key or list item, or puts in a value of
-another type, NaN, +-inf, a boolean or a small integer from -3..12), and
-feeds it to every subcommand that reads that kind of document through
-``cli.main``.  The contract: exit 0 or 2, at most one line on stderr, no
-exception escapes and no warning is emitted.  The small integers keep every
-example cheap: no degree or dimension is large enough to be slow.
+place in its JSON tree (drops a key or list item, repeats a list item in
+place, or puts in a value of another type, NaN, +-inf, a boolean or a small
+integer from -3..12), and feeds it to every subcommand that reads that kind
+of document through ``cli.main``.  The contract: exit 0 or 2, at most one
+line on stderr, no exception escapes and no warning is emitted.  The small
+integers keep every example cheap: no degree or dimension is large enough to
+be slow.
 """
 
 import contextlib
@@ -89,8 +90,11 @@ def mutated(draw, kind):
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    if draw(st.booleans()):
+    action = draw(st.sampled_from(["drop", "repeat", "put"] if isinstance(parent, list) else ["drop", "put"]))
+    if action == "drop":
         del parent[path[-1]]
+    elif action == "repeat":  # a repeated index entry or list element
+        parent.insert(path[-1], copy.deepcopy(parent[path[-1]]))
     else:
         parent[path[-1]] = draw(VALUES)
     return doc

@@ -141,6 +141,17 @@ def test_cli_eval_exact_point(tmp_path, capsys):
     assert out == {"": "1/2", "1": "-1/3"}
 
 
+def test_cli_exact_point_beyond_the_float_range(tmp_path, capsys):
+    """Exact point components are finite however large: no float conversion."""
+    f = MonogenicSeries.basis_element(2, (1, 0))
+    path = tmp_path / "v10.json"
+    _write_series(path, f)
+    assert main(["--mode", "exact", "eval", str(path), "--point", "1e400,0,0"]) == 0
+    captured = capsys.readouterr()
+    # x1 - x0 e1 at x0 = 10^400, x1 = 0
+    assert json.loads(captured.out) == {"1": str(-(10**400))} and captured.err == ""
+
+
 def test_cli_eval_beyond_float_range_is_one_line(tmp_path):
     """A value that overflows exits 2 with one stderr line and no numpy
     warning; run as a process, since warnings bypass capsys."""
@@ -631,6 +642,32 @@ def _hom(degree, *indices):
     return {"n": 2, "degree": degree, "entries": [{"p": p, "b": _SERIES} for p in indices]}
 
 
+#: one file of each kind whose list names an index twice, the command that
+#: reads it, and the error line
+_REPEATED = [
+    (
+        {**_SERIES, "mode": "exact", "coeffs": [{"m": [0, 0], "value": {"": "1"}}, {"m": [0, 0], "value": {"": "2"}}]},
+        ["--mode", "exact", "ckprod", "IN", "IN", "--degree", "2", "--out", "OUT"],
+        "coefficient index [0, 0] is repeated",
+    ),
+    (
+        {**_NORMS, "entries": [{"m": [1, 0], "ln_norm": 1.0}, {"m": [1, 0], "ln_norm": 50.0}]},
+        _growth(),
+        "norms index [1, 0] is repeated",
+    ),
+    (
+        {"n": 2, "entries": [{"m": [1, 0], "u": _SERIES}, {"m": [0, 1], "u": _SERIES}, {"m": [1, 0], "u": _SERIES}]},
+        ["op2hom", "IN", "--degree", "2", "--out", "OUT"],
+        "operator index [1, 0] is repeated",
+    ),
+    (
+        _hom(1, [0, 0], [1, 0], [0, 1], [0, 0]),
+        ["hom2op", "IN", "--out", "OUT"],
+        "hom table index [0, 0] is repeated",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "obj, argv",
     [
@@ -728,6 +765,8 @@ def _hom(degree, *indices):
         ({"n": _HUGE, "entries": []}, ["op2hom", "IN", "--degree", "0", "--out", "OUT"]),
         ({"n": _HUGE, "degree": 0, "entries": []}, ["hom2op", "IN", "--out", "OUT"]),
         ({"n": _HUGE, "only": ["cauchy-inequality"]}, ["verify", "--config", "IN"]),
+        # an index twice in one list, in each kind of file
+        *[(obj, argv) for obj, argv, _ in _REPEATED],
     ],
 )
 def test_cli_bad_input_files_exit_2(tmp_path, capsys, obj, argv):
@@ -742,6 +781,16 @@ def test_cli_bad_input_files_exit_2(tmp_path, capsys, obj, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("obj, argv, line", _REPEATED)
+def test_cli_repeated_index_names_the_kind_and_the_index(tmp_path, capsys, obj, argv, line):
+    """A repeated index is refused, not read with the last entry winning."""
+    paths = {"IN": tmp_path / "in.json", "OUT": tmp_path / "out"}
+    paths["IN"].write_text(json.dumps(obj))
+    assert main([str(paths.get(a, a)) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not paths["OUT"].exists()
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

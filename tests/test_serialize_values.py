@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from monogenic import serialize
 from monogenic.clifford import CliffordNumber
 from monogenic.errors import SerializationError
+from monogenic.series import MonogenicSeries
 
 
 def _fraction_or_message(text):
@@ -131,3 +132,69 @@ def test_reading_more_than_9_units_fails_as_writing_does():
     # a zero value names no blade, in any dimension
     assert serialize.obj_to_clifford({}, 10, "exact") == CliffordNumber(10)
     assert serialize.clifford_to_obj(CliffordNumber(10), "exact") == {}
+
+
+# One document, one table of decoded exact strings: the values that repeat
+# in a file are each decoded once, and the table ends with the read.
+
+POOL = ["0", "-0", "1", "3/4", "-3/4", "0/5", "12/4", "1/0", " 1", "²", "1.5", "x", "1" * 5000, "7" * 5000 + "/3", 0, 2, -7, True]
+
+
+def _want(value):
+    """The decoded value or the error line of one pool entry in exact mode."""
+    if value is True:
+        return "exact mode requires rational strings, got True"
+    return Fraction(value) if isinstance(value, int) else _fraction_or_message(value)
+
+
+def _exact_series(maps):
+    coeffs = [{"m": [i, 0], "value": value} for i, value in enumerate(maps)]
+    return {"n": 2, "degree": len(maps), "mode": "exact", "coeffs": coeffs}
+
+
+BLADE_MAPS = st.lists(
+    st.dictionaries(st.sampled_from(["", "1", "2", "12"]), st.sampled_from(POOL), max_size=4), min_size=1, max_size=5
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(BLADE_MAPS)
+def test_a_document_decodes_each_place_as_its_own_string(maps):
+    """A series, and an operator holding it twice, decode every value to
+    Fraction(its string), or fail with the first bad value's line."""
+    wants = [{serialize.str_to_blade(k, 2): _want(v) for k, v in m.items()} for m in maps]
+    errors = [w for want in wants for w in want.values() if isinstance(w, str)]
+    series = _exact_series(maps)
+    operator = {"n": 2, "entries": [{"m": [0, 0], "u": series}, {"m": [1, 0], "u": series}]}
+    for read, doc in ((serialize.obj_to_series, series), (serialize.obj_to_operator, operator)):
+        if errors:
+            with pytest.raises(SerializationError) as raised:
+                read(doc)
+            assert str(raised.value) == errors[0]
+            continue
+        got = read(doc)
+        zero = MonogenicSeries(2, len(maps))  # an operator drops a zero entry
+        for f in [got] if read is serialize.obj_to_series else [got.entries.get(m, zero) for m in ((0, 0), (1, 0))]:
+            for i, want in enumerate(wants):
+                table = f.coeff((i, 0)).coeffs
+                assert table == {mask: v for mask, v in want.items() if v}
+                assert all(type(v) is Fraction for v in table.values())
+
+
+def test_a_repeated_string_is_one_value_within_a_document_only():
+    """Two places with one string share the decoded value within a document,
+    nested series included; two reads build their own values."""
+    series = _exact_series([{"": "3/4", "12": "3/4"}, {"1": "3/4"}])
+    f = serialize.obj_to_series(series)
+    a, b, c = f.coeff((0, 0))[0], f.coeff((0, 0))[3], f.coeff((1, 0))[1]
+    assert a == Fraction(3, 4) and a is b and a is c
+    assert serialize.obj_to_series(series).coeff((0, 0))[0] is not a
+    P = serialize.obj_to_operator({"n": 2, "entries": [{"m": [0, 0], "u": series}, {"m": [1, 0], "u": series}]})
+    u, v = P.entries[(0, 0)], P.entries[(1, 0)]
+    assert u.coeff((0, 0))[0] is v.coeff((1, 0))[1] is not a
+
+
+@pytest.mark.parametrize("value", [{"": 1, "1": True}, {"": True, "1": 1}, {"": "1", "1": True}])
+def test_a_boolean_beside_an_equal_number_is_refused(value):
+    with pytest.raises(SerializationError, match="^exact mode requires rational strings, got True$"):
+        serialize.obj_to_series(_exact_series([value]))
