@@ -30,13 +30,13 @@ for m in [(1, 1), (3, 2)]:
 
 # the unsymmetrised word z1*z2 is NOT monogenic; the residual says so.
 # ordered_words evaluates every word z1^m1 z2^m2 with |m| <= 2 on a batch of
-# points (rows in enumerate_up_to order); dirac_residuals gives one residual
-# per word at a base point.
+# points (rows in enumerate_up_to order); dirac_residuals gives one row of
+# residuals per base point, one residual per word.
 from monogenic import dirac_residuals, enumerate_up_to
 from monogenic.fueter import ordered_words
 
 row = enumerate_up_to(2, 2).index((1, 1))
-res = max(dirac_residuals(lambda pts: ordered_words(pts, 2), p, h=1e-5)[row] for p in points)
+res = max(r[row] for r in dirac_residuals(lambda pts: ordered_words(pts, 2), points, h=1e-5))
 print(f"Dirac residual of the ordered word z1 z2: {res:.2e}")
 
 # unit-ball sups never exceed 1 and axis indices attain it

@@ -24,8 +24,8 @@ from the same products.  ``basis_combination`` contracts the values with a
 coefficient table through its ``contraction_operand``, which a float series
 builds once and keeps; it works in blocks of points sized by its largest
 array, the products (``_BLOCK_FLOATS``).  Float series evaluation, the
-sampled sup norms and the Dirac residuals (``dirac_residuals``) use these
-blade arrays.
+sampled sup norms and the Dirac residuals (``dirac_residuals``, all base
+points in one call) use these blade arrays.
 
 This module owns the Clifford array layer: ``blade_partners`` is the one
 sign table that every array kernel reads (``series.ck_sums`` too), and
@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Collection, Mapping
+from functools import lru_cache, reduce
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -233,7 +233,9 @@ def basis_values(points, degree: int) -> np.ndarray:
 def ordered_words(points, degree: int) -> np.ndarray:
     """The unsymmetrised words z_1^m_1 ... z_n^m_n, not monogenic for mixed m,
     laid out as ``basis_values``: W_m = W_(m - e_j) z_j with j the last axis
-    where m_j > 0, one gather of the products per degree."""
+    where m_j > 0, one gather of the products per degree.  Each blade of a
+    product is a sum of two products, one signed by +-1, so the words equal
+    the ``cl_mul`` products taken factor by factor."""
     pts = np.asarray(points, dtype=float).T
     n = len(pts) - 1
     position, flips, signs, steps = _layout(n, degree)
@@ -311,39 +313,48 @@ def basis_combination(operand: tuple[int, np.ndarray, np.ndarray], points) -> np
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """The ``CliffordNumber.norm`` of each blade row of an array (K, 2^n),
-    bit for bit: the squares are summed in mask order for all rows at once,
-    and only a row whose sum underflows to 0 or overflows goes through
-    math.hypot.  A NaN value gives NaN."""
+    bit for bit and whatever K: the one blade-row modulus, of the sampled
+    sups and the Dirac residuals.  The squares are added column by column
+    in mask order, a plain float sum (numpy's own sum is pairwise along a
+    single row), then the square root; only a row whose sum underflows to
+    0 or overflows goes through math.hypot.  A NaN value gives NaN."""
     with np.errstate(over="ignore"):
-        # a sum along the first axis adds the blades one by one, in mask order
-        norms = np.sqrt(np.ascontiguousarray((rows * rows).T).sum(axis=0))
+        norms = np.sqrt(reduce(np.add, (rows * rows).T))
     for k in np.flatnonzero((norms == 0.0) | (norms == np.inf)).tolist():
         norms[k] = math.hypot(*rows[k].tolist())
     return norms
 
 
 def dirac_residuals(
-    evaluate: Callable[[np.ndarray], np.ndarray], x: Paravector, h: float = 1e-5
-) -> list[float]:
-    """Central-difference Dirac residual norm(d/dx0 f + sum_i e_i d/dx_i f) at x
-    of K functions; small exactly when a function is monogenic.  ``evaluate``
-    maps the offset points x + h e_0, x - h e_0, x + h e_1, ... (an array
-    (2(n+1), n+1)) to their values, an array (2(n+1), K, 2^n); e_i acts by
-    the signed blade permutation of ``blade_partners``.  Each residual is
-    the ``row_norms`` of its row."""
+    evaluate: Callable[[np.ndarray], np.ndarray], points: Sequence[Paravector], h: float = 1e-5
+) -> list[list[float]]:
+    """Central-difference Dirac residuals norm(d/dx0 f + sum_i e_i d/dx_i f)
+    of K functions at P base points x, one row of K per point; small exactly
+    where a function is monogenic.  ``evaluate`` is called once, on the
+    offset points x + h e_0, x - h e_0, x + h e_1, ... of each point in turn
+    (an array (2(n+1) P, n+1)), and returns their values (2(n+1) P, K, 2^n);
+    e_i acts by the signed blade permutation of ``blade_partners``.  Each
+    residual is the ``row_norms`` of its row: the residual assembled from
+    ``CliffordNumber`` values, bit for bit, whatever shares the call.  No
+    point gives no row and no call; base points of different dimensions
+    raise ``DimensionMismatchError``."""
     if not 0 < h < np.inf:
         raise ValueError(f"step h must be positive and finite, got {h}")
-    n = x.dim
-    points = np.array([x.components()] * (2 * n + 2), dtype=float)
-    points[range(2 * n + 2), np.arange(2 * n + 2) // 2] += [h, -h] * (n + 1)
-    values = evaluate(points)
-    diff = (values[0::2] - values[1::2]) * (1.0 / (2.0 * h))
+    if not points:
+        return []
+    n = points[0].dim
+    if any(x.dim != n for x in points):
+        raise DimensionMismatchError(f"base points of dimensions {sorted({x.dim for x in points})}")
+    offsets = np.array([[x.components()] * (2 * n + 2) for x in points], dtype=float)
+    offsets[:, range(2 * n + 2), np.arange(2 * n + 2) // 2] += [h, -h] * (n + 1)
+    values = evaluate(offsets.reshape(-1, n + 1)).reshape(len(points), 2 * n + 2, -1, 1 << n)
+    diff = (values[:, 0::2] - values[:, 1::2]) * (1.0 / (2.0 * h))
     partner, sign = blade_partners(n)
-    acc = diff[0]
+    acc = diff[:, 0]
     for axis in range(1, n + 1):
         e = 1 << (axis - 1)  # (e_i d)[k] = sign(e_i e_(e_i ^ k)) d[e_i ^ k]
-        acc = acc + diff[axis][:, partner[e]] * sign[e].astype(float)
-    return row_norms(acc).tolist()
+        acc = acc + diff[:, axis][..., partner[e]] * sign[e].astype(float)
+    return row_norms(acc.reshape(-1, 1 << n)).reshape(len(points), -1).tolist()
 
 
 def sampled_sups(

@@ -126,6 +126,10 @@ class ProximateOrder:
             ln_r1 = max(2.0, 2.0 * abs(self.a) / self.rho)
             slope = self.rho + self.a / ln_r1
             ln_t1 = self.rho * ln_r1 + self.a * math.log(ln_r1)
+            if not all(map(math.isfinite, (ln_r1, slope, ln_t1))):
+                raise ValueError(
+                    f"the loglog scale with rho={self.rho}, a={self.a} has its cutover beyond the float range"
+                )
         else:
             ln_r1, slope, ln_t1 = -math.inf, self.rho, -math.inf
         object.__setattr__(self, "ln_cutover", ln_r1)
@@ -537,13 +541,8 @@ def k_q(
 
 
 def log_coeff_norms(f: MonogenicSeries) -> dict[MultiIndex, float]:
-    """ln of each nonzero coefficient norm."""
-    out = {}
-    for m, a in f.coeffs.items():
-        norm = a.norm()
-        if norm > 0:
-            out[m] = math.log(norm)
-    return out
+    """ln of each nonzero coefficient norm (the series' kept ``norms``)."""
+    return {m: math.log(norm) for m, norm in zip(f.coeffs, f.norms()) if norm > 0}
 
 
 def ln_sum(values) -> float:

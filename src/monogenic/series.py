@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate, chain, islice
 from operator import add, attrgetter, mul
 from typing import Callable, Mapping
@@ -39,7 +39,7 @@ from .multiindex import (
 class MonogenicSeries:
     """Truncated expansion f = sum V_m(x) a_m with right Clifford coefficients."""
 
-    __slots__ = ("n", "degree", "_coeffs", "_operand")
+    __slots__ = ("n", "degree", "_coeffs", "_operand", "_norms")
 
     def __init__(self, n: int, degree: int, coeffs: Mapping[MultiIndex, CliffordNumber] | None = None):
         if n < 1:
@@ -59,7 +59,7 @@ class MonogenicSeries:
                 if not a.is_zero():
                     table[m] = a
         self._coeffs = table
-        self._operand = None
+        self._operand = self._norms = None
 
     @property
     def coeffs(self) -> dict[MultiIndex, CliffordNumber]:
@@ -73,6 +73,14 @@ class MonogenicSeries:
         if self._operand is None:
             self._operand = contraction_operand(self.n, self._coeffs)
         return self._operand
+
+    def norms(self) -> tuple[float, ...]:
+        """The ``CliffordNumber.norm`` of each coefficient, in table order:
+        computed on first use and kept, as ``operand`` is.  The log norms,
+        the degree norms and the coefficient upper bound read them."""
+        if self._norms is None:
+            self._norms = tuple(a.norm() for a in self._coeffs.values())
+        return self._norms
 
     @classmethod
     def unit(cls, n: int, degree: int = 0, exact: bool = True) -> "MonogenicSeries":
@@ -140,9 +148,9 @@ class MonogenicSeries:
     def degree_norms(self) -> dict[int, float]:
         """Per-degree sums of coefficient norms (the triangle-inequality data)."""
         out: dict[int, float] = {}
-        for m, a in self._coeffs.items():
+        for m, norm in zip(self._coeffs, self.norms()):
             q = mi_abs(m)
-            out[q] = out.get(q, 0.0) + a.norm()
+            out[q] = out.get(q, 0.0) + norm
         return out
 
     def coeff_upper_bound(self, r: float) -> float:
@@ -440,16 +448,18 @@ def dirac_residual(
     points: list[Paravector],
     h: float = 1e-5,
 ) -> float:
-    """Max over points (NaN if any is NaN) of the Dirac residual of a series
-    or point function.  A series is evaluated one point per kernel call, the
-    bits of float ``series_eval``."""
+    """Max over the points (NaN if any is NaN, 0.0 for none) of the Dirac
+    residual of a series or point function, in one ``dirac_residuals``
+    call.  A series is the point function ``series_eval``, one point per
+    kernel call, so no residual depends on the other points.  Values go
+    into dense rows by ``blade_rows``, which raises
+    ``DimensionMismatchError`` for a value of another dimension."""
     if isinstance(f, MonogenicSeries):
-        evaluate = lambda pts: np.stack([basis_combination(f.operand(), [p]) for p in pts])
-    else:
-        evaluate = lambda pts: blade_rows(
-            pts.shape[1] - 1, [f(Paravector.from_components(p)) for p in pts.tolist()]
-        )[:, None]
-    return float(np.max([dirac_residuals(evaluate, x, h)[0] for x in points], initial=0.0))
+        f = partial(series_eval, f)
+    evaluate = lambda pts: blade_rows(
+        pts.shape[1] - 1, [f(Paravector.from_components(p)) for p in pts.tolist()]
+    )[:, None]
+    return float(np.max(dirac_residuals(evaluate, points, h), initial=0.0))
 
 
 def max_modulus(

@@ -153,9 +153,9 @@ def test_array_residuals_equal_clifford_assembly():
         indices = enumerate_up_to(n, 5)
         points = [random_point(n, rng, radius=1.2) for _ in range(3)]
         points.append(Paravector(0.0, [0.5] + [0.0] * (n - 1)))
-        for x, residuals in zip(points, _residual_tables(n, indices, points, h)):
-            got = dirac_residuals(lambda pts: basis_values(pts, 5), x, h)
-            assert got == [residuals[m].norm() for m in indices], (n, x)
+        got = dirac_residuals(lambda pts: basis_values(pts, 5), points, h)
+        for x, row, residuals in zip(points, got, _residual_tables(n, indices, points, h)):
+            assert row == [residuals[m].norm() for m in indices], (n, x)
 
 
 def test_criterion_03_normalization():

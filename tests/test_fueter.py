@@ -203,39 +203,44 @@ def test_ordered_words_equal_the_point_form(rng):
 def test_ordered_words_are_not_monogenic(rng):
     points = [random_point(2, rng, radius=1.0) for _ in range(5)]
     row = enumerate_up_to(2, 2).index((1, 1))
-    res = max(dirac_residuals(lambda pts: ordered_words(pts, 2), x, h=1e-5)[row] for x in points)
-    assert res > 1e-2
+    residuals = np.array(dirac_residuals(lambda pts: ordered_words(pts, 2), points, h=1e-5))
+    assert residuals[:, row].max() > 1e-2
     # the pure powers z_i^k are monogenic: only the mixed word fails
     for m in [(1, 0), (0, 2)]:
         row = enumerate_up_to(2, 2).index(m)
-        assert dirac_residuals(lambda pts: ordered_words(pts, 2), points[0])[row] <= 1e-6
+        assert residuals[:, row].max() <= 1e-6
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_dirac_residuals_are_the_clifford_norm_of_each_row(n):
-    """Each residual equals ``CliffordNumber.norm`` of its row bit for bit:
+    """Each residual equals ``CliffordNumber.norm`` of its row bit for bit,
+    whether all rows share one call or each row is the only one (K = 1):
     rows of wide magnitudes (the order of the sum shows in its last bit),
     rows whose squares underflow or overflow (the hypot path), rows with a
     NaN or an inf, and a zero row.  Only the value at x + h e_0 is nonzero
     and h = 1/2, so each residual row is that value's row exactly."""
     r = np.random.default_rng(n)
     size = 1 << n
-    rows = [
+    rows = [r.standard_normal(size) * 10.0 ** r.uniform(-8, 8, size) for _ in range(16)]
+    rows += [
         np.zeros(size),
-        r.standard_normal(size) * 10.0 ** r.uniform(-8, 8, size),
-        r.standard_normal(size) * 10.0 ** r.uniform(-8, 8, size),
         np.full(size, 3e-170),
         np.full(size, -2e160),
         np.where(np.arange(size) == size - 1, np.nan, 1.5),
         np.where(np.arange(size) == 0, np.inf, 1e-300),
         np.where(np.arange(size) == 0, -np.inf, np.nan),
     ]
-    values = np.zeros((2 * n + 2, len(rows), size))
-    values[0] = rows
-    got = dirac_residuals(lambda pts: values, Paravector(0.25, [0.5] * n), h=0.5)
-    want = [CliffordNumber(n, dict(enumerate(row))).norm() for row in np.array(rows).tolist()]
-    assert [float(v).hex() for v in got] == [v.hex() for v in want]
-    assert all(type(v) is float for v in got)
+
+    def residuals(rows):
+        values = np.zeros((2 * n + 2, len(rows), size))
+        values[0] = rows
+        (got,) = dirac_residuals(lambda pts: values, [Paravector(0.25, [0.5] * n)], h=0.5)
+        assert all(type(v) is float for v in got)
+        return [v.hex() for v in got]
+
+    want = [CliffordNumber(n, dict(enumerate(row))).norm().hex() for row in np.array(rows).tolist()]
+    assert residuals(rows) == want
+    assert [residuals([row]) for row in rows] == [[v] for v in want]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -77,6 +78,10 @@ def test_invalid_parameters():
     # no constant-scale formula reads a, so a nonzero one is refused
     with pytest.raises(ValueError, match="no parameter a"):
         ProximateOrder("constant", 1.0, 5.0)
+    # a loglog cutover, cap slope or cap value ln t1 beyond the float range
+    for a in (9e307, 1e308, -1e308, 1e307, -9e307):
+        with pytest.raises(ValueError, match=re.escape(f"loglog scale with rho=1.0, a={a} has its cutover beyond")):
+            ProximateOrder("loglog", 1.0, a)
 
 
 @pytest.mark.parametrize("po", FAMILIES, ids=lambda p: f"{p.family}-{p.rho}-{p.a}")

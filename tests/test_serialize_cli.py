@@ -767,6 +767,8 @@ _REPEATED = [
         ({"n": _HUGE, "only": ["cauchy-inequality"]}, ["verify", "--config", "IN"]),
         # an index twice in one list, in each kind of file
         *[(obj, argv) for obj, argv, _ in _REPEATED],
+        # a loglog scale whose cutover lies beyond the float range
+        (_NORMS, _growth("loglog:1:1e308")),
     ],
 )
 def test_cli_bad_input_files_exit_2(tmp_path, capsys, obj, argv):

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -282,21 +283,52 @@ def test_dirac_residual_detects_corruption(rng):
         xs = [Paravector.from_components(p) for p in pts.tolist()]
         return np.stack([fueter.blade_rows(2, [g(y) for g in funcs]) for y in xs])
 
-    residuals = fueter.dirac_residuals(evaluate, x, h=1e-5)
+    (residuals,) = fueter.dirac_residuals(evaluate, [x], h=1e-5)
     assert residuals == [dirac_residual(f, [x], h=1e-5), dirac_residual(corrupted, [x], h=1e-5)]
     assert residuals[0] < 1e-6 < residuals[1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_dirac_residual_of_a_series_has_the_bits_of_series_eval(rng, n):
-    """A series goes through the kernel one point per call: the residual of
-    the point function ``series_eval`` bit for bit, also at points with zero
-    coordinates, where the rows differ in the sign of zeros only."""
+    """A series is the point function ``series_eval``: its residual has the
+    bits of that function's, also at points with zero coordinates."""
     f = random_rational_series(n, 4, 50 + n).to_float()
     points = [random_point(n, rng, radius=1.2) for _ in range(4)]
     points += [Paravector(0.0, [0.0] * n), Paravector(0.0, [0.0] * (n - 1) + [0.75])]
     for x in points:
         assert dirac_residual(f, [x]).hex() == dirac_residual(lambda p: series_eval(f, p), [x]).hex()
+
+
+def clifford_residual(g, x: Paravector, h: float) -> CliffordNumber:
+    """The central-difference Dirac residual of the point function g at x,
+    assembled from ``CliffordNumber`` values."""
+    acc = CliffordNumber.zero(x.dim)
+    for axis in range(x.dim + 1):
+        ends = [list(x.components()) for _ in range(2)]
+        ends[0][axis] += h
+        ends[1][axis] -= h
+        plus, minus = (g(Paravector.from_components(c)) for c in ends)
+        diff = (plus - minus).scale(1.0 / (2 * h))
+        acc = acc + (diff if axis == 0 else cl_mul(CliffordNumber.unit(x.dim, axis), diff))
+    return acc
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dirac_residual_does_not_depend_on_its_batch(rng, n):
+    """The residual of one function at a point is the norm of the residual
+    assembled from ``CliffordNumber`` values bit for bit, and over a point
+    set it is the max of the one-point residuals, for sets of 1, 2 and 12
+    points: for a series, whose residual is rounding noise, and for a point
+    function that is not monogenic, whose residual rows carry every bit."""
+    f, h = random_rational_series(n, 4, 60 + n).to_float(), 1e-5
+    points = [random_point(n, rng, radius=1.2) for _ in range(12)]
+    for g in (f, lambda x: series_eval(f, x).scale(x.x0)):
+        point_form = partial(series_eval, f) if g is f else g
+        single = [dirac_residual(g, [x], h) for x in points]
+        want = [clifford_residual(point_form, x, h).norm() for x in points]
+        assert [v.hex() for v in single] == [v.hex() for v in want]
+        for size in (1, 2, 12):
+            assert dirac_residual(g, points[:size], h).hex() == max(single[:size]).hex()
 
 
 def test_dirac_residual_rejects_value_of_another_dimension():
@@ -306,6 +338,9 @@ def test_dirac_residual_rejects_value_of_another_dimension():
             dirac_residual(lambda p: CliffordNumber.scalar(dim, p.x0), [x])
     with pytest.raises(DimensionMismatchError):
         dirac_residual(MonogenicSeries.basis_element(1, (1,), exact=False), [x])
+    # base points of different dimensions in one set
+    with pytest.raises(DimensionMismatchError):
+        dirac_residual(MonogenicSeries.basis_element(2, (1, 0), exact=False), [x, Paravector(0.1, [0.2])])
 
 
 @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -1e-5])

@@ -3,10 +3,12 @@ import re
 
 import pytest
 
-from monogenic import operators, series, verify
+from monogenic import fueter, operators, series, verify
 from monogenic.clifford import CliffordNumber
+from monogenic.fueter import basis_values
 from monogenic.growth import ProximateOrder
 from monogenic.multiindex import enumerate_up_to
+from monogenic.sampling import ball_points
 from monogenic.series import MonogenicSeries
 from monogenic.verify import (
     CHECK_NAMES,
@@ -279,6 +281,54 @@ def test_derivative_bound_of_a_zero_series_is_a_one_line_error(monkeypatch):
     (rep,) = run_all(VerifyConfig(only=("derivative-bound",)))
     assert rep.instance == f"raised ValueError: {err.value}"
     assert rep.margin == -math.inf and not rep.passed
+
+
+def _counted(monkeypatch, owner, name):
+    """Wrap owner.name so that each call is counted; returns the count list."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_residual_layer_makes_one_call_per_point_set(monkeypatch):
+    """``dirac_residuals`` evaluates all offset points of its base points in
+    one call, ``check_monogenicity`` makes one kernel call per run and
+    ``dirac_residual`` one ``dirac_residuals`` call."""
+    points = ball_points(3, 1.2, 12, seed=4)
+    for size in (1, 2, 12):
+        seen = []
+        rows = fueter.dirac_residuals(lambda pts: seen.append(len(pts)) or basis_values(pts, 3), points[:size])
+        assert seen == [8 * size] and len(rows) == size
+    for name, corruption in (("basis_values", None), ("ordered_words", "ordered-words")):
+        calls = _counted(monkeypatch, verify, name)
+        check_monogenicity(3, seed=4, corruption=corruption)
+        assert calls == [name]
+    calls = _counted(monkeypatch, series, "dirac_residuals")
+    f = random_rational_series(3, 4, 5).to_float()
+    series.dirac_residual(f, points)
+    series.dirac_residual(lambda x: series.series_eval(f, x), points)
+    assert calls == ["dirac_residuals"] * 2
+
+
+def test_checks_take_each_norm_and_float_copy_once(monkeypatch):
+    """``check_cauchy`` takes each coefficient norm once (the series keeps
+    them), and ``check_ck_norm_bound`` makes one float copy of each factor;
+    their reports do not change."""
+    f, g = random_rational_series(3, 5, 5), random_rational_series(3, 3, 6)
+    want = (check_cauchy(f, verify.RADII).to_dict(), check_ck_norm_bound(f, g, PO1, 1.0, 0.5).to_dict())
+    f, g = random_rational_series(3, 5, 5), random_rational_series(3, 3, 6)
+    norms = _counted(monkeypatch, CliffordNumber, "norm")
+    assert check_cauchy(f, verify.RADII).to_dict() == want[0]
+    assert len(norms) == len(f.coeffs)
+    copies = _counted(monkeypatch, MonogenicSeries, "to_float")
+    assert check_ck_norm_bound(f, g, PO1, 1.0, 0.5).to_dict() == want[1]
+    assert copies == ["to_float"] * 2
 
 
 def test_ck_norm_bound_unit_factor():

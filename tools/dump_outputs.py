@@ -11,29 +11,35 @@ under each named corruption; name, instance, margin, passed, constants and
 details), the decay certificates and application tails of two operators, the
 sup-norm brackets of ``weighted_norm_ln``, ``max_modulus``, ``k_q`` and
 ``fueter_sup_unit_ball``, growth reports as CSV, ``ProximateOrder`` values,
-and the output of the CLI commands on valid files (CK products, operator
-application and the operator/table transforms in exact and in float mode).
-``--quick`` keeps only n=2: the clean suite and, under each corruption, the
-reports of the check it targets.  The script uses only names
-that have been stable across releases, so it runs against older trees too;
-the one newer name, ``ProximateOrder.ln_weight_peaks``, is skipped where it
-is missing.
+Dirac residuals at n=2, 3 and 4 (``dirac_residual`` over a point set and at
+each point alone, and the ``dirac_residuals`` rows of the basis at the points
+of ``check_monogenicity``), and the output of the CLI commands on valid files
+(CK products, operator application and the operator/table transforms in
+exact and in float mode).  ``--quick`` keeps only n=2: the clean suite and,
+under each corruption, the reports of the check it targets, and no
+residual section.  The script uses only names that have been stable across
+releases, so it runs against older trees too; the one newer name,
+``ProximateOrder.ln_weight_peaks``, is skipped where it is missing, and
+``dirac_residuals`` is called one base point at a time where it takes one.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import math
 import os
+import random
 import sys
 import tempfile
 
 import numpy as np
 
 from monogenic import cli, serialize
-from monogenic.fueter import fueter_sup_unit_ball
+from monogenic.clifford import Paravector
+from monogenic.fueter import basis_values, dirac_residuals, fueter_sup_unit_ball
 from monogenic.growth import (
     ProximateOrder,
     axis_log_norms,
@@ -50,7 +56,8 @@ from monogenic.operators import (
     op_to_hom,
     tail_bound_profile,
 )
-from monogenic.series import max_modulus
+from monogenic.sampling import ball_points
+from monogenic.series import dirac_residual, max_modulus, series_eval
 from monogenic.verify import (
     CORRUPTION_TARGETS,
     VerifyConfig,
@@ -113,6 +120,30 @@ def brackets(dims):
             yield f"k_q {i} {q} {k_q(f, q, samples=24)!r}"
     for m in ((0, 0), (2, 1), (0, 4), (1, 1, 1)):
         yield f"fueter_sup_unit_ball {m} {fueter_sup_unit_ball(m, 20, seed=3)!r}"
+
+
+def residual_rows(evaluate, points, h):
+    """``dirac_residuals`` over a point set; older trees take one base point
+    per call."""
+    if "points" in inspect.signature(dirac_residuals).parameters:
+        return dirac_residuals(evaluate, points, h)
+    return [dirac_residuals(evaluate, x, h) for x in points]
+
+
+def residuals():
+    for n in (2, 3, 4):
+        f = random_rational_series(n, 4, 20 + n).to_float()
+        draw = random.Random(n).uniform
+        points = [Paravector(draw(-0.7, 0.7), [draw(-0.7, 0.7) for _ in range(n)]) for _ in range(12)]
+        # a series, whose residual is rounding noise, and a point function
+        # that is not monogenic
+        for name, g in (("series", f), ("x0 f", lambda x: series_eval(f, x).scale(x.x0))):
+            yield f"dirac_residual n={n} {name} set {dirac_residual(g, points)!r}"
+            yield f"dirac_residual n={n} {name} alone {[dirac_residual(g, [x]) for x in points]!r}"
+        # the rows of check_monogenicity's kernel at its points (seed 0)
+        rows = residual_rows(lambda pts: basis_values(pts, 5), ball_points(n, 1.2, 12, seed=0), 1e-5)
+        for k, row in enumerate(rows):
+            yield f"dirac_residuals n={n} point {k} {row!r}"
 
 
 def growth_reports():
@@ -202,6 +233,8 @@ def dump(quick: bool):
     yield from check_reports(dims, targets_only=quick)
     yield from scale_values()
     yield from brackets(dims)
+    if not quick:
+        yield from residuals()
     yield from growth_reports()
     yield from operator_profiles()
     yield from cli_outputs(quick)
