@@ -34,6 +34,7 @@ from .growth import (
     axis_log_norms,
     growth_report,
     k_q,
+    k_qs,
     log_coeff_norms,
     membership_limsup,
     order_from_coeffs,

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .clifford import Paravector
 from .errors import InvariantViolationError, SerializationError
-from .growth import ProximateOrder, growth_report, k_q, log_coeff_norms
+from .growth import ProximateOrder, growth_report, k_qs, log_coeff_norms
 from .operators import hom_to_op, op_apply, op_to_hom
 from .series import ck_mul_left, series_derivative, series_eval
 from . import serialize
@@ -132,14 +132,12 @@ def cmd_growth(args) -> int:
         f = serialize.obj_to_series(obj).to_float()
         n, log_norms = f.n, log_coeff_norms(f)
         window = (window[0], min(window[1], f.degree))
-        log_kq_bounds = {}
-        for q in range(max(window[0], 1), window[1] + 1):
-            lo, hi = k_q(f, q, samples=args.samples, seed=args.seed)
-            if hi > 0.0:
-                log_kq_bounds[q] = (
-                    math.log(lo) if lo > 0 else -math.inf,
-                    math.log(hi),
-                )
+        qs = range(max(window[0], 1), window[1] + 1)
+        log_kq_bounds = {
+            q: (math.log(lo) if lo > 0 else -math.inf, math.log(hi))
+            for q, (lo, hi) in zip(qs, k_qs(f, qs, samples=args.samples, seed=args.seed).tolist())
+            if hi > 0.0
+        }
     report = growth_report(
         po,
         window,

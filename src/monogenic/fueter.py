@@ -20,12 +20,18 @@ values of degree q - 1 are multiplied by all n variables z_i in one array
 operation (``_z_products``: V z_i = V x_i - x0 (V e_i)), and each row of
 degree q gathers and sums its products.  ``ordered_words`` builds the
 unsymmetrised words z_1^m_1 ... z_n^m_n, the non-monogenic negative control,
-from the same products.  ``basis_combination`` contracts the values with a
+from the same products.  Each batched evaluation works in blocks of points
+(``_point_blocks``) whose products of one degree hold at most 512 KiB
+(``_BLOCK_FLOATS``).  ``basis_combination`` contracts the values with a
 coefficient table through its ``contraction_operand``, which a float series
-builds once and keeps; it works in blocks of points sized by its largest
-array, the products (``_BLOCK_FLOATS``).  Float series evaluation, the
-sampled sup norms and the Dirac residuals (``dirac_residuals``, all base
-points in one call) use these blade arrays.
+builds once and keeps; float series evaluation and the Dirac residuals
+(``dirac_residuals``, all base points in one call) use it.
+
+A sampled sup uses V_m(r d) = r^|m| V_m(d): the basis is evaluated once, at
+unit directions d, and each block's degree-q rows are contracted apart into
+S_q(d) = sum_(|m| = q) V_m(d) a_m, (Q+1, P_block, 2^n) (``_degree_sums``).
+``sampled_sups`` takes each radius by Horner's rule ((S_Q r + S_(Q-1)) r +
+...) r + S_0 begun at 0, and ``degree_sups`` takes each S_q itself.
 
 This module owns the Clifford array layer: ``blade_partners`` is the one
 sign table that every array kernel reads (``series.ck_sums`` too), and
@@ -124,7 +130,8 @@ def fueter_sup_unit_ball(m: MultiIndex, samples: int, seed: int = 0) -> float:
 
 #: floats in the largest array of one block of points, 512 KiB: the products
 #: of a degree's values with all n variables, at most #indices x 2^n x n per
-#: point; ``basis_combination`` evaluates its points in blocks of this size
+#: point; every batched evaluation works in blocks of this size
+#: (``_point_blocks``)
 _BLOCK_FLOATS = 1 << 16
 
 
@@ -183,17 +190,19 @@ def _layout(n: int, degree: int) -> tuple[dict[MultiIndex, int], np.ndarray, np.
     return position, flips, signs, tuple(steps)
 
 
-def _z_products(block: np.ndarray, pts: np.ndarray, flips, signs) -> np.ndarray:
+def _z_products(block: np.ndarray, pts: np.ndarray, flips, sx0: np.ndarray) -> np.ndarray:
     """Every product V z_i = V x_i - x0 (V e_i), i = 1..n, of a block V
     (K, 2^n, P) of blade arrays at points (n+1, P), with V e_i from
-    ``_layout``'s ``flips`` and ``signs``: an array (K n + 1, 2^n, P) whose
-    row r n + i - 1 is V_r z_i and whose last row is zero."""
+    ``_layout``'s ``flips`` and the signs times x0 (``sx0``, (n, 2^n, P),
+    made once per block of points: v (s x0) rounds as x0 (s v) for s = +-1):
+    an array (K n + 1, 2^n, P) whose row r n + i - 1 is V_r z_i and whose
+    last row is zero."""
     k, size, count = block.shape
     out = np.empty((k * len(flips) + 1, size, count))
     out[-1] = 0.0
     prod = out[:-1].reshape(k, len(flips), size, count)
     np.multiply(block[:, None], pts[1:, None], out=prod)
-    prod -= pts[0] * (block[:, flips] * signs)
+    prod -= block[:, flips] * sx0
     return out
 
 
@@ -202,15 +211,49 @@ def _basis_block(pts: np.ndarray, degree: int) -> np.ndarray:
     values (#indices, 2^n, P)."""
     n = len(pts) - 1
     position, flips, signs, steps = _layout(n, degree)
+    sx0 = signs * pts[0]
     out = np.zeros((len(position), 1 << n, pts.shape[1]))
     out[0, 0] = 1.0
     for q, (lo, hi, plo, gather, mult, _) in enumerate(steps, start=1):
-        terms = _z_products(out[plo:lo], pts, flips, signs)[gather]
+        terms = _z_products(out[plo:lo], pts, flips, sx0)[gather]
         terms *= mult
         acc = out[lo:hi]
         for term in terms:
             acc += term
         acc *= 1.0 / q
+    return out
+
+
+def _word_block(pts: np.ndarray, degree: int) -> np.ndarray:
+    """``ordered_words`` with the points on the last axis, as ``_basis_block``."""
+    n = len(pts) - 1
+    position, flips, signs, steps = _layout(n, degree)
+    sx0 = signs * pts[0]
+    out = np.zeros((len(position), 1 << n, pts.shape[1]))
+    out[0, 0] = 1.0
+    for lo, hi, plo, _, _, last in steps:
+        out[lo:hi] = _z_products(out[plo:lo], pts, flips, sx0)[last]
+    return out
+
+
+def _point_blocks(pts: np.ndarray, degree: int) -> list[slice]:
+    """Consecutive blocks of the points (P, n+1) whose products of one degree
+    hold at most ``_BLOCK_FLOATS`` floats; the recursion is pointwise, so no
+    bit depends on the blocks.  A block's values are best passed on unnamed,
+    so that they are freed before the next block is evaluated."""
+    n = pts.shape[1] - 1
+    step = max(1, _BLOCK_FLOATS // ((len(_layout(n, degree)[0]) * n) << n))
+    return [slice(start, start + step) for start in range(0, len(pts), step)]
+
+
+def _blocked(kernel, points, degree: int) -> np.ndarray:
+    """A block kernel's values (P, #indices, 2^n) at points (P, n+1), a
+    block of points at a time."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[1] - 1
+    out = np.empty((len(pts), len(_layout(n, degree)[0]), 1 << n))
+    for block in _point_blocks(pts, degree):
+        out[block] = kernel(pts[block].T, degree).transpose(2, 0, 1)
     return out
 
 
@@ -223,11 +266,9 @@ def basis_values(points, degree: int) -> np.ndarray:
     m_i V_(m - e_i) z_i in axis order onto +0.0; an absent axis adds a zero
     row, which changes no bit of a sum that starts at +0.0.  So it multiplies
     and adds in the order ``FueterCache`` does, and each value equals
-    ``FueterCache(x).value(m)`` at a float x.  The array holds every point;
-    ``basis_combination`` bounds its size by working in blocks.
+    ``FueterCache(x).value(m)`` at a float x.
     """
-    pts = np.asarray(points, dtype=float)
-    return _basis_block(pts.T, degree).transpose(2, 0, 1)
+    return _blocked(_basis_block, points, degree)
 
 
 def ordered_words(points, degree: int) -> np.ndarray:
@@ -236,14 +277,7 @@ def ordered_words(points, degree: int) -> np.ndarray:
     where m_j > 0, one gather of the products per degree.  Each blade of a
     product is a sum of two products, one signed by +-1, so the words equal
     the ``cl_mul`` products taken factor by factor."""
-    pts = np.asarray(points, dtype=float).T
-    n = len(pts) - 1
-    position, flips, signs, steps = _layout(n, degree)
-    out = np.zeros((len(position), 1 << n, pts.shape[1]))
-    out[0, 0] = 1.0
-    for lo, hi, plo, _, _, last in steps:
-        out[lo:hi] = _z_products(out[plo:lo], pts, flips, signs)[last]
-    return out.transpose(2, 0, 1)
+    return _blocked(_word_block, points, degree)
 
 
 def blade_rows(n: int, values: Collection[CliffordNumber]) -> np.ndarray:
@@ -288,9 +322,7 @@ def basis_combination(operand: tuple[int, np.ndarray, np.ndarray], points) -> np
 
     ``operand`` is the table's ``contraction_operand`` and ``points`` is
     (P, n+1) as for ``basis_values``; points of another width raise
-    ``DimensionMismatchError``.  The points are evaluated in blocks whose
-    largest array, the products of one degree with all n variables, holds at
-    most ``_BLOCK_FLOATS`` floats.  A value beyond the float range is inf or
+    ``DimensionMismatchError``.  A value beyond the float range is inf or
     NaN, without a warning.
     """
     degree, rows, right = operand
@@ -302,13 +334,25 @@ def basis_combination(operand: tuple[int, np.ndarray, np.ndarray], points) -> np
             f"points of shape {pts.shape} for a series of dimension {n}: expected rows of {n + 1}"
         )
     out = np.empty((len(pts), size))
-    step = max(1, _BLOCK_FLOATS // (len(_layout(n, degree)[0]) * size * n))
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(pts), step):
-            block = pts[start : start + step].T
-            values = _basis_block(block, degree)[rows].reshape(-1, block.shape[1])
-            out[start : start + step] = np.ascontiguousarray(values.T) @ right
+        for block in _point_blocks(pts, degree):
+            at = pts[block].T
+            values = _basis_block(at, degree)[rows].reshape(-1, at.shape[1])
+            out[block] = np.ascontiguousarray(values.T) @ right
     return out
+
+
+def _degree_sums(operand: tuple[int, np.ndarray, np.ndarray], dirs):
+    """Per block of the directions (P, n+1), the degree sums S_q(d),
+    q = 0..Q: one basis evaluation and one product per degree."""
+    degree, rows, right = operand
+    size = right.shape[1]
+    degrees = np.array([mi_abs(m) for m in _layout(size.bit_length() - 1, degree)[0]])[rows]
+    mats = right.reshape(len(rows), size, size)
+    parts = [(rows[degrees == q], mats[degrees == q].reshape(-1, size)) for q in range(degree + 1)]
+    by_degree = lambda v: np.stack([v[rq].reshape(-1, v.shape[2]).T @ part for rq, part in parts])
+    for block in _point_blocks(dirs, degree):
+        yield by_degree(_basis_block(dirs[block].T, degree))
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
@@ -357,21 +401,37 @@ def dirac_residuals(
     return row_norms(acc.reshape(-1, 1 << n)).reshape(len(points), -1).tolist()
 
 
+def _sphere_maxima(n: int, operand, samples: int, seed: int, rows_of) -> list[float]:
+    """The largest ``row_norms`` of each of the K row sets rows_of(S),
+    (K, P, 2^n) with S the ``_degree_sums``, over about ``samples`` unit
+    directions (``sphere_directions``, axis points included); NaN if a row is."""
+    size = operand[2].shape[1]
+    if size != 1 << n:
+        raise DimensionMismatchError(f"a table of dimension {size.bit_length() - 1} sampled in dimension {n}")
+    best = -np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sums in _degree_sums(operand, sphere_directions(n + 1, samples, seed=seed)):
+            rows = rows_of(sums)
+            best = np.maximum(best, row_norms(rows.reshape(-1, size)).reshape(len(rows), -1).max(1))
+    return best.tolist()
+
+
 def sampled_sups(
     n: int, operand: tuple[int, np.ndarray, np.ndarray], radii, samples: int, seed: int = 0
 ) -> list[float]:
     """Sampled max of norm(sum_m V_m(x) a_m) on the sphere of each radius,
     for the table whose ``contraction_operand`` is given: the largest
-    ``row_norms`` of the values at the radius.
-
-    One set of about ``samples`` directions (``sphere_directions``, axis points
-    included) is scaled to every radius, and all points go through one
-    ``basis_combination`` call.  An empty table is zero everywhere, and no
-    point is built for it.
-    """
+    ``row_norms`` of its values at the radius, by Horner's rule on the
+    degree sums at the directions.  An empty table is zero everywhere, and
+    no point is built for it."""
     if not len(operand[1]):
         return [0.0] * len(radii)
-    dirs = sphere_directions(n + 1, samples, seed=seed)
-    points = np.concatenate([r * dirs for r in radii])
-    moduli = row_norms(basis_combination(operand, points))
-    return moduli.reshape(len(radii), -1).max(axis=1).tolist()
+    r = np.array(radii, dtype=float)[:, None, None]
+    horner = lambda sums: reduce(lambda acc, s: acc * r + s, sums[::-1], np.zeros_like(r))
+    return _sphere_maxima(n, operand, samples, seed, horner)
+
+
+def degree_sups(n: int, operand, samples: int, seed: int = 0) -> list[float]:
+    """Sampled max of norm(S_q) on the unit sphere for q = 0..Q, the
+    directions of ``sampled_sups``: each homogeneous part's unit-ball sup."""
+    return _sphere_maxima(n, operand, samples, seed, lambda sums: sums)

@@ -26,12 +26,12 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import InvariantViolationError, UndefinedOrderError
-from .fueter import sampled_sups
+from .fueter import degree_sups, sampled_sups
 from .multiindex import MultiIndex, ln_c_nm, mi_abs
 
 # series_eval is not called here but stays bound: the benchmark's tracer
 # self-test (bench/test_bench.py) expects to wrap it as growth.series_eval
-from .series import MonogenicSeries, max_modulus, series_eval  # noqa: F401
+from .series import MonogenicSeries, series_eval  # noqa: F401
 
 FAMILIES = ("constant", "logshift", "loglog")
 
@@ -522,17 +522,33 @@ def weighted_norm_ln(
     return ln_lower, ln_upper
 
 
+def k_qs(f: MonogenicSeries, qs, samples: int = 256, seed: int = 0) -> np.ndarray:
+    """Brackets of K_q, the unit-ball sup of the degree-q homogeneous part,
+    for each q of qs: an array (len(qs), 2) of rows (lower, upper).
+
+    Lower: sampled max on the unit sphere, where the homogeneous part peaks,
+    axis points included, every degree from one ``fueter.degree_sups``.
+    Upper: the ``degree_norms`` entry, as each basis polynomial has
+    unit-ball sup <= 1; (0, 0) without coefficients.  ``samples=0`` keeps
+    the axis points only; a negative count or q raises.
+    """
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
+    qs = list(qs)
+    for q in qs:
+        if q < 0:
+            raise ValueError(f"degree must be >= 0, got {q}")
+    uppers = f.degree_norms()
+    lowers = degree_sups(f.n, f.operand(), samples, seed) if uppers and qs else []
+    rows = [(lowers[q] if q < len(lowers) else 0.0, uppers.get(q, 0.0)) for q in qs]
+    return np.array(rows, dtype=float).reshape(-1, 2)
+
+
 def k_q(
     f: MonogenicSeries, q: int, samples: int = 256, seed: int = 0
 ) -> tuple[float, float]:
-    """Bracket of the unit-ball sup of the degree-q homogeneous part.
-
-    Lower: sampled max on the unit sphere (the part is homogeneous, so the
-    ball sup sits on the boundary), axis points included.  Upper: sum of
-    coefficient norms, since each basis polynomial has unit-ball sup <= 1.
-    ``samples=0`` keeps the axis points only; a negative count or q raises.
-    """
-    return max_modulus(f.homogeneous_part(q), 1.0, samples, seed=seed)
+    """Bracket of K_q for one q (``k_qs``)."""
+    return tuple(k_qs(f, [q], samples, seed)[0].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from monogenic.fueter import (
     ordered_words,
 )
 from monogenic.multiindex import enumerate_up_to, mi_abs
+from monogenic.sampling import sphere_directions
 from monogenic.series import MonogenicSeries, dirac_residual, max_modulus
+from monogenic.verify import random_rational_series
 
 from conftest import random_point
 
@@ -247,11 +251,11 @@ def test_dirac_residuals_are_the_clifford_norm_of_each_row(n):
 def test_sampled_moduli_are_the_clifford_norm_of_each_row(monkeypatch, n):
     """Every sampled sup is the largest ``CliffordNumber.norm`` of the rows
     evaluated at its radius, bit for bit.  Each row is checked alone by
-    filling the rows of one radius with it: the values of a series whose
-    coefficients span 16 decades (the order of a sum shows in its last
-    bit), such rows scaled until every square underflows or overflows (the
-    hypot path), rows with a NaN or an inf, and a zero row.  At n=1 the
-    pairwise and the ordered sums of two squares agree."""
+    making it the degree sum of every direction of a call: the values of a
+    series whose coefficients span 16 decades (the order of a sum shows in
+    its last bit), such rows scaled until every square underflows or
+    overflows (the hypot path), rows with a NaN or an inf, and a zero row.
+    At n=1 the pairwise and the ordered sums of two squares agree."""
     r = np.random.default_rng(n)
     size = 1 << n
     wide = lambda: r.standard_normal(size) * 10.0 ** r.uniform(-8, 8, size)
@@ -265,15 +269,33 @@ def test_sampled_moduli_are_the_clifford_norm_of_each_row(monkeypatch, n):
         [np.where(np.arange(size) == 0, -np.inf, np.nan)],
     ])
     norm = lambda row: CliffordNumber(n, dict(enumerate(row))).norm()
-    kernel = fueter.basis_combination
-    monkeypatch.setattr(fueter, "basis_combination", lambda _, pts: np.repeat(rows, len(pts) // len(rows), 0))
-    got = fueter.sampled_sups(n, f.operand(), [1.0] * len(rows), 8)
+    kernel = fueter._degree_sums
+    got = []
+    for row in rows:
+        monkeypatch.setattr(fueter, "_degree_sums", lambda _, dirs: iter([np.tile(row, (1, len(dirs), 1))]))
+        got += fueter.sampled_sups(n, f.operand(), [1.0], 8)
     assert [v.hex() for v in got] == [norm(row).hex() for row in rows.tolist()]
-    # a sampled lower side is the largest of those norms over its own rows
+    # a sampled lower side is the largest of those norms over its own rows,
+    # the degree sums taken by Horner's rule in r, highest degree first
     seen = []
-    monkeypatch.setattr(fueter, "basis_combination", lambda *args: seen.append(kernel(*args)) or seen[-1])
+    monkeypatch.setattr(fueter, "_degree_sums", lambda *args: (seen.append(s) or s for s in kernel(*args)))
     lower, _ = max_modulus(f, 1.5, samples=64)
-    assert lower == max(map(norm, seen[0].tolist()))
+    horner = [reduce(lambda acc, s: acc * 1.5 + s, sums[::-1], 0.0) for sums in seen]
+    assert seen and lower == max(norm(row) for block in horner for row in block.tolist())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sampled_sups_match_the_scaled_directions(n):
+    """Horner's rule in r on the unit directions' degree sums gives the max
+    modulus of the values at the directions scaled to each radius, to 1e-12
+    of the coefficient bound, over more directions than one block holds at
+    n = 3, 4."""
+    f = random_rational_series(n, 5, 40 + n).to_float()
+    dirs = sphere_directions(n + 1, 64, seed=2)
+    radii = [0.3, 1.0, math.e, 7.3]
+    for r, sup in zip(radii, fueter.sampled_sups(n, f.operand(), radii, 64, seed=2)):
+        direct = fueter.row_norms(fueter.basis_combination(f.operand(), r * dirs)).max()
+        assert abs(sup - direct) <= 1e-12 * f.coeff_upper_bound(r)
 
 
 def test_cache_shares_subterms():

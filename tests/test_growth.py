@@ -21,6 +21,7 @@ from monogenic.growth import (
     axis_log_norms,
     growth_report,
     k_q,
+    k_qs,
     log_coeff_norms,
     log_kq_upper,
     logsumexp,
@@ -287,7 +288,7 @@ def test_weighted_norm_unsampled_evaluates_nothing(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(fueter, "_basis_block", counted)
             _, ln_up = weighted_norm_ln(f, po, 0.9, samples=32)
-        # the sampled side reaches the kernel, with 32 points per candidate radius
+        # the sampled side reaches the kernel, with its 32 unit directions
         assert calls and sum(calls) % 32 == 0
         calls.clear()
         with monkeypatch.context() as patch:
@@ -336,6 +337,53 @@ def test_k_q_bounds():
         k_q(f, -1)
     lo2, up2 = k_q(f, 2, samples=256)
     assert 0.0 < lo2 <= up2 == pytest.approx(1.0)
+
+
+def test_k_qs_rows_are_k_q():
+    """Each row of ``k_qs`` is ``k_q`` of its degree, bit for bit; the upper
+    side is the degree's coefficient bound, the bits of the homogeneous
+    part's ``max_modulus`` at r = 1, and the lower side is that bracket's
+    sampled side to rounding.  A degree without coefficients is (0, 0)."""
+    f = random_rational_series(3, 6, 11).to_float()
+    f = MonogenicSeries(3, 8, {m: a for m, a in f.coeffs.items() if mi_abs(m) != 4})
+    qs = [0, 1, 3, 4, 6, 8, 2]
+    got = k_qs(f, qs, samples=40, seed=2)
+    assert got.shape == (len(qs), 2)
+    assert [tuple(row) for row in got.tolist()] == [k_q(f, q, samples=40, seed=2) for q in qs]
+    norms = f.degree_norms()
+    assert got[:, 1].tolist() == [norms.get(q, 0.0) for q in qs]
+    for q, (lower, upper) in zip(qs, got.tolist()):
+        part_lower, part_upper = max_modulus(f.homogeneous_part(q), 1.0, 40, seed=2)
+        assert upper == part_upper
+        assert lower == pytest.approx(part_lower, rel=1e-12, abs=0.0)
+    assert got[[3, 5]].tolist() == [[0.0, 0.0]] * 2
+    assert k_qs(f, [], samples=40).shape == (0, 2)
+    assert k_qs(MonogenicSeries(3, 4), [0, 2]).tolist() == [[0.0, 0.0]] * 2
+
+
+def test_sampled_sides_evaluate_one_direction_set_once(monkeypatch, tmp_path):
+    """``weighted_norm_ln`` at several candidate radii and CLI ``growth``
+    over every degree of its window evaluate the basis at the sampled unit
+    directions, each once."""
+    import monogenic.fueter as fueter
+    from monogenic import serialize
+    from monogenic.cli import main
+    from monogenic.sampling import sphere_directions
+
+    kernel, seen = fueter._basis_block, []
+    monkeypatch.setattr(fueter, "_basis_block", lambda pts, *a: seen.append(pts.T) or kernel(pts, *a))
+    f = random_rational_series(3, 6, 7).to_float()
+    po = ProximateOrder("loglog", 1.0, 1.0)
+    assert len(weighted_upper_ln(f.degree_norms(), po, 0.8)[1]) > 1
+    weighted_norm_ln(f, po, 0.8, samples=32, seed=3)
+    assert np.array_equal(np.concatenate(seen), sphere_directions(4, 32, seed=3))
+    seen.clear()
+    path = tmp_path / "f.json"
+    serialize.write_file(str(path), serialize.series_to_obj(f))
+    argv = ["--samples", "40", "--seed", "5", "growth", str(path), "--po", "loglog:1:1",
+            "--window", "1:6", "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == 0
+    assert np.array_equal(np.concatenate(seen), sphere_directions(4, 40, seed=5))
 
 
 def test_order_and_type_from_coeffs():

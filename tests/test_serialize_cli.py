@@ -431,7 +431,7 @@ def test_cli_bad_out_fails_before_any_work(tmp_path, capsys, monkeypatch, where)
         raise AssertionError("the command's work ran")
 
     monkeypatch.setattr(cli, "run_all", refuse)
-    monkeypatch.setattr(cli, "k_q", refuse)
+    monkeypatch.setattr(cli, "k_qs", refuse)
     fp = tmp_path / "f.json"
     _write_series(fp, random_rational_series(2, 3, 5).to_float())
     out = {

@@ -291,12 +291,14 @@ def test_dirac_residual_detects_corruption(rng):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_dirac_residual_of_a_series_has_the_bits_of_series_eval(rng, n):
     """A series is the point function ``series_eval``: its residual has the
-    bits of that function's, also at points with zero coordinates."""
+    bits of the residual assembled from ``CliffordNumber`` values of that
+    function (``clifford_residual``), also at points with zero coordinates."""
     f = random_rational_series(n, 4, 50 + n).to_float()
     points = [random_point(n, rng, radius=1.2) for _ in range(4)]
     points += [Paravector(0.0, [0.0] * n), Paravector(0.0, [0.0] * (n - 1) + [0.75])]
     for x in points:
-        assert dirac_residual(f, [x]).hex() == dirac_residual(lambda p: series_eval(f, p), [x]).hex()
+        want = clifford_residual(lambda p: series_eval(f, p), x, 1e-5).norm()
+        assert dirac_residual(f, [x]).hex() == want.hex()
 
 
 def clifford_residual(g, x: Paravector, h: float) -> CliffordNumber:
