@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import pairwise
 from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
@@ -131,7 +132,6 @@ def fueter_sup_unit_ball(m: MultiIndex, samples: int, seed: int = 0) -> float:
 #: floats in the largest array of one block of points, 512 KiB: the products
 #: of a degree's values with all n variables, at most #indices x 2^n x n per
 #: point; every batched evaluation works in blocks of this size
-#: (``_point_blocks``)
 _BLOCK_FLOATS = 1 << 16
 
 
@@ -193,10 +193,9 @@ def _layout(n: int, degree: int) -> tuple[dict[MultiIndex, int], np.ndarray, np.
 def _z_products(block: np.ndarray, pts: np.ndarray, flips, sx0: np.ndarray) -> np.ndarray:
     """Every product V z_i = V x_i - x0 (V e_i), i = 1..n, of a block V
     (K, 2^n, P) of blade arrays at points (n+1, P), with V e_i from
-    ``_layout``'s ``flips`` and the signs times x0 (``sx0``, (n, 2^n, P),
-    made once per block of points: v (s x0) rounds as x0 (s v) for s = +-1):
-    an array (K n + 1, 2^n, P) whose row r n + i - 1 is V_r z_i and whose
-    last row is zero."""
+    ``_layout``'s ``flips`` and sx0 = signs x0, (n, 2^n, P): an array
+    (K n + 1, 2^n, P) whose row r n + i - 1 is V_r z_i and whose last row
+    is zero."""
     k, size, count = block.shape
     out = np.empty((k * len(flips) + 1, size, count))
     out[-1] = 0.0
@@ -206,33 +205,25 @@ def _z_products(block: np.ndarray, pts: np.ndarray, flips, sx0: np.ndarray) -> n
     return out
 
 
-def _basis_block(pts: np.ndarray, degree: int) -> np.ndarray:
-    """``basis_values`` with the points on the last axis: points (n+1, P),
-    values (#indices, 2^n, P)."""
+def _basis_block(pts: np.ndarray, degree: int, words: bool = False) -> np.ndarray:
+    """``basis_values`` (``ordered_words`` with ``words``) with the points on
+    the last axis: points (n+1, P), values (#indices, 2^n, P)."""
     n = len(pts) - 1
     position, flips, signs, steps = _layout(n, degree)
     sx0 = signs * pts[0]
     out = np.zeros((len(position), 1 << n, pts.shape[1]))
     out[0, 0] = 1.0
-    for q, (lo, hi, plo, gather, mult, _) in enumerate(steps, start=1):
-        terms = _z_products(out[plo:lo], pts, flips, sx0)[gather]
+    for q, (lo, hi, plo, gather, mult, last) in enumerate(steps, start=1):
+        products = _z_products(out[plo:lo], pts, flips, sx0)
+        if words:
+            out[lo:hi] = products[last]
+            continue
+        terms = products[gather]
         terms *= mult
         acc = out[lo:hi]
         for term in terms:
             acc += term
         acc *= 1.0 / q
-    return out
-
-
-def _word_block(pts: np.ndarray, degree: int) -> np.ndarray:
-    """``ordered_words`` with the points on the last axis, as ``_basis_block``."""
-    n = len(pts) - 1
-    position, flips, signs, steps = _layout(n, degree)
-    sx0 = signs * pts[0]
-    out = np.zeros((len(position), 1 << n, pts.shape[1]))
-    out[0, 0] = 1.0
-    for lo, hi, plo, _, _, last in steps:
-        out[lo:hi] = _z_products(out[plo:lo], pts, flips, sx0)[last]
     return out
 
 
@@ -246,14 +237,13 @@ def _point_blocks(pts: np.ndarray, degree: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, len(pts), step)]
 
 
-def _blocked(kernel, points, degree: int) -> np.ndarray:
-    """A block kernel's values (P, #indices, 2^n) at points (P, n+1), a
-    block of points at a time."""
+def _evaluate(points, degree: int, words: bool) -> np.ndarray:
+    """``_basis_block`` at points (P, n+1), a block of points at a time."""
     pts = np.asarray(points, dtype=float)
     n = pts.shape[1] - 1
     out = np.empty((len(pts), len(_layout(n, degree)[0]), 1 << n))
     for block in _point_blocks(pts, degree):
-        out[block] = kernel(pts[block].T, degree).transpose(2, 0, 1)
+        out[block] = _basis_block(pts[block].T, degree, words).transpose(2, 0, 1)
     return out
 
 
@@ -268,7 +258,7 @@ def basis_values(points, degree: int) -> np.ndarray:
     and adds in the order ``FueterCache`` does, and each value equals
     ``FueterCache(x).value(m)`` at a float x.
     """
-    return _blocked(_basis_block, points, degree)
+    return _evaluate(points, degree, False)
 
 
 def ordered_words(points, degree: int) -> np.ndarray:
@@ -277,7 +267,7 @@ def ordered_words(points, degree: int) -> np.ndarray:
     where m_j > 0, one gather of the products per degree.  Each blade of a
     product is a sum of two products, one signed by +-1, so the words equal
     the ``cl_mul`` products taken factor by factor."""
-    return _blocked(_word_block, points, degree)
+    return _evaluate(points, degree, True)
 
 
 def blade_rows(n: int, values: Collection[CliffordNumber]) -> np.ndarray:
@@ -300,16 +290,18 @@ def contraction_operand(
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """What ``basis_combination`` needs of a coefficient table, built once
     per table: (degree, rows, right), with degree the largest |m|, rows the
-    row of each index among ``enumerate_up_to(n, degree)`` and right the
-    (#coeffs 2^n, 2^n) matrix of right multiplication by the coefficients,
-    in table order.  A ``MonogenicSeries`` keeps its operand.  An empty
-    table builds no layout or sign table."""
+    row of each index among ``enumerate_up_to(n, degree)``, ascending, and
+    right the (#coeffs 2^n, 2^n) matrix of right multiplication by the
+    coefficients in that order, so that each degree is one slice of both.
+    A ``MonogenicSeries`` keeps its operand.  An empty table builds no
+    layout or sign table."""
     if not coeffs:
         return 0, np.empty(0, dtype=np.intp), np.empty((0, 1 << n))
     degree = max(map(mi_abs, coeffs))
     position = _layout(n, degree)[0]
-    rows = np.array([position[m] for m in coeffs], dtype=np.intp)
-    dense = blade_rows(n, coeffs.values())
+    order = sorted(coeffs, key=position.__getitem__)
+    rows = np.array([position[m] for m in order], dtype=np.intp)
+    dense = blade_rows(n, [coeffs[m] for m in order])
     # right multiplication by a: (v a)[k] = sum_b v[b] sign[b, k] a[b ^ k]
     partner, sign = blade_partners(n)
     right = (sign.astype(float) * dense[:, partner]).reshape(len(rows) << n, 1 << n)
@@ -342,15 +334,18 @@ def basis_combination(operand: tuple[int, np.ndarray, np.ndarray], points) -> np
     return out
 
 
-def _degree_sums(operand: tuple[int, np.ndarray, np.ndarray], dirs):
-    """Per block of the directions (P, n+1), the degree sums S_q(d),
-    q = 0..Q: one basis evaluation and one product per degree."""
+def _degree_sums(n: int, operand: tuple[int, np.ndarray, np.ndarray], samples: int, seed: int):
+    """The degree sums S_q(d), q = 0..Q, at about ``samples`` unit directions
+    (``sphere_directions``, axis points included), one array (Q+1, P_block,
+    2^n) per block of them: one basis evaluation and one product per degree."""
     degree, rows, right = operand
     size = right.shape[1]
-    degrees = np.array([mi_abs(m) for m in _layout(size.bit_length() - 1, degree)[0]])[rows]
-    mats = right.reshape(len(rows), size, size)
-    parts = [(rows[degrees == q], mats[degrees == q].reshape(-1, size)) for q in range(degree + 1)]
+    if size != 1 << n:
+        raise DimensionMismatchError(f"a table of dimension {size.bit_length() - 1} sampled in dimension {n}")
+    cuts = np.searchsorted(rows, [0, 1] + [step[1] for step in _layout(n, degree)[3]]).tolist()
+    parts = [(rows[a:b], right[a * size : b * size]) for a, b in pairwise(cuts)]
     by_degree = lambda v: np.stack([v[rq].reshape(-1, v.shape[2]).T @ part for rq, part in parts])
+    dirs = sphere_directions(n + 1, samples, seed=seed)
     for block in _point_blocks(dirs, degree):
         yield by_degree(_basis_block(dirs[block].T, degree))
 
@@ -401,19 +396,12 @@ def dirac_residuals(
     return row_norms(acc.reshape(-1, 1 << n)).reshape(len(points), -1).tolist()
 
 
-def _sphere_maxima(n: int, operand, samples: int, seed: int, rows_of) -> list[float]:
-    """The largest ``row_norms`` of each of the K row sets rows_of(S),
-    (K, P, 2^n) with S the ``_degree_sums``, over about ``samples`` unit
-    directions (``sphere_directions``, axis points included); NaN if a row is."""
-    size = operand[2].shape[1]
-    if size != 1 << n:
-        raise DimensionMismatchError(f"a table of dimension {size.bit_length() - 1} sampled in dimension {n}")
-    best = -np.inf
+def _maxima(blocks) -> list[float]:
+    """The largest ``row_norms`` of each of the K row sets over blocks of
+    rows (K, P_block, 2^n); NaN if a row is."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for sums in _degree_sums(operand, sphere_directions(n + 1, samples, seed=seed)):
-            rows = rows_of(sums)
-            best = np.maximum(best, row_norms(rows.reshape(-1, size)).reshape(len(rows), -1).max(1))
-    return best.tolist()
+        maxima = (row_norms(b.reshape(-1, b.shape[2])).reshape(len(b), -1).max(1) for b in blocks)
+        return reduce(np.maximum, maxima).tolist()
 
 
 def sampled_sups(
@@ -428,10 +416,10 @@ def sampled_sups(
         return [0.0] * len(radii)
     r = np.array(radii, dtype=float)[:, None, None]
     horner = lambda sums: reduce(lambda acc, s: acc * r + s, sums[::-1], np.zeros_like(r))
-    return _sphere_maxima(n, operand, samples, seed, horner)
+    return _maxima(map(horner, _degree_sums(n, operand, samples, seed)))
 
 
 def degree_sups(n: int, operand, samples: int, seed: int = 0) -> list[float]:
     """Sampled max of norm(S_q) on the unit sphere for q = 0..Q, the
     directions of ``sampled_sups``: each homogeneous part's unit-ball sup."""
-    return _sphere_maxima(n, operand, samples, seed, lambda sums: sums)
+    return _maxima(_degree_sums(n, operand, samples, seed))

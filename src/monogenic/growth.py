@@ -527,26 +527,24 @@ def k_qs(f: MonogenicSeries, qs, samples: int = 256, seed: int = 0) -> np.ndarra
     for each q of qs: an array (len(qs), 2) of rows (lower, upper).
 
     Lower: sampled max on the unit sphere, where the homogeneous part peaks,
-    axis points included, every degree from one ``fueter.degree_sups``.
-    Upper: the ``degree_norms`` entry, as each basis polynomial has
-    unit-ball sup <= 1; (0, 0) without coefficients.  ``samples=0`` keeps
-    the axis points only; a negative count or q raises.
+    axis points included, every degree from one ``fueter.degree_sups`` of f
+    truncated at max(qs).  Upper: the ``degree_norms`` entry, as each basis
+    polynomial has unit-ball sup <= 1; (0, 0) without coefficients.
+    ``samples=0`` keeps the axis points only; a negative count or q raises.
     """
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     qs = list(qs)
-    for q in qs:
-        if q < 0:
-            raise ValueError(f"degree must be >= 0, got {q}")
-    uppers = f.degree_norms()
-    lowers = degree_sups(f.n, f.operand(), samples, seed) if uppers and qs else []
+    if min(qs, default=0) < 0:
+        raise ValueError(f"degree must be >= 0, got {min(qs)}")
+    uppers, top = f.degree_norms(), max(qs, default=-1)
+    g = f.truncate(top) if 0 <= top < f.degree else f
+    lowers = degree_sups(f.n, g.operand(), samples, seed) if uppers and qs else []
     rows = [(lowers[q] if q < len(lowers) else 0.0, uppers.get(q, 0.0)) for q in qs]
     return np.array(rows, dtype=float).reshape(-1, 2)
 
 
-def k_q(
-    f: MonogenicSeries, q: int, samples: int = 256, seed: int = 0
-) -> tuple[float, float]:
+def k_q(f: MonogenicSeries, q: int, samples: int = 256, seed: int = 0) -> tuple[float, float]:
     """Bracket of K_q for one q (``k_qs``)."""
     return tuple(k_qs(f, [q], samples, seed)[0].tolist())
 

@@ -272,7 +272,7 @@ def test_sampled_moduli_are_the_clifford_norm_of_each_row(monkeypatch, n):
     kernel = fueter._degree_sums
     got = []
     for row in rows:
-        monkeypatch.setattr(fueter, "_degree_sums", lambda _, dirs: iter([np.tile(row, (1, len(dirs), 1))]))
+        monkeypatch.setattr(fueter, "_degree_sums", lambda *_: iter([np.tile(row, (1, 8, 1))]))
         got += fueter.sampled_sups(n, f.operand(), [1.0], 8)
     assert [v.hex() for v in got] == [norm(row).hex() for row in rows.tolist()]
     # a sampled lower side is the largest of those norms over its own rows,

@@ -364,26 +364,32 @@ def test_k_qs_rows_are_k_q():
 def test_sampled_sides_evaluate_one_direction_set_once(monkeypatch, tmp_path):
     """``weighted_norm_ln`` at several candidate radii and CLI ``growth``
     over every degree of its window evaluate the basis at the sampled unit
-    directions, each once."""
+    directions, each once; a window that stops below the series' degree
+    evaluates the basis only up to the window's last degree."""
     import monogenic.fueter as fueter
     from monogenic import serialize
     from monogenic.cli import main
     from monogenic.sampling import sphere_directions
 
-    kernel, seen = fueter._basis_block, []
-    monkeypatch.setattr(fueter, "_basis_block", lambda pts, *a: seen.append(pts.T) or kernel(pts, *a))
+    kernel, seen, degrees = fueter._basis_block, [], set()
+    monkeypatch.setattr(
+        fueter, "_basis_block", lambda pts, q, *a: seen.append(pts.T) or degrees.add(q) or kernel(pts, q, *a)
+    )
     f = random_rational_series(3, 6, 7).to_float()
     po = ProximateOrder("loglog", 1.0, 1.0)
     assert len(weighted_upper_ln(f.degree_norms(), po, 0.8)[1]) > 1
     weighted_norm_ln(f, po, 0.8, samples=32, seed=3)
     assert np.array_equal(np.concatenate(seen), sphere_directions(4, 32, seed=3))
-    seen.clear()
     path = tmp_path / "f.json"
     serialize.write_file(str(path), serialize.series_to_obj(f))
-    argv = ["--samples", "40", "--seed", "5", "growth", str(path), "--po", "loglog:1:1",
-            "--window", "1:6", "--out", str(tmp_path / "r.csv")]
-    assert main(argv) == 0
-    assert np.array_equal(np.concatenate(seen), sphere_directions(4, 40, seed=5))
+    for window, degree in [("1:6", 6), ("1:2", 2)]:
+        seen.clear()
+        degrees.clear()
+        argv = ["--samples", "40", "--seed", "5", "growth", str(path), "--po", "loglog:1:1",
+                "--window", window, "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 0
+        assert np.array_equal(np.concatenate(seen), sphere_directions(4, 40, seed=5))
+        assert degrees == {degree}
 
 
 def test_order_and_type_from_coeffs():
