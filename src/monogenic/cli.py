@@ -129,7 +129,9 @@ def cmd_growth(args) -> int:
     if isinstance(obj, dict) and obj.get("kind") == "log_norms":
         n, log_norms = serialize.obj_to_log_norms(obj)
     else:
-        f = serialize.obj_to_series(obj).to_float()
+        f = serialize.obj_to_series(obj)
+        if f.is_exact():  # a float document is float already
+            f = f.to_float()
         n, log_norms = f.n, log_coeff_norms(f)
         window = (window[0], min(window[1], f.degree))
         qs = range(max(window[0], 1), window[1] + 1)

@@ -13,19 +13,28 @@ Evaluation uses the right-factor recursion
 which regroups the permutation sum by last factor: it costs O(prod(m_i+1))
 per point instead of |m|! and is exact at an exact point.
 
-``FueterCache`` runs it one point at a time on ``CliffordNumber`` values; at
-an exact point it is the reference.  ``basis_values`` runs it in floats over
-a batch of points on dense numpy blade arrays, one step per degree: the
-values of degree q - 1 are multiplied by all n variables z_i in one array
-operation (``_z_products``: V z_i = V x_i - x0 (V e_i)), and each row of
-degree q gathers and sums its products.  ``ordered_words`` builds the
-unsymmetrised words z_1^m_1 ... z_n^m_n, the non-monogenic negative control,
-from the same products.  Each batched evaluation works in blocks of points
+Each V_m is paravector-valued: it lives in the n+1 blades 1, e_1, ..., e_n
+(H. Malonek, "Power series representation for monogenic functions in
+R^{m+1} based on a permutational product", Complex Variables 15, 1990).
+
+``FueterCache`` runs it one point at a time on ``CliffordNumber`` values and
+keeps the paravector blades of each; at an exact point it is the reference.
+``basis_values`` runs it in floats over a batch of points on dense numpy
+arrays of those n+1 blades, one step per degree: the values of degree q - 1
+are multiplied by all n variables z_i in one array operation
+(``_z_products``: V z_i = V x_i - x0 (V e_i)), and each row of degree q
+gathers and sums its products.  ``ordered_words`` builds the unsymmetrised
+words z_1^m_1 ... z_n^m_n, the non-monogenic negative control, from the
+same products on all 2^n blades, as the words are not paravector-valued.
+One table per blade set (``_blade_set``) gives right multiplication by
+each e_i inside it.  Each batched evaluation works in blocks of points
 (``_point_blocks``) whose products of one degree hold at most 512 KiB
-(``_BLOCK_FLOATS``).  ``basis_combination`` contracts the values with a
-coefficient table through its ``contraction_operand``, which a float series
-builds once and keeps; float series evaluation and the Dirac residuals
-(``dirac_residuals``, all base points in one call) use it.
+(``_BLOCK_FLOATS``) at the width of the blade set evaluated.
+``basis_combination`` contracts the values with a coefficient table
+through its ``contraction_operand``, the (S(n+1), 2^n) matrix of right
+multiplication by the S coefficients, which a float series builds once and
+keeps; float series evaluation and the Dirac residuals (``dirac_residuals``,
+all base points in one call) use it.
 
 A sampled sup uses V_m(r d) = r^|m| V_m(d): the basis is evaluated once, at
 unit directions d, and each block's degree-q rows are contracted apart into
@@ -65,7 +74,11 @@ def fueter_var(axis: int, x: Paravector) -> CliffordNumber:
 class FueterCache:
     """Memoised basis evaluation at one fixed point, in the point's arithmetic:
     V_0 is Fraction(1) at an exact point and 1.0 otherwise, and the weights are
-    Fraction(1, |m|), whose float is 1.0/|m|.
+    Fraction(1, |m|), whose float is 1.0/|m|.  Each value keeps its
+    paravector blades 1, e_1, ..., e_n only: V_m is paravector-valued
+    (Malonek, Complex Variables 15, 1990), so at an exact point the other
+    blades are exact zeros, and at a float point they are rounding residue,
+    which the batched kernel does not carry either.
 
     The memo is confined to this object; share one cache per point per task.
     """
@@ -87,7 +100,9 @@ class FueterCache:
                 continue
             prev = self.value(tuple(v - 1 if j == i else v for j, v in enumerate(m)))
             acc = acc + cl_mul(prev, self._vars[i]).scale(mi)
-        memo[m] = out = acc.scale(Fraction(1, mi_abs(m)))
+        weight = Fraction(1, mi_abs(m))
+        paravector = {mask: v * weight for mask, v in acc.coeffs.items() if not mask & (mask - 1)}
+        memo[m] = out = CliffordNumber(self.n, paravector)
         return out
 
 
@@ -130,8 +145,9 @@ def fueter_sup_unit_ball(m: MultiIndex, samples: int, seed: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 #: floats in the largest array of one block of points, 512 KiB: the products
-#: of a degree's values with all n variables, at most #indices x 2^n x n per
-#: point; every batched evaluation works in blocks of this size
+#: of a degree's values with all n variables, at most #indices x width x n
+#: per point, with the width of the blade set evaluated (``_blade_set``);
+#: every batched evaluation works in blocks of this size
 _BLOCK_FLOATS = 1 << 16
 
 
@@ -157,21 +173,15 @@ def blade_partners(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _layout(n: int, degree: int) -> tuple[dict[MultiIndex, int], np.ndarray, np.ndarray, tuple]:
-    """Row of every index |m| <= degree (the order of ``enumerate_up_to``),
-    right multiplication by each e_i as a blade permutation k -> k XOR e_i
-    (``flips``) with the sign of e_(k XOR e_i) e_i (``signs``, float), both
-    read from ``blade_partners``, and per
-    degree q >= 1 a step (lo, hi, plo, gather, mult, last) from the rows
-    plo:lo of degree q - 1 to the rows lo:hi of degree q.  Its tables index
-    the products of ``_z_products``: ``gather[i, k]`` is V_(m - e_(i+1))
+def _layout(n: int, degree: int) -> tuple[dict[MultiIndex, int], tuple]:
+    """Row of every index |m| <= degree (the order of ``enumerate_up_to``)
+    and per degree q >= 1 a step (lo, hi, plo, gather, mult, last) from the
+    rows plo:lo of degree q - 1 to the rows lo:hi of degree q.  Its tables
+    index the products of ``_z_products``: ``gather[i, k]`` is V_(m - e_(i+1))
     z_(i+1) for the index m of row lo + k, or the zero row where m_(i+1) = 0,
     ``mult[i, k]`` is m_(i+1), and ``last[k]`` the product of the last axis
     with m_j > 0."""
     position = {m: row for row, m in enumerate(enumerate_up_to(n, degree))}
-    partner, sign = blade_partners(n)
-    flips = partner[[1 << i for i in range(n)]]
-    signs = sign[flips, np.arange(1 << n)][..., None].astype(float)
     steps = []
     plo, lo = 0, 1
     for q in range(1, degree + 1):
@@ -187,14 +197,38 @@ def _layout(n: int, degree: int) -> tuple[dict[MultiIndex, int], np.ndarray, np.
         mult = np.array(block, dtype=float).T[:, :, None, None]
         steps.append((lo, lo + len(block), plo, gather, mult, np.array(last)))
         plo, lo = lo, lo + len(block)
-    return position, flips, signs, tuple(steps)
+    return position, tuple(steps)
+
+
+@lru_cache(maxsize=None)
+def _blade_set(n: int, words: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The blades that a batched evaluation carries, ascending: all 2^n for
+    the words, the n+1 paravector blades 1, e_1, ..., e_n for the basis.
+    With them the one right-multiplication table of the set, read from
+    ``blade_partners``: (V e_i)[b] = sign(e_(b ^ e_i) e_i) V[b ^ e_i] as a
+    slot permutation ``flips`` (n, width) and its signs ``signs`` (n, width,
+    1, float).  Where b ^ e_i lies outside the set (a paravector set with
+    n >= 2), the set has one more slot, last, that holds zero: such a
+    partner reads it with sign 0, and so does the slot itself."""
+    partner, sign = blade_partners(n)
+    blades = np.arange(1 << n) if words else np.array([0] + [1 << i for i in range(n)])
+    slot = np.full(1 << n, len(blades))  # a blade outside the set: the zero slot
+    slot[blades] = range(len(blades))
+    masks = partner[[1 << i for i in range(n)]][:, blades]
+    flips = slot[masks]
+    inside = flips < len(blades)
+    signs = np.where(inside, sign[masks, blades], 0)
+    if not inside.all():
+        flips = np.column_stack([flips, [len(blades)] * n])
+        signs = np.column_stack([signs, [0] * n])
+    return blades, flips, signs[..., None].astype(float)
 
 
 def _z_products(block: np.ndarray, pts: np.ndarray, flips, sx0: np.ndarray) -> np.ndarray:
     """Every product V z_i = V x_i - x0 (V e_i), i = 1..n, of a block V
-    (K, 2^n, P) of blade arrays at points (n+1, P), with V e_i from
-    ``_layout``'s ``flips`` and sx0 = signs x0, (n, 2^n, P): an array
-    (K n + 1, 2^n, P) whose row r n + i - 1 is V_r z_i and whose last row
+    (K, width, P) of blade-set arrays at points (n+1, P), with V e_i from
+    ``_blade_set``'s ``flips`` and sx0 = signs x0, (n, width, P): an array
+    (K n + 1, width, P) whose row r n + i - 1 is V_r z_i and whose last row
     is zero."""
     k, size, count = block.shape
     out = np.empty((k * len(flips) + 1, size, count))
@@ -207,11 +241,13 @@ def _z_products(block: np.ndarray, pts: np.ndarray, flips, sx0: np.ndarray) -> n
 
 def _basis_block(pts: np.ndarray, degree: int, words: bool = False) -> np.ndarray:
     """``basis_values`` (``ordered_words`` with ``words``) with the points on
-    the last axis: points (n+1, P), values (#indices, 2^n, P)."""
+    the last axis and the blades of ``_blade_set``: points (n+1, P), values
+    (#indices, width, P), whose zero slot, if any, is last."""
     n = len(pts) - 1
-    position, flips, signs, steps = _layout(n, degree)
+    position, steps = _layout(n, degree)
+    _, flips, signs = _blade_set(n, words)
     sx0 = signs * pts[0]
-    out = np.zeros((len(position), 1 << n, pts.shape[1]))
+    out = np.zeros((len(position), flips.shape[1], pts.shape[1]))
     out[0, 0] = 1.0
     for q, (lo, hi, plo, gather, mult, last) in enumerate(steps, start=1):
         products = _z_products(out[plo:lo], pts, flips, sx0)
@@ -227,29 +263,36 @@ def _basis_block(pts: np.ndarray, degree: int, words: bool = False) -> np.ndarra
     return out
 
 
-def _point_blocks(pts: np.ndarray, degree: int) -> list[slice]:
+def _point_blocks(pts: np.ndarray, degree: int, words: bool = False) -> list[slice]:
     """Consecutive blocks of the points (P, n+1) whose products of one degree
-    hold at most ``_BLOCK_FLOATS`` floats; the recursion is pointwise, so no
-    bit depends on the blocks.  A block's values are best passed on unnamed,
-    so that they are freed before the next block is evaluated."""
+    hold at most ``_BLOCK_FLOATS`` floats, at the width of the blade set
+    evaluated; the recursion is pointwise, so no bit depends on the blocks.
+    A block's values are best passed on unnamed, so that they are freed
+    before the next block is evaluated."""
     n = pts.shape[1] - 1
-    step = max(1, _BLOCK_FLOATS // ((len(_layout(n, degree)[0]) * n) << n))
+    width = _blade_set(n, words)[1].shape[1]
+    step = max(1, _BLOCK_FLOATS // (len(_layout(n, degree)[0]) * n * width))
     return [slice(start, start + step) for start in range(0, len(pts), step)]
 
 
 def _evaluate(points, degree: int, words: bool) -> np.ndarray:
-    """``_basis_block`` at points (P, n+1), a block of points at a time."""
+    """``_basis_block`` at points (P, n+1), a block of points at a time,
+    scattered into blade arrays of 2^n (0.0 at a blade outside the set; a
+    set of all 2^n blades is one slice, which costs no gather)."""
     pts = np.asarray(points, dtype=float)
     n = pts.shape[1] - 1
-    out = np.empty((len(pts), len(_layout(n, degree)[0]), 1 << n))
-    for block in _point_blocks(pts, degree):
-        out[block] = _basis_block(pts[block].T, degree, words).transpose(2, 0, 1)
+    blades = _blade_set(n, words)[0]
+    columns = slice(None) if len(blades) == 1 << n else blades
+    out = np.zeros((len(pts), len(_layout(n, degree)[0]), 1 << n))
+    for block in _point_blocks(pts, degree, words):
+        out[block, :, columns] = _basis_block(pts[block].T, degree, words)[:, : len(blades)].transpose(2, 0, 1)
     return out
 
 
 def basis_values(points, degree: int) -> np.ndarray:
     """Float values of every basis element with |m| <= degree at a batch of
-    points: an array (P, #indices, 2^n) of blade coefficients.
+    points: an array (P, #indices, 2^n) of blade coefficients, 0.0 at every
+    blade but 1, e_1, ..., e_n.
 
     ``points`` is (P, n+1) with rows (x0, x1, ..., xn); the middle axis follows
     ``enumerate_up_to(n, degree)``.  Each row m of degree q sums its products
@@ -291,10 +334,12 @@ def contraction_operand(
     """What ``basis_combination`` needs of a coefficient table, built once
     per table: (degree, rows, right), with degree the largest |m|, rows the
     row of each index among ``enumerate_up_to(n, degree)``, ascending, and
-    right the (#coeffs 2^n, 2^n) matrix of right multiplication by the
+    right the (#coeffs (n+1), 2^n) matrix of right multiplication by the
     coefficients in that order, so that each degree is one slice of both.
-    A ``MonogenicSeries`` keeps its operand.  An empty table builds no
-    layout or sign table."""
+    Its rows are those that a paravector value reads: each V_m is
+    paravector-valued (Malonek, Complex Variables 15, 1990), so only its
+    blades 1, e_1, ..., e_n multiply a coefficient.  A ``MonogenicSeries``
+    keeps its operand.  An empty table builds no layout or sign table."""
     if not coeffs:
         return 0, np.empty(0, dtype=np.intp), np.empty((0, 1 << n))
     degree = max(map(mi_abs, coeffs))
@@ -302,9 +347,11 @@ def contraction_operand(
     order = sorted(coeffs, key=position.__getitem__)
     rows = np.array([position[m] for m in order], dtype=np.intp)
     dense = blade_rows(n, [coeffs[m] for m in order])
-    # right multiplication by a: (v a)[k] = sum_b v[b] sign[b, k] a[b ^ k]
+    # right multiplication by a: (v a)[k] = sum_b v[b] sign[b, k] a[b ^ k],
+    # over the paravector blades b
+    blades = _blade_set(n, False)[0]
     partner, sign = blade_partners(n)
-    right = (sign.astype(float) * dense[:, partner]).reshape(len(rows) << n, 1 << n)
+    right = (sign[blades].astype(float) * dense[:, partner[blades]]).reshape(-1, 1 << n)
     right.flags.writeable = False
     return degree, rows, right
 
@@ -329,7 +376,7 @@ def basis_combination(operand: tuple[int, np.ndarray, np.ndarray], points) -> np
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _point_blocks(pts, degree):
             at = pts[block].T
-            values = _basis_block(at, degree)[rows].reshape(-1, at.shape[1])
+            values = _basis_block(at, degree)[rows, : n + 1].reshape(-1, at.shape[1])
             out[block] = np.ascontiguousarray(values.T) @ right
     return out
 
@@ -342,9 +389,9 @@ def _degree_sums(n: int, operand: tuple[int, np.ndarray, np.ndarray], samples: i
     size = right.shape[1]
     if size != 1 << n:
         raise DimensionMismatchError(f"a table of dimension {size.bit_length() - 1} sampled in dimension {n}")
-    cuts = np.searchsorted(rows, [0, 1] + [step[1] for step in _layout(n, degree)[3]]).tolist()
-    parts = [(rows[a:b], right[a * size : b * size]) for a, b in pairwise(cuts)]
-    by_degree = lambda v: np.stack([v[rq].reshape(-1, v.shape[2]).T @ part for rq, part in parts])
+    cuts = np.searchsorted(rows, [0, 1] + [step[1] for step in _layout(n, degree)[1]]).tolist()
+    parts = [(rows[a:b], right[a * (n + 1) : b * (n + 1)]) for a, b in pairwise(cuts)]
+    by_degree = lambda v: np.stack([v[rq, : n + 1].reshape(-1, v.shape[2]).T @ part for rq, part in parts])
     dirs = sphere_directions(n + 1, samples, seed=seed)
     for block in _point_blocks(dirs, degree):
         yield by_degree(_basis_block(dirs[block].T, degree))

@@ -1,6 +1,9 @@
 import math
+import random
 from fractions import Fraction
 from functools import reduce
+from itertools import permutations
+from operator import add
 
 import numpy as np
 import pytest
@@ -73,23 +76,31 @@ def test_cache_arithmetic_follows_the_point():
 
 
 def test_symmetrization_oracle_exact():
-    """Recursion equals the explicit permutation-sum definition."""
-    from itertools import permutations
-
-    x = Paravector(Fraction(1, 2), [Fraction(1, 3), Fraction(-2)])
-    zs = [fueter_var(i, x) for i in (1, 2)]
-    for m in [(2, 0), (1, 1), (2, 1), (1, 2), (3, 1)]:
-        letters = [0] * m[0] + [1] * m[1]
-        total = CliffordNumber.zero(2)
-        count = 0
-        for word in permutations(letters):
-            term = CliffordNumber.scalar(2, Fraction(1))
-            for letter in word:
-                term = cl_mul(term, zs[letter])
-            total = total + term
-            count += 1
-        expected = total.scale(Fraction(1, count))
-        assert fueter_eval(m, x) == expected
+    """The recursion equals the definition, the average of the distinct
+    orderings of the word z_1^m_1 ... z_n^m_n taken with ``cl_mul``, exactly
+    at an exact point: n = 1..4 with |m| <= 4 and n = 5 with |m| <= 3.  The
+    average is paravector-valued: the cache keeps the blades 1, e_1, ...,
+    e_n only, and at an exact point that drops nothing.  At a float point,
+    the blades that the cache drops from its step (m_i V_(m - e_i) z_i
+    summed, times 1/|m|) are rounding residue, at most 1e-12 of the value's
+    norm, and it keeps the others as they are."""
+    for n, top in [(1, 4), (2, 4), (3, 4), (4, 4), (5, 3)]:
+        draw = random.Random(n)
+        x = Paravector(Fraction(-2, 3), [Fraction(draw.randint(-6, 6), draw.randint(1, 5)) for _ in range(n)])
+        xf = Paravector.from_components(map(float, x.components()))
+        exact, floats = FueterCache(x), FueterCache(xf)
+        one, zero = CliffordNumber.scalar(n, Fraction(1)), CliffordNumber.zero(n)
+        for m in enumerate_up_to(n, top)[1:]:
+            words = set(permutations([i + 1 for i, k in enumerate(m) for _ in range(k)]))
+            total = reduce(add, (reduce(cl_mul, (fueter_var(i, x) for i in w), one) for w in words), zero)
+            assert exact.value(m) == total.scale(Fraction(1, len(words))), m
+            lower = lambda i: tuple(v - (j == i) for j, v in enumerate(m))
+            terms = (cl_mul(floats.value(lower(i)), fueter_var(i + 1, xf)).scale(m[i]) for i in range(n) if m[i])
+            step = reduce(add, terms).scale(1.0 / mi_abs(m))
+            kept = {mask: v for mask, v in step.coeffs.items() if mask & (mask - 1) == 0}
+            assert floats.value(m).coeffs == kept, m
+            dropped = CliffordNumber(n, {mask: v for mask, v in step.coeffs.items() if mask not in kept})
+            assert dropped.norm() <= 1e-12 * step.norm(), m
 
 
 def test_left_and_right_recursions_agree():
@@ -322,18 +333,23 @@ def test_axis_relabeling_symmetry():
 def test_basis_values_equal_float_fueter_cache(rng):
     """The batched kernel gives every basis value bit for bit as the float
     FueterCache does, the origin and points with zero coordinates included,
-    up to degree 8 and, there, in a batch of more points than one block of
-    ``basis_combination`` holds."""
-    for n in range(1, 5):
+    up to degree 8 (degree 4 at n = 5) and, there, in a batch of more points
+    than one block of ``basis_combination`` holds.  A blade outside the
+    paravector set is exactly 0.0."""
+    for n in range(1, 6):
+        degrees = (0, 1, 3, 4) if n == 5 else (0, 1, 3, 6, 8)
         points = [random_point(n, rng, radius=1.5) for _ in range(3)]
         points += [Paravector(0.0, [0.0] * n), Paravector(0.0, [1.25] + [0.0] * (n - 1))]
         points.append(Paravector(-0.75, [0.0] * (n - 1) + [0.5]))
-        for degree in (0, 1, 3, 6, 8):
-            if degree == 8:
-                block = fueter._BLOCK_FLOATS // ((len(enumerate_up_to(n, 8)) << n) * n)
+        outside = [mask for mask in range(1 << n) if mask & (mask - 1)]
+        for degree in degrees:
+            if degree == degrees[-1]:
+                width = fueter._blade_set(n, False)[1].shape[1]
+                block = fueter._BLOCK_FLOATS // (len(enumerate_up_to(n, degree)) * n * width)
                 points += [random_point(n, rng, radius=1.5) for _ in range(block + 1)]
             values = basis_values([x.components() for x in points], degree)
             assert values.shape == (len(points), len(enumerate_up_to(n, degree)), 1 << n)
+            assert not values[..., outside].any()
             for x, table in zip(points, values):
                 cache = FueterCache(x)
                 for m, row in zip(enumerate_up_to(n, degree), table):
@@ -341,3 +357,41 @@ def test_basis_values_equal_float_fueter_cache(rng):
                     for mask, value in cache.value(m).coeffs.items():
                         expected[mask] = value
                     assert (row == expected).all(), (n, m, x)
+
+
+def full_blade_basis(points, degree):
+    """The basis recursion on dense rows of all 2^n blades, (P, #indices,
+    2^n), with V e_i read from ``blade_partners``: the kernel as it was
+    before it carried the paravector blades only, a reference for where a
+    value is not finite."""
+    pts = np.asarray(points)
+    n = pts.shape[1] - 1
+    partner, sign = fueter.blade_partners(n)
+    indices = enumerate_up_to(n, degree)
+    values = {indices[0]: np.zeros((len(pts), 1 << n))}
+    values[indices[0]][:, 0] = 1.0
+    for m in indices[1:]:
+        acc = np.zeros((len(pts), 1 << n))
+        for i in np.flatnonzero(m):
+            v, flip = values[tuple(k - (j == i) for j, k in enumerate(m))], partner[1 << i]
+            acc += m[i] * (v * pts[:, i + 1, None] - v[:, flip] * (sign[flip, flip ^ (1 << i)] * pts[:, :1]))
+        values[m] = acc * (1.0 / mi_abs(m))
+    return np.stack([values[m] for m in indices], axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_basis_values_at_non_finite_points(n):
+    """At 300 points whose components are drawn from 0, -0, +-inf, NaN,
+    +-1e200, 1e-300 and two plain values, a paravector blade of the kernel
+    is non-finite exactly where the full-blade recursion's is, and
+    ``basis_combination`` leaks no numpy warning."""
+    draw = np.random.default_rng(n)
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200, 1e-300, 0.75, -1.5])
+    points = values[draw.integers(0, len(values), (300, n + 1))]
+    paravector = [0] + [1 << i for i in range(n)]
+    with np.errstate(all="ignore"):
+        got, want = basis_values(points, 4), full_blade_basis(points, 4)
+    assert (np.isfinite(got[..., paravector]) == np.isfinite(want[..., paravector])).all()
+    assert not np.isfinite(want[..., paravector]).all()
+    f = random_rational_series(n, 4, 11).to_float()
+    assert fueter.basis_combination(f.operand(), points).shape == (300, 1 << n)

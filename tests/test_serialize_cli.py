@@ -248,6 +248,27 @@ def test_cli_growth_type_beyond_the_float_range_is_inf(tmp_path, capsys, ln_norm
     assert "membership at sigma=1.0: False" in out
 
 
+def test_cli_growth_converts_only_an_exact_document(tmp_path, capsys, monkeypatch):
+    """A float series file is used as it is read: no coefficient is copied
+    by ``to_float``.  Its report is the report of the same series read from
+    an exact file, byte for byte."""
+    f = random_rational_series(3, 5, 8)
+    calls = []
+    to_float = CliffordNumber.to_float
+    monkeypatch.setattr(CliffordNumber, "to_float", lambda a: calls.append(a) or to_float(a))
+    outputs = []
+    for name, mode in (("exact", "exact"), ("float", "float")):
+        fp, rp = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        series = f if mode == "exact" else f.to_float()
+        serialize.write_file(str(fp), serialize.series_to_obj(series, mode))
+        calls.clear()
+        argv = ["--samples", "16", "growth", str(fp), "--po", "loglog:1:1", "--window", "1:5", "--out", str(rp)]
+        assert main(argv) == 0
+        assert len(calls) == (len(f.coeffs) if mode == "exact" else 0)
+        outputs.append((rp.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_growth_empty_window(tmp_path):
     f = random_rational_series(2, 3, 5)
     fp = tmp_path / "f.json"

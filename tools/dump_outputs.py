@@ -13,14 +13,17 @@ sup-norm brackets of ``weighted_norm_ln``, ``max_modulus``, ``k_q`` and
 ``fueter_sup_unit_ball``, growth reports as CSV, ``ProximateOrder`` values,
 Dirac residuals at n=2, 3 and 4 (``dirac_residual`` over a point set and at
 each point alone, and the ``dirac_residuals`` rows of the basis at the points
-of ``check_monogenicity``), and the output of the CLI commands on valid files
-(CK products, operator application and the operator/table transforms in
-exact and in float mode).  ``--quick`` keeps only n=2: the clean suite and,
-under each corruption, the reports of the check it targets, and no
-residual section.  The script uses only names that have been stable across
-releases, so it runs against older trees too; the one newer name,
-``ProximateOrder.ln_weight_peaks``, is skipped where it is missing, and
-``dirac_residuals`` is called one base point at a time where it takes one.
+of ``check_monogenicity``), a float series at n=4 and degree 8, where the 2^n
+blades far outnumber the n+1 of a paravector (``max_modulus``, ``k_qs`` and
+``series_eval``), and the output of the CLI commands on valid files (CK
+products, operator application and the operator/table transforms in exact
+and in float mode).  ``--quick`` keeps only n=2: the clean suite and, under
+each corruption, the reports of the check it targets, and neither the
+residual nor the n=4 section.  The script uses only names that have been
+stable across releases, so it runs against older trees too; the one newer
+name, ``ProximateOrder.ln_weight_peaks``, is skipped where it is missing,
+and ``dirac_residuals`` is called one base point at a time where it takes
+one.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from monogenic.growth import (
     axis_log_norms,
     growth_report,
     k_q,
+    k_qs,
     log_coeff_norms,
     weighted_norm_ln,
 )
@@ -146,6 +150,17 @@ def residuals():
             yield f"dirac_residuals n={n} point {k} {row!r}"
 
 
+def wide_series():
+    f = random_rational_series(4, 8, 41).to_float()
+    for r in (0.5, 1.5):
+        yield f"max_modulus n=4 {r} {max_modulus(f, r, samples=32, seed=2)!r}"
+    yield f"k_qs n=4 {k_qs(f, range(9), samples=24, seed=1).tolist()!r}"
+    draw = random.Random(4).uniform
+    for _ in range(3):
+        x = Paravector(draw(-1.0, 1.0), [draw(-1.0, 1.0) for _ in range(4)])
+        yield f"series_eval n=4 {x!r} {sorted(series_eval(f, x).coeffs.items())!r}"
+
+
 def growth_reports():
     po, loglog = SCALES[0], SCALES[4]
     norms = axis_log_norms(2, 1.0, 1.0, 1, 40)
@@ -235,6 +250,7 @@ def dump(quick: bool):
     yield from brackets(dims)
     if not quick:
         yield from residuals()
+        yield from wide_series()
     yield from growth_reports()
     yield from operator_profiles()
     yield from cli_outputs(quick)
