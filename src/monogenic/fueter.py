@@ -34,7 +34,8 @@ each e_i inside it.  Each batched evaluation works in blocks of points
 through its ``contraction_operand``, the (S(n+1), 2^n) matrix of right
 multiplication by the S coefficients, which a float series builds once and
 keeps; float series evaluation and the Dirac residuals (``dirac_residuals``,
-all base points in one call) use it.
+all base points in one call) use it.  Each point's row is a product of its
+own (``_contract``), so no bit of it depends on which points share the call.
 
 A sampled sup uses V_m(r d) = r^|m| V_m(d): the basis is evaluated once, at
 unit directions d, and each block's degree-q rows are contracted apart into
@@ -135,7 +136,7 @@ def fueter_sup_unit_ball(m: MultiIndex, samples: int, seed: int = 0) -> float:
         raise ValueError("samples must be >= 1")
     n = len(m)
     operand = contraction_operand(n, {tuple(m): CliffordNumber.scalar(n, 1.0)})
-    (sup,) = sampled_sups(n, operand, [1.0], samples, seed)
+    (sup,) = sampled_sups(operand, [1.0], samples, seed)
     # the true sup is <= 1; trim float jitter at attaining points
     return min(sup, 1.0)
 
@@ -362,39 +363,42 @@ def basis_combination(operand: tuple[int, np.ndarray, np.ndarray], points) -> np
     ``operand`` is the table's ``contraction_operand`` and ``points`` is
     (P, n+1) as for ``basis_values``; points of another width raise
     ``DimensionMismatchError``.  A value beyond the float range is inf or
-    NaN, without a warning.
+    NaN, without a warning.  A row has the bits of its one-point call.
     """
     degree, rows, right = operand
-    size = right.shape[1]
-    n = size.bit_length() - 1
+    n = right.shape[1].bit_length() - 1
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != n + 1:
         raise DimensionMismatchError(
             f"points of shape {pts.shape} for a series of dimension {n}: expected rows of {n + 1}"
         )
-    out = np.empty((len(pts), size))
+    out = np.empty((len(pts), right.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
         for block in _point_blocks(pts, degree):
-            at = pts[block].T
-            values = _basis_block(at, degree)[rows, : n + 1].reshape(-1, at.shape[1])
-            out[block] = np.ascontiguousarray(values.T) @ right
+            out[block] = _contract(_basis_block(pts[block].T, degree)[rows, : n + 1], right)
     return out
 
 
-def _degree_sums(n: int, operand: tuple[int, np.ndarray, np.ndarray], samples: int, seed: int):
+def _contract(values: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Values (K, n+1, P) of a block's operand rows times ``right``: (P, 2^n),
+    one stacked matmul of C-contiguous (P, 1, K (n+1)) rows, which takes each
+    row as a one-point call does; a gemm over all rows, or strided rows, would
+    not, as BLAS picks its summation order by shape."""
+    return np.matmul(np.ascontiguousarray(values.reshape(-1, values.shape[2]).T)[:, None], right)[:, 0]
+
+
+def _degree_sums(operand: tuple[int, np.ndarray, np.ndarray], samples: int, seed: int):
     """The degree sums S_q(d), q = 0..Q, at about ``samples`` unit directions
     (``sphere_directions``, axis points included), one array (Q+1, P_block,
     2^n) per block of them: one basis evaluation and one product per degree."""
     degree, rows, right = operand
-    size = right.shape[1]
-    if size != 1 << n:
-        raise DimensionMismatchError(f"a table of dimension {size.bit_length() - 1} sampled in dimension {n}")
+    n = right.shape[1].bit_length() - 1
     cuts = np.searchsorted(rows, [0, 1] + [step[1] for step in _layout(n, degree)[1]]).tolist()
     parts = [(rows[a:b], right[a * (n + 1) : b * (n + 1)]) for a, b in pairwise(cuts)]
-    by_degree = lambda v: np.stack([v[rq, : n + 1].reshape(-1, v.shape[2]).T @ part for rq, part in parts])
     dirs = sphere_directions(n + 1, samples, seed=seed)
     for block in _point_blocks(dirs, degree):
-        yield by_degree(_basis_block(dirs[block].T, degree))
+        values = _basis_block(dirs[block].T, degree)
+        yield np.stack([_contract(values[rq, : n + 1], part) for rq, part in parts])
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
@@ -451,22 +455,17 @@ def _maxima(blocks) -> list[float]:
         return reduce(np.maximum, maxima).tolist()
 
 
-def sampled_sups(
-    n: int, operand: tuple[int, np.ndarray, np.ndarray], radii, samples: int, seed: int = 0
-) -> list[float]:
+def sampled_sups(operand: tuple, radii, samples: int, seed: int = 0) -> list[float]:
     """Sampled max of norm(sum_m V_m(x) a_m) on the sphere of each radius,
     for the table whose ``contraction_operand`` is given: the largest
     ``row_norms`` of its values at the radius, by Horner's rule on the
-    degree sums at the directions.  An empty table is zero everywhere, and
-    no point is built for it."""
-    if not len(operand[1]):
-        return [0.0] * len(radii)
+    degree sums at the directions."""
     r = np.array(radii, dtype=float)[:, None, None]
     horner = lambda sums: reduce(lambda acc, s: acc * r + s, sums[::-1], np.zeros_like(r))
-    return _maxima(map(horner, _degree_sums(n, operand, samples, seed)))
+    return _maxima(map(horner, _degree_sums(operand, samples, seed)))
 
 
-def degree_sups(n: int, operand, samples: int, seed: int = 0) -> list[float]:
+def degree_sups(operand: tuple, samples: int, seed: int = 0) -> list[float]:
     """Sampled max of norm(S_q) on the unit sphere for q = 0..Q, the
     directions of ``sampled_sups``: each homogeneous part's unit-ball sup."""
-    return _maxima(_degree_sums(n, operand, samples, seed))
+    return _maxima(_degree_sums(operand, samples, seed))

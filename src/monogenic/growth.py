@@ -513,7 +513,7 @@ def weighted_norm_ln(
     if samples == 0:
         return -math.inf, ln_upper
 
-    sups = sampled_sups(f.n, f.operand(), [math.exp(L) for L in candidates], samples, seed)
+    sups = sampled_sups(f.operand(), [math.exp(L) for L in candidates], samples, seed)
     ln_lower = -math.inf
     for L, sampled in zip(candidates, sups):
         if sampled > 0.0:
@@ -539,7 +539,7 @@ def k_qs(f: MonogenicSeries, qs, samples: int = 256, seed: int = 0) -> np.ndarra
         raise ValueError(f"degree must be >= 0, got {min(qs)}")
     uppers, top = f.degree_norms(), max(qs, default=-1)
     g = f.truncate(top) if 0 <= top < f.degree else f
-    lowers = degree_sups(f.n, g.operand(), samples, seed) if uppers and qs else []
+    lowers = degree_sups(g.operand(), samples, seed) if uppers and qs else []
     rows = [(lowers[q] if q < len(lowers) else 0.0, uppers.get(q, 0.0)) for q in qs]
     return np.array(rows, dtype=float).reshape(-1, 2)
 

@@ -450,16 +450,16 @@ def dirac_residual(
 ) -> float:
     """Max over the points (NaN if any is NaN, 0.0 for none) of the Dirac
     residual of a series or point function, in one ``dirac_residuals``
-    call.  A series is the point function ``series_eval``, one point per
-    kernel call, so no residual depends on the other points.  Values go
-    into dense rows by ``blade_rows``, which raises
+    call.  A series is one ``basis_combination`` call on all offset points;
+    a point function's values go into rows by ``blade_rows``, which raises
     ``DimensionMismatchError`` for a value of another dimension."""
     if isinstance(f, MonogenicSeries):
-        f = partial(series_eval, f)
-    evaluate = lambda pts: blade_rows(
-        pts.shape[1] - 1, [f(Paravector.from_components(p)) for p in pts.tolist()]
-    )[:, None]
-    return float(np.max(dirac_residuals(evaluate, points, h), initial=0.0))
+        evaluate = partial(basis_combination, f.operand())
+    else:
+        evaluate = lambda pts: blade_rows(
+            pts.shape[1] - 1, [f(Paravector.from_components(p)) for p in pts.tolist()]
+        )
+    return float(np.max(dirac_residuals(lambda pts: evaluate(pts)[:, None], points, h), initial=0.0))
 
 
 def max_modulus(
@@ -478,7 +478,7 @@ def max_modulus(
     if r == 0:
         exact = f.coeff((0,) * f.n).norm()
         return exact, max(upper, exact)
-    (lower,) = sampled_sups(f.n, f.operand(), [r], samples, seed)
+    (lower,) = sampled_sups(f.operand(), [r], samples, seed)
     return lower, upper
 
 

@@ -32,6 +32,13 @@ def scale_right(f: MonogenicSeries, c: CliffordNumber) -> MonogenicSeries:
     return MonogenicSeries(f.n, f.degree, {m: cl_mul(a, c) for m, a in f.coeffs.items()})
 
 
+def assert_refused(call, error: type, message: str) -> None:
+    """call() raises ``error`` with a one-line message that contains ``message``."""
+    with pytest.raises(error) as err:
+        call()
+    assert message in str(err.value) and "\n" not in str(err.value), str(err.value)
+
+
 #: the least integer that a float conversion rounds to inf
 INF_FLOOR = 2**1024 - 2**970
 

@@ -14,7 +14,7 @@ from monogenic.clifford import (
 )
 from monogenic.errors import DimensionMismatchError
 
-from conftest import random_clifford
+from conftest import assert_refused, random_clifford
 
 
 def rewrite_oracle(a_mask: int, b_mask: int, n: int) -> tuple[int, int]:
@@ -186,3 +186,14 @@ def test_exact_zero_coefficients_dropped():
     # float zeros are data, not structural zeros
     f = CliffordNumber(2, {0: 0.0})
     assert 0 in f.coeffs
+
+
+def test_constructor_refusals_are_one_line():
+    """A dimension below 1, a blade mask outside the dimension and a unit
+    axis outside 1..dim each raise one line."""
+    assert_refused(lambda: CliffordNumber(0), ValueError, "dimension must be >= 1, got 0")
+    for mask, text in ((0b100, "0x4"), (-1, "-0x1")):
+        call = lambda: CliffordNumber(2, {mask: Fraction(1)})
+        assert_refused(call, DimensionMismatchError, f"blade mask {text} out of range for dimension 2")
+    for axis in (0, 3):
+        assert_refused(lambda: CliffordNumber.unit(2, axis), ValueError, f"axis {axis} out of range 1..2")

@@ -26,7 +26,7 @@ from monogenic.sampling import sphere_directions
 from monogenic.series import MonogenicSeries, dirac_residual, max_modulus
 from monogenic.verify import random_rational_series
 
-from conftest import random_point
+from conftest import assert_refused, random_point
 
 
 def test_fueter_var_values():
@@ -138,6 +138,11 @@ def test_left_and_right_recursions_agree():
 )
 def test_derivative_rule(m, axis, expected):
     assert fueter_derivative_rule(m, axis) == expected
+
+
+def test_derivative_rule_refuses_an_axis_out_of_range():
+    for axis in (0, 3):
+        assert_refused(lambda: fueter_derivative_rule((1, 2), axis), ValueError, f"axis {axis} out of range 1..2")
 
 
 def test_derivative_rule_against_finite_differences(rng):
@@ -284,7 +289,7 @@ def test_sampled_moduli_are_the_clifford_norm_of_each_row(monkeypatch, n):
     got = []
     for row in rows:
         monkeypatch.setattr(fueter, "_degree_sums", lambda *_: iter([np.tile(row, (1, 8, 1))]))
-        got += fueter.sampled_sups(n, f.operand(), [1.0], 8)
+        got += fueter.sampled_sups(f.operand(), [1.0], 8)
     assert [v.hex() for v in got] == [norm(row).hex() for row in rows.tolist()]
     # a sampled lower side is the largest of those norms over its own rows,
     # the degree sums taken by Horner's rule in r, highest degree first
@@ -304,7 +309,7 @@ def test_sampled_sups_match_the_scaled_directions(n):
     f = random_rational_series(n, 5, 40 + n).to_float()
     dirs = sphere_directions(n + 1, 64, seed=2)
     radii = [0.3, 1.0, math.e, 7.3]
-    for r, sup in zip(radii, fueter.sampled_sups(n, f.operand(), radii, 64, seed=2)):
+    for r, sup in zip(radii, fueter.sampled_sups(f.operand(), radii, 64, seed=2)):
         direct = fueter.row_norms(fueter.basis_combination(f.operand(), r * dirs)).max()
         assert abs(sup - direct) <= 1e-12 * f.coeff_upper_bound(r)
 

@@ -39,6 +39,9 @@ from monogenic.fueter import contraction_operand
 from monogenic import verify
 from monogenic.verify import _derivative_norms, axis_series, random_rational_series
 
+from conftest import assert_refused
+
+
 FAMILIES = (
     ProximateOrder("constant", 1.0),
     ProximateOrder("constant", 2.0),
@@ -542,7 +545,7 @@ def pruned_envelope(f, po, sigma):
     their way to the sampler, which is not run."""
     radii = []
 
-    def catch(n, coeffs, rs, samples, seed):
+    def catch(operand, rs, samples, seed):
         radii.extend(rs)
         return [0.0] * len(rs)
 
@@ -868,3 +871,28 @@ def test_runtime_loads_no_scipy(runtime_output):
 def test_runtime_loads_no_numpy_random(runtime_output):
     # numpy.random alone costs about 5.7 MB of resident memory
     assert runtime_output[1] == "False"
+
+
+def test_scale_refusals_are_one_line():
+    """``scale``, ``exponent`` and ``phi`` are defined on the positive
+    reals only; each refuses r or t <= 0 with one line, an array with one
+    such entry included."""
+    for po in (ProximateOrder("constant", 1.5), ProximateOrder("loglog", 1.0, 1.0)):
+        for bad in (0.0, -2.0):
+            assert_refused(lambda: po.scale(bad), ValueError, "scale is defined for r > 0")
+            assert_refused(lambda: po.exponent(bad), ValueError, "exponent is defined for r > 0")
+            assert_refused(lambda: po.phi(bad), ValueError, "phi is defined for t > 0")
+        assert_refused(lambda: po.scale(np.array([1.0, 0.0])), ValueError, "scale is defined for r > 0")
+
+
+def test_order_of_a_window_with_only_the_constant_term():
+    """``order_from_coeffs`` on a window whose only coefficient is the
+    constant term raises ``UndefinedOrderError``; ``growth_report`` then
+    gives no order or coefficient type estimate and reports the rest."""
+    log_norms = {(0, 0): 0.0, (3, 0): -2.0}
+    assert_refused(
+        lambda: order_from_coeffs(log_norms, (0, 2), 2), UndefinedOrderError, "window contains only the constant term"
+    )
+    report = growth_report(ProximateOrder("constant", 1.0), (0, 2), 2, log_norms, log_kq_bounds={1: (-1.0, 0.5)})
+    assert report.order_estimate is None and report.type_estimate_coeffs is None
+    assert report.qs == [1] and report.type_estimate_kq == report.membership_value[0]

@@ -12,6 +12,8 @@ from monogenic.multiindex import (
     mi_factorial,
 )
 
+from conftest import assert_refused
+
 
 def mi_leq(p: MultiIndex, m: MultiIndex) -> bool:
     """Componentwise partial order p <= m."""
@@ -144,3 +146,8 @@ def test_c_upper_root():
 def test_partial_order():
     assert mi_leq((1, 0), (2, 3))
     assert not mi_leq((1, 4), (2, 3))
+
+
+def test_enumerate_degree_refuses_a_dimension_below_one():
+    for n in (0, -1):
+        assert_refused(lambda: enumerate_degree(n, 2), ValueError, f"n must be >= 1, got {n}")

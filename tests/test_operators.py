@@ -516,3 +516,18 @@ def test_tail_bound_flat_above_threshold():
     profile = tail_bound_profile(P, PO1, PO1, sigma=1.0, tau=tau, k=k)
     # above the threshold the assembled tail no longer halves per step
     assert any(profile[M + 1] > profile[M] - math.log(2.0) for M in range(8, 20))
+
+
+def test_class_check_of_an_operator_without_entries_or_with_one_degree():
+    """An operator with no entries has no requirement: every cell passes
+    with constant exp(-inf) = 0 and trend 0.  An operator whose entries sit
+    at one degree has no trend to fit: every cell has trend 0 and passes."""
+    po = ProximateOrder("constant", 1.0)
+    sigmas, rates = (0.5, 2.0), (0.25, 4.0)
+    empty = op_class_check(OperatorSymbol(2), po, po, sigmas, rates)
+    assert set(empty.ln_constant.values()) == {-math.inf} and set(empty.trend.values()) == {0.0}
+    assert empty.all_rates and empty.all_weights
+    u = MonogenicSeries.unit(2, exact=False)
+    single = op_class_check(OperatorSymbol(2, {(1, 0): u, (0, 1): u}), po, po, sigmas, rates)
+    assert set(single.trend.values()) == {0.0} and all(single.cell_ok.values())
+    assert all(math.isfinite(v) for v in single.ln_constant.values())

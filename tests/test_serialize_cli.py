@@ -78,12 +78,15 @@ def test_exact_mode_rejects_floats():
 
 @pytest.mark.parametrize(
     "mode, value",
-    [("float", float("nan")), ("float", float("inf")), ("float", True), ("exact", True)],
+    [("float", float("nan")), ("float", float("inf")), ("float", True), ("exact", True), ("float", 10**400)],
 )
 def test_series_reader_rejects_non_finite_and_boolean_values(mode, value):
+    """Each refusal is one line; 10**400 is what JSON gives for that integer
+    literal, finite as an int but not as a float."""
     obj = {"n": 2, "degree": 1, "mode": mode, "coeffs": [{"m": [1, 0], "value": {"": value}}]}
-    with pytest.raises(SerializationError):
+    with pytest.raises(SerializationError) as err:
         serialize.obj_to_series(obj)
+    assert "\n" not in str(err.value)
 
 
 def test_coeffs_emitted_in_lexicographic_degree_order():
@@ -920,3 +923,22 @@ def test_cli_parser_reuse_leaks_no_state(tmp_path, capsys):
         alone.append(run(argv, tmp_path / f"alone{i}"))
     assert [r[0] for r in together] == [2, ("SystemExit", 2), 0, 0, 0, 0, 0, 2]
     assert together == alone
+
+
+def test_refusals_of_the_interchange_format_are_one_line():
+    """An unknown mode in ``series_to_obj`` and a norms file of dimension 0
+    each raise one ``SerializationError`` line."""
+    with pytest.raises(SerializationError, match=r"^unknown mode 'fraction'$"):
+        serialize.series_to_obj(MonogenicSeries.unit(2), "fraction")
+    with pytest.raises(SerializationError, match=r"^dimension must be >= 1, got 0$"):
+        serialize.obj_to_log_norms({"n": 0, "kind": "log_norms", "entries": []})
+
+
+def test_cli_eval_overflow_in_process_is_one_line(tmp_path, capsys):
+    """``eval`` whose float value overflows exits 2 with one stderr line and
+    prints nothing: 1e308 x1 at x1 = 10."""
+    path = tmp_path / "big.json"
+    _write_series(path, MonogenicSeries(2, 1, {(1, 0): CliffordNumber.scalar(2, 1e308)}))
+    assert main(["eval", str(path), "--point", "0,10,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: the value at point '0,10,0' is not finite in floats\n"

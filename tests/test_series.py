@@ -31,6 +31,7 @@ from conftest import (
     EXACT_VALUE,
     INF_FLOOR,
     exact_clifford,
+    assert_refused,
     exact_series,
     random_point,
     reference_derivative,
@@ -228,13 +229,9 @@ def test_negative_index_and_point_dimension_rejected():
 def test_kernel_rejects_points_of_another_width():
     """The operand knows n: points of width n+1 for another n raise one line."""
     f = random_rational_series(3, 4, 5).to_float()
-    for call in (
-        lambda: fueter.basis_combination(f.operand(), [[0.1, 0.2]]),
-        lambda: fueter.sampled_sups(2, f.operand(), [1.0], 8),
-    ):
-        with pytest.raises(DimensionMismatchError) as err:
-            call()
-        assert "\n" not in str(err.value) and "dimension 3" in str(err.value)
+    with pytest.raises(DimensionMismatchError) as err:
+        fueter.basis_combination(f.operand(), [[0.1, 0.2]])
+    assert "\n" not in str(err.value) and "dimension 3" in str(err.value)
 
 
 def test_float_series_builds_its_operand_once(monkeypatch):
@@ -865,3 +862,22 @@ def test_float_sums_keep_the_per_blade_bits(seed):
     for g_table, w_table in zip(got, want):
         for p, value in g_table.items():
             assert {k: v.hex() for k, v in value.coeffs.items()} == {k: v.hex() for k, v in w_table[p].items()}
+
+
+def test_series_refusals_are_one_line():
+    """A dimension below 1, a negative degree, a coefficient of another
+    dimension and a sum of series of different dimensions each raise one
+    line."""
+    one = CliffordNumber.scalar(3, Fraction(1))
+    assert_refused(lambda: MonogenicSeries(0, 1), ValueError, "dimension must be >= 1, got 0")
+    assert_refused(lambda: MonogenicSeries(2, -1), ValueError, "degree must be >= 0, got -1")
+    assert_refused(
+        lambda: MonogenicSeries(2, 1, {(1, 0): one}),
+        DimensionMismatchError,
+        "coefficient at (1, 0) lives in dimension 3, series in 2",
+    )
+    assert_refused(
+        lambda: MonogenicSeries.unit(2) + MonogenicSeries.unit(3),
+        DimensionMismatchError,
+        "adding series of different dimension",
+    )

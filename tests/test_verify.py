@@ -27,7 +27,7 @@ from monogenic.verify import (
     summary_table,
 )
 
-from conftest import reference_derivative
+from conftest import assert_refused, reference_derivative
 
 PO1 = ProximateOrder("constant", 1.0)
 
@@ -367,3 +367,16 @@ def test_random_rational_generators_reject_a_negative_seed(make):
     # random.Random(-1) draws the stream of random.Random(1)
     with pytest.raises(ValueError, match=re.escape("seed must be a non-negative integer, got -1")):
         make(-1)
+
+
+def test_cauchy_check_of_the_zero_series_passes_with_margin_zero():
+    """The zero series has no coefficient to bound: every radius is
+    skipped, and the report passes with margin 0.0 and no worst point."""
+    report = check_cauchy(MonogenicSeries(2, 3), (0.5, 1.0, 2.0))
+    assert report.passed and report.margin == 0.0 and report.details["worst_at"] is None
+
+
+def test_vm_norm_bound_refuses_sigma_prime_not_below_sigma():
+    po = ProximateOrder("constant", 1.0)
+    for sigma_prime in (0.0, 1.0, 2.0):
+        assert_refused(lambda: check_vm_norm_bound(po, 1.0, sigma_prime), ValueError, "need 0 < sigma' < sigma")
