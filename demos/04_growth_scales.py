@@ -12,7 +12,6 @@ from monogenic import (
     ProximateOrder,
     axis_log_norms,
     growth_report,
-    membership_limsup,
     order_from_coeffs,
     type_from_coeffs,
     type_from_kq,
@@ -46,11 +45,10 @@ kq = {mi_abs(m): v for m, v in norms.items()}
 po = ProximateOrder("constant", rho)
 print(f"\nsynthetic family with rho={rho}, sigma={sigma}:")
 print(f"  type from coefficients : {type_from_coeffs(norms, rho, (200, 500)):.6f}")
-print(f"  type from unit-ball sup: {type_from_kq(kq, po, (200, 500)):.6f}")
+print(f"  type from unit-ball sup: {type_from_kq(kq, po, (200, 500)):.6f}"
+      "   <- the membership surrogate: f lies in each weighted space of weight above it")
 print(f"  order (window 100-200) : {order_from_coeffs(norms, (100, 200), 2):.4f}"
       "   <- carries the documented 1/ln(q) finite-window bias")
-member = membership_limsup(kq, po, (200, 500), log_norms=norms, n=2)
-print(f"  membership surrogate   : {member.kq_value:.6f} (weighted space of weight sigma)")
 
 # the CSV diagnostics the growth command emits
 report = growth_report(po, (10, 20), 2, log_norms=norms, sigma_test=sigma)

@@ -29,14 +29,12 @@ from .fueter import (
 )
 from .growth import (
     GrowthReport,
-    MembershipReport,
     ProximateOrder,
     axis_log_norms,
     growth_report,
     k_q,
     k_qs,
     log_coeff_norms,
-    membership_limsup,
     order_from_coeffs,
     type_from_coeffs,
     type_from_kq,

@@ -701,37 +701,6 @@ def type_from_kq(
     return _exp_type(best)
 
 
-@dataclass
-class MembershipReport:
-    """Finite-window surrogate of the coefficient membership criterion."""
-
-    window: tuple[int, int]
-    kq_value: float
-    coeff_value: float | None = None
-    dimension_slack: float | None = None
-
-
-def membership_limsup(
-    log_kq: Mapping[int, float],
-    po: ProximateOrder,
-    window: tuple[int, int],
-    log_norms: Mapping[MultiIndex, float] | None = None,
-    n: int | None = None,
-) -> MembershipReport:
-    """max over the window of (K_q G_q)^(rho/q): the weighted space a function
-    enters is read off from whether this stays <= sigma.
-
-    When coefficient data is supplied the per-degree variant
-    (max_m norm(a_m) G_q)^(rho/q) is also reported together with the n^rho
-    slack that relates the two criteria.
-    """
-    report = MembershipReport(window=window, kq_value=_exp_type(_max_ln_type(log_kq, po, window)))
-    if log_norms is not None and n is not None:
-        report.coeff_value = _exp_type(_max_ln_type(per_degree(log_norms, max), po, window))
-        report.dimension_slack = float(n) ** po.rho
-    return report
-
-
 # ---------------------------------------------------------------------------
 # Growth reports
 # ---------------------------------------------------------------------------

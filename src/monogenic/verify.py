@@ -25,8 +25,8 @@ from .fueter import basis_values, dirac_residuals, ordered_words
 from .growth import (
     ProximateOrder,
     axis_log_norms,
+    ln_sum,
     log_coeff_norms,
-    membership_limsup,
     per_degree,
     tail_ln_sums,
     type_from_kq,
@@ -63,7 +63,9 @@ FAMILIES = (
     ProximateOrder("loglog", 1.0, 1.0),
 )
 
-#: corruption name -> the check it must break
+#: corruption name -> the check it must break.  Two controls also break a
+#: second check: broken-scale fails scaling-bound, and mismatched-scale (the
+#: weight's order doubled) fails membership-criterion.
 CORRUPTION_TARGETS = {
     "shrunk-modulus": "cauchy-inequality",
     "ordered-words": "fueter-monogenicity",
@@ -687,12 +689,13 @@ def check_ck_norm_bound(
 
 
 def _axis_type_fixture(rho, sigma, window, n, corruption):
-    """(scale, coefficient log norms, per-degree ln K_q) of the axis family of
-    order rho and type sigma on the window; the scale's order doubles under
-    the mismatched-scale corruption."""
+    """(scale, degree -> ln a_q) of the axis family of order rho and type
+    sigma on the window: its one coefficient per degree, a positive scalar,
+    is also its ln K_q.  The scale's order doubles under the mismatched-scale
+    corruption."""
     po = ProximateOrder("constant", 2.0 * rho if corruption == "mismatched-scale" else rho)
     log_norms = axis_log_norms(n, rho, sigma, window[0], window[1])
-    return po, log_norms, {mi_abs(m): v for m, v in log_norms.items()}
+    return po, {mi_abs(m): v for m, v in log_norms.items()}
 
 
 def check_type_formula(
@@ -704,7 +707,7 @@ def check_type_formula(
 ) -> CheckReport:
     """Recover the type of the synthetic axis family from unit-ball peaks of
     its homogeneous parts; 10% relative accuracy at the configured window."""
-    po, _, log_kq = _axis_type_fixture(rho, sigma, window, n, corruption)
+    po, log_kq = _axis_type_fixture(rho, sigma, window, n, corruption)
     est = type_from_kq(log_kq, po, window)
     rel_err = abs(est - sigma) / sigma
     small = type_from_kq(log_kq, po, (window[0], window[0] + 20))
@@ -724,17 +727,46 @@ def check_membership(
     n: int = 2,
     corruption: str | None = None,
 ) -> CheckReport:
-    """The membership surrogate max (K_q G_q)^{rho/q} of the axis family of
-    type sigma lands within 10% of sigma."""
-    po, log_norms, log_kq = _axis_type_fixture(rho, sigma, window, n, corruption)
-    report = membership_limsup(log_kq, po, window, log_norms=log_norms, n=n)
-    rel_err = abs(report.kq_value - sigma) / sigma
+    """The weighted-norm side of the membership criterion: the axis family
+    f = sum_q a_q V_(q,0,...,0) of type sigma has a finite norm
+    ||f||_s = sup_x |f(x)| e^{-s t(|x|)} at s = (1+eps) sigma and not at
+    s = (1-eps) sigma, eps = 0.1, read as the drift of a closed-form bracket
+    of ln ||f||_s when the degrees above the window's middle q_mid are added.
+
+    The bracket: the a_q are positive scalars and V_(q,0,...,0) = z_1^q with
+    |z_1| <= |x|, equal on the x_1 axis, so the sup of |f| on the sphere of
+    radius r is sum_q a_q r^q.  With p_q(s) = sup_r (q ln r - s t(r))
+    (``ProximateOrder.ln_weight_peaks``), each term T_q = ln a_q + p_q(s) is
+    the weighted norm of one summand, which the positive sum dominates, and
+    the sup of the sum is at most the sum of the sups:
+
+        max_q T_q <= ln ||f||_s <= logsumexp_q T_q.
+
+    For this family T_q = (q/rho) ln(sigma/s) under the constant scale of
+    order rho.  Above the type the terms fall with q, so the upper side
+    barely moves when the top half is added; below it they rise, and the
+    lower side grows by the drift D = (q_hi - q_mid)/rho * ln(1/(1-eps)).
+    The margin is the least of D/2 - (rise of the upper side above the
+    type) and (growth of the lower side below it) - D/2.  The mismatched
+    scale doubles the weight's order: every term then falls with q and the
+    lower side does not grow.
+    """
+    eps = 0.1
+    po, table = _axis_type_fixture(rho, sigma, window, n, corruption)
+    qs, ln_a = np.array(list(table), dtype=float), np.array(list(table.values()))
+    q_mid = (window[0] + window[1]) // 2
+    low = qs <= q_mid
+    above = ln_a + po.ln_weight_peaks(qs, (1.0 + eps) * sigma)[1]
+    below = ln_a + po.ln_weight_peaks(qs, (1.0 - eps) * sigma)[1]
+    rise = ln_sum(above) - ln_sum(above[low])
+    growth = float(below.max() - below[low].max())
+    drift = (window[1] - q_mid) / rho * -math.log1p(-eps)
     return _report(
         "membership-criterion",
-        f"axis family rho={rho}, sigma={sigma}, window={window}",
-        0.10 - rel_err,
-        constants={"value": report.kq_value},
-        details={"coeff_value": report.coeff_value, "slack": report.dimension_slack},
+        f"axis family rho={rho}, sigma={sigma}, window={window}, eps={eps}",
+        min(0.5 * drift - rise, growth - 0.5 * drift),
+        constants={"rise_above": rise, "growth_below": growth, "drift": drift},
+        details={"bracket": "closed-form lower/upper"},
     )
 
 

@@ -23,9 +23,7 @@ from monogenic.growth import (
     k_q,
     k_qs,
     log_coeff_norms,
-    log_kq_upper,
     logsumexp,
-    membership_limsup,
     order_from_coeffs,
     type_from_coeffs,
     type_from_kq,
@@ -450,19 +448,13 @@ def test_type_from_kq_and_membership():
         norms = axis_log_norms(2, rho, sigma, 200, 500)
         kq = {mi_abs(m): v for m, v in norms.items()}
         assert type_from_kq(kq, po, (200, 500)) == pytest.approx(sigma, rel=1e-9)
-        rep = membership_limsup(kq, po, (200, 500), log_norms=norms, n=2)
-        assert rep.kq_value == pytest.approx(sigma, rel=1e-9)
-        assert rep.coeff_value <= rep.dimension_slack * rep.kq_value * (1 + 1e-9)
     with pytest.raises(UndefinedOrderError):
         type_from_kq({3: 0.0}, ProximateOrder("constant", 1.0), (10, 20))
-    # one functional: type_from_kq is the membership surrogate, and the
-    # coefficient type is the classical formula (1/(e rho)) max |m| |a_m|^(rho/|m|)
+    # the coefficient type is the classical formula (1/(e rho)) max |m| |a_m|^(rho/|m|)
     random_norms = log_coeff_norms(random_rational_series(2, 8, 11).to_float())
     for po in (FAMILIES[1], FAMILIES[4], FAMILIES[6]):  # constant, logshift, loglog
         axis = (axis_log_norms(2, po.rho, 1.5, 200, 500), (200, 500))
         for norms, window in (axis, (random_norms, (1, 8))):
-            kq = log_kq_upper(norms)
-            assert type_from_kq(kq, po, window) == membership_limsup(kq, po, window).kq_value
             classical = max(
                 mi_abs(m) * math.exp(po.rho * v / mi_abs(m))
                 for m, v in norms.items()
@@ -479,8 +471,6 @@ def test_type_beyond_the_float_range_is_inf(ln_norm, rho):
     norms = {(1, 0): ln_norm}
     assert type_from_kq({1: ln_norm}, po, window) == math.inf
     assert type_from_coeffs(norms, rho, window) == math.inf
-    rep = membership_limsup({1: ln_norm}, po, window, log_norms=norms, n=2)
-    assert rep.kq_value == rep.coeff_value == math.inf
     report = growth_report(po, window, 2, log_norms=norms, sigma_test=1.0)
     assert report.membership_value == [math.inf] and report.type_estimate_kq == math.inf
     assert report.type_estimate_coeffs == math.inf and report.member_verdict is False
@@ -490,16 +480,6 @@ def test_parse_reads_family_rho_and_a():
     assert ProximateOrder.parse("logshift:1:0.5") == ProximateOrder("logshift", 1.0, 0.5)
     with pytest.raises(ValueError):
         ProximateOrder.parse("constant")
-
-
-def test_membership_coeff_variant_with_real_parts():
-    # random homogeneous data: coefficient variant within the n^rho slack
-    po = ProximateOrder("constant", 1.0)
-    f = random_rational_series(2, 8, 11).to_float()
-    norms = log_coeff_norms(f)
-    kq = log_kq_upper(norms)
-    rep = membership_limsup(kq, po, (1, 8), log_norms=norms, n=2)
-    assert rep.coeff_value <= rep.dimension_slack * rep.kq_value * (1 + 1e-9)
 
 
 def test_weighted_norm_upper_vs_dense_scan():

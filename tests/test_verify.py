@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from monogenic import fueter, operators, series, verify
@@ -82,6 +83,66 @@ def test_every_control_fails_its_target_over_a_seed_sweep(n):
         if all(r.passed for r in run_all(VerifyConfig(n=n, seed=seed, corruption=corruption, only=(target,))))
     ]
     assert not missed
+
+
+#: control -> every check it fails on the full suite: its target, and for
+#: two controls a second check that reads the same corrupted scale
+CONTROL_FAILS = {
+    "shrunk-modulus": {"cauchy-inequality"},
+    "ordered-words": {"fueter-monogenicity"},
+    "skewed-normalization": {"fueter-normalization"},
+    "dropped-convolution-term": {"ck-product-oracle"},
+    "jittered-gauge": {"gauge-supermultiplicativity"},
+    "perturbed-inverse": {"scale-inverse-roundtrip"},
+    "broken-scale": {"subadditive-power", "scaling-bound"},
+    "inverted-weights": {"y-sigma-bound"},
+    "inflated-basis-norms": {"vm-norm-bound"},
+    "inflated-derivatives": {"derivative-bound"},
+    "inflated-coefficients": {"coefficient-radius-bound"},
+    "shrunk-weight": {"ck-norm-bound"},
+    "mismatched-scale": {"type-formula", "membership-criterion"},
+    "overweight-tail": {"density-reexpansion"},
+    "misindexed-inversion": {"operator-roundtrip"},
+}
+
+
+def test_every_check_has_a_control():
+    """The controls' sets cover every check, and each holds its target."""
+    assert set(CONTROL_FAILS) == set(CORRUPTION_TARGETS)
+    assert all(target in CONTROL_FAILS[c] for c, target in CORRUPTION_TARGETS.items())
+    assert set().union(*CONTROL_FAILS.values()) == set(CHECK_NAMES)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_each_control_fails_exactly_its_set(n):
+    """On the full suite a control fails the checks of its set and no other."""
+    failed = {
+        corruption: {r.name for r in run_all(VerifyConfig(n=n, corruption=corruption)) if not r.passed}
+        for corruption in CONTROL_FAILS
+    }
+    assert failed == CONTROL_FAILS
+
+
+def test_type_formula_and_membership_read_different_functionals(monkeypatch):
+    """type-formula reads the gauge G_q and membership-criterion the weight
+    peaks: a fault in either fails its check alone."""
+    checks = ("type-formula", "membership-criterion")
+
+    def failed():
+        return {r.name for r in run_all(VerifyConfig(only=checks)) if not r.passed}
+
+    assert failed() == set()
+    ln_gqs, peaks = ProximateOrder.ln_gqs, ProximateOrder.ln_weight_peaks
+    monkeypatch.setattr(ProximateOrder, "ln_gqs", lambda self, qs: ln_gqs(self, qs) + 0.5 * np.asarray(qs, float))
+    assert failed() == {"type-formula"}
+    monkeypatch.setattr(ProximateOrder, "ln_gqs", ln_gqs)
+
+    def shifted(self, qs, sigma):
+        ln_r, values = peaks(self, qs, sigma)
+        return ln_r, values - 0.5 * np.asarray(qs, float)
+
+    monkeypatch.setattr(ProximateOrder, "ln_weight_peaks", shifted)
+    assert failed() == {"membership-criterion"}
 
 
 @pytest.mark.parametrize("n", [2, 3])
